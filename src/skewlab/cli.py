@@ -61,14 +61,14 @@ def _emit(report, out_path):
             fh.write(payload)
 
 
-def _default_budget(kind="code"):
+def _budget(args):
+    """Ranks one scan may compute: --budget, else SKEWLAB_BUDGET, else the
+    default."""
+    if args.budget is not None:
+        return args.budget
     env = os.environ.get("SKEWLAB_BUDGET")
     if env:
         return int(env)
-    if kind == "semifield":
-        from .semifields import DEFAULT_SCAN_BUDGET
-
-        return DEFAULT_SCAN_BUDGET
     return DEFAULT_BUDGET
 
 
@@ -103,6 +103,8 @@ def cmd_bound(args):
 def cmd_verify(args):
     with open(args.spec) as fh:
         spec_dict = json.load(fh)
+    if not isinstance(spec_dict, dict):
+        raise ValueError("a spec file must hold a JSON object")
     if spec_dict.get("semifield"):
         return _verify_semifield(args, spec_dict)
     spec = code_spec_from_dict(spec_dict)
@@ -110,15 +112,12 @@ def cmd_verify(args):
     ctx = qctx.ctx
     finite = isinstance(ctx, FiniteFieldCtx)
     valid = validate(spec)
-    budget = args.budget if args.budget is not None else _default_budget()
     mrd = verify_mrd(
         spec,
         mode=args.mode,
         samples=args.samples,
         seed=args.seed,
-        budget=budget,
-        jobs=args.jobs,
-        spec_dict=spec_dict,
+        budget=_budget(args),
     )
     nuclear = None
     newness = []
@@ -197,12 +196,9 @@ def _verify_semifield(args, spec_dict):
         ngam = norm_to_fixed(gamma, AutMap.sigma_power(ctx, 1))
         valid = not is_square_in_base(ngam)
     alg = algebra_for_star(star)
-    budget = (
-        args.budget if args.budget is not None else _default_budget("semifield")
-    )
-    scan = zero_divisor_scan(alg, budget=budget)
+    scan = zero_divisor_scan(alg, budget=_budget(args))
     unital = has_two_sided_unit(alg)
-    nuc = nuclei(alg, budget=budget)
+    nuc = nuclei(alg)
     newness = []
     if family == "D":
         newness = [
@@ -263,6 +259,7 @@ def build_parser():
     p_verify.add_argument("--samples", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--budget", type=int, default=None)
+    # scans run in one process; --jobs is kept so existing command lines work
     p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)

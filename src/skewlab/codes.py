@@ -3,13 +3,15 @@
 S-family: words a_0 + a_1 x + ... + a_{skl-1} x^(skl-1) + eta a_0^rho x^skl.
 D-family: words a_0' + sum a_i x^i + gamma a_0'' x^skl with a_0', a_0'' in the
 index-2 subfield L'.  Validation evaluates the exact norm conditions;
-verify_mrd scans ranks through the quotient; idealisers, centralisers and
-centres are computed by prime-field linear systems on spanning sets; the
-newness report replays the known-family parameter comparison.
+verify_mrd ranks codewords with the batched rank scan in linalg;
+idealisers, centralisers and centres are computed by prime-field linear
+systems on spanning sets; the newness report replays the known-family
+parameter comparison.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+# unused here; skewbench/tracing.py patches this name to time a worker pool
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,14 +26,9 @@ from .fields import (
     is_square_in_base,
     norm_to_fixed,
 )
+from .linalg import DEFAULT_BUDGET, BudgetExceeded  # noqa: F401
 from .quotient import QuotCtx, QuotElem, rank
 from .skewpoly import CentralPoly, SkewPoly, gcrd_extended, right_mod
-
-DEFAULT_BUDGET = 10**7
-
-
-class BudgetExceeded(RuntimeError):
-    pass
 
 
 # ---------------------------------------------------------------- specs ----
@@ -271,48 +268,18 @@ class MrdReport:
         }
 
 
-def _scan_indices(spec, start, stop, d_target):
-    """Scan codeword indices [start, stop); returns (min_rank, first_bad_idx,
-    checked)."""
-    min_rank = None
-    first_bad = None
-    checked = 0
-    for idx in range(start, stop):
-        if idx == 0:
-            continue
-        word = codeword_from_index(spec, idx)
-        if not word.rep:
-            continue
-        r = rank(word)
-        checked += 1
-        if min_rank is None or r < min_rank:
-            min_rank = r
-        if r < d_target:
-            first_bad = idx
-            break
-    return min_rank, first_bad, checked
-
-
-def _scan_worker(args):
-    spec_dict, start, stop, d_target = args
-    spec = code_spec_from_dict(spec_dict)
-    return _scan_indices(spec, start, stop, d_target)
-
-
 def verify_mrd(
-    spec,
-    mode="exhaustive",
-    samples=None,
-    seed=None,
-    budget=DEFAULT_BUDGET,
-    jobs=1,
-    spec_dict=None,
+    spec, mode="exhaustive", samples=None, seed=None, budget=DEFAULT_BUDGET
 ):
     """Check rank >= m - k + 1 for nonzero codewords.
 
-    Exhaustive mode scans every codeword (refused above the budget) and
-    reports the first violation in enumeration order; sampled mode draws
-    seeded random codewords and is probabilistic evidence only.
+    Exhaustive mode ranks the right multiplications g -> g*w on R_F with
+    linalg.rank_scan (see rank_family).  It reports the first violation in
+    enumeration order, and as checked the number of nonzero words up to it
+    (every nonzero word if there is none).  budget counts ranks computed,
+    one per F_p^* orbit of codewords; every SPOT_CHECK_EVERY-th rank is
+    checked against the gcrd rank.  Sampled mode draws seeded random
+    codewords, ranks them by gcrd, and is probabilistic evidence only.
     """
     qctx = spec.qctx
     d_target = qctx.m - spec.k + 1
@@ -343,26 +310,18 @@ def verify_mrd(
         )
     if mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
-    total = codeword_count(spec)
-    if total > budget:
-        raise BudgetExceeded(
-            f"{total} codewords exceed the exhaustive budget {budget}; "
-            "use sampled mode"
-        )
-    if jobs > 1 and spec_dict is not None and total > 4 * jobs:
-        bounds = [round(i * total / jobs) for i in range(jobs + 1)]
-        tasks = [
-            (spec_dict, bounds[i], bounds[i + 1], d_target) for i in range(jobs)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scan_worker, tasks))
-        min_rank = min((r for r, _, _ in results if r is not None), default=None)
-        checked = sum(c for _, _, c in results)
-        bad = [b for _, b, _ in results if b is not None]
-        first_bad = min(bad) if bad else None
+    basis, unit = rank_family(spec)
+
+    def check(idx, _matrix, r):
+        return r == rank(codeword_from_index(spec, idx))
+
+    first_bad, min_rank = linalg.rank_scan(
+        basis, qctx.ctx.p, d_target, unit=unit, budget=budget, check=check
+    )
+    if first_bad is None:
+        checked, counter = codeword_count(spec) - 1, None
     else:
-        min_rank, first_bad, checked = _scan_indices(spec, 0, total, d_target)
-    counter = codeword_from_index(spec, first_bad) if first_bad is not None else None
+        checked, counter = first_bad, codeword_from_index(spec, first_bad)
     return MrdReport(
         spec.family,
         "exhaustive",
@@ -373,6 +332,24 @@ def verify_mrd(
         counter,
         None,
     )
+
+
+def rank_family(spec):
+    """(basis, unit) for linalg.rank_scan: word i acts on R_F by g -> g*w_i,
+    whose matrix is sum_j digit_j(i) basis[j] with basis[j] that of word p^j
+    (decoding is F_p-linear in the index digits), and rank(w_i) is its
+    F_p-rank divided by unit = s*ell*[L:F_p]."""
+    qctx = spec.qctx
+    ctx = qctx.ctx
+    total = codeword_count(spec)
+    n = 0
+    while ctx.p**n < total:
+        n += 1
+    basis = [
+        _right_mult_matrix(qctx, codeword_from_index(spec, ctx.p**j).rep)
+        for j in range(n)
+    ]
+    return basis, qctx.s * qctx.ell * ctx.dim
 
 
 # ------------------------------------------------ idealisers and centre ----

@@ -57,26 +57,55 @@ class FFElem:
         return hash(self.coeffs)
 
     def __add__(self, other):
-        self._check(other)
-        p = self.ctx.p
-        return FFElem(
-            self.ctx, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
+        ctx = self.ctx
+        if ctx is not other.ctx:
+            raise FieldError("field context mismatch")
+        cache = ctx._add_cache
+        if cache is not None:
+            key = (self.coeffs, other.coeffs)
+            hit = cache.get(key)
+            if hit is not None:
+                return hit
+        p = ctx.p
+        result = FFElem(
+            ctx, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
         )
+        if cache is not None:
+            cache[key] = result
+        return result
 
     def __sub__(self, other):
-        self._check(other)
-        p = self.ctx.p
-        return FFElem(
-            self.ctx, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
+        ctx = self.ctx
+        if ctx is not other.ctx:
+            raise FieldError("field context mismatch")
+        cache = ctx._sub_cache
+        if cache is not None:
+            key = (self.coeffs, other.coeffs)
+            hit = cache.get(key)
+            if hit is not None:
+                return hit
+        p = ctx.p
+        result = FFElem(
+            ctx, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
         )
+        if cache is not None:
+            cache[key] = result
+        return result
 
     def __neg__(self):
         p = self.ctx.p
         return FFElem(self.ctx, tuple((-a) % p for a in self.coeffs))
 
     def __mul__(self, other):
-        self._check(other)
-        return self.ctx._mul(self, other)
+        ctx = self.ctx
+        if ctx is not other.ctx:
+            raise FieldError("field context mismatch")
+        cache = ctx._mul_cache
+        if cache is not None:
+            hit = cache.get((self.coeffs, other.coeffs))
+            if hit is not None:
+                return hit
+        return ctx._mul(self, other)
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -95,10 +124,6 @@ class FFElem:
             base = base * base
             e >>= 1
         return result
-
-    def _check(self, other):
-        if self.ctx is not other.ctx:
-            raise FieldError("field context mismatch")
 
     def __repr__(self):
         return f"FFElem({self.ctx.describe()}, {finite_elem_to_literal(self)!r})"
@@ -144,6 +169,11 @@ class GFCtx:
         small = p**dim <= 512
         self._mul_cache = {} if small else None
         self._inv_cache = {} if p**dim <= 65536 else None
+        # sums are cheap to compute, so memoise them only for tiny fields
+        # (at most 4096 entries each), where the call overhead dominates
+        tiny = p**dim <= 64
+        self._add_cache = {} if tiny else None
+        self._sub_cache = {} if tiny else None
 
     def describe(self):
         return f"GF({self.p}^{self.dim})" if self.dim > 1 else f"GF({self.p})"

@@ -1,8 +1,10 @@
 """Exact linear algebra helpers.
 
-Two layers: generic Gaussian elimination over any field whose elements carry
-Python operators (used over L and over F_2(s)), and numpy integer elimination
-mod a prime (used for the large finite-context systems).
+Three layers: generic Gaussian elimination over any field whose elements carry
+Python operators (used over L and over F_2(s)), numpy integer elimination
+mod a prime (used for the large finite-context systems), and the batched
+rank scan over an F_p-linear family of matrices (used by the MRD and
+zero-divisor scans).
 """
 
 import numpy as np
@@ -232,3 +234,125 @@ def np_inv(M, p):
     if pivots != list(range(n)):
         raise ValueError("matrix not invertible mod p")
     return R[:, n:]
+
+
+# ------------------------------------------------------------ rank scan ----
+
+DEFAULT_BUDGET = 10**7  # ranks one scan may compute
+SCAN_CHUNK_ENTRIES = 1 << 16  # matrix entries ranked per batch; bounds memory
+SPOT_CHECK_EVERY = 997
+
+
+class BudgetExceeded(RuntimeError):
+    pass
+
+
+def scan_size(p, n):
+    """Ranks a scan of an n-member basis computes: one per F_p^* orbit of
+    the nonzero indices."""
+    return (p**n - 1) // (p - 1)
+
+
+def _small_dtype(bound):
+    """The narrowest signed integer dtype holding every |value| <= bound."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
+def family_members(basis, indices, p):
+    """The members sum_j digit_j(i) basis[j], one per index i, where
+    digit_j(i) is the coefficient of p^j in i; shape (len(indices),) +
+    basis[0].shape.  Entries are the integer sums, not reduced mod p."""
+    basis = np.asarray(basis) % p
+    n = basis.shape[0]
+    idx = np.asarray(indices, dtype=np.int64)
+    dtype = _small_dtype(n * (p - 1) ** 2)
+    flat = basis.reshape(n, -1).astype(dtype)
+    out = np.zeros((len(idx), flat.shape[1]), dtype=dtype)
+    for j in range(n):
+        out += ((idx // p**j) % p).astype(dtype)[:, None] * flat[j]
+    return out.reshape(idx.shape + basis.shape[1:])
+
+
+def batch_rank(mats, p):
+    """Ranks mod p of a stack of integer matrices (count, rows, cols).
+
+    Gaussian elimination to echelon form, all matrices at once, by column
+    operations: row r picks as pivot its first nonzero entry mod p in a
+    column not yet used and clears row r from the other unused columns.
+    Only row r and the pivot column are reduced mod p.  An entry below them
+    takes at most one update of size < p^2 per row above it, and times an
+    inverse (< p) it must still fit: that bound picks the smallest integer
+    dtype that cannot overflow.
+    """
+    mats = np.asarray(mats)
+    count, nrows, ncols = mats.shape
+    largest = max(-int(mats.min(initial=0)), int(mats.max(initial=0)))
+    M = mats.astype(_small_dtype((largest + nrows * (p - 1) ** 2) * (p - 1)))
+    inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=M.dtype)
+    free = np.ones((count, ncols), dtype=bool)
+    ranks = np.zeros(count, dtype=np.int64)
+    at = np.arange(count)
+    for r in range(nrows):
+        row = M[:, r, :] % p
+        cand = free & (row != 0)
+        has = cand.any(axis=1)
+        piv = cand.argmax(axis=1)
+        free[at[has], piv[has]] = False
+        ranks += has
+        # column c -= (row[c] / row[piv]) * pivot column, for unused c
+        scale = (M[at, r + 1 :, piv] * inv[row[at, piv]][:, None]) % p
+        row *= free
+        M[:, r + 1 :, :] -= scale[:, :, None] * row[:, None, :]
+    return ranks
+
+
+def rank_scan(basis, p, threshold, unit=1, budget=DEFAULT_BUDGET, check=None):
+    """First member of an F_p-linear family of matrices whose rank is below
+    threshold, in index order, and the minimum rank up to that member.
+
+    The member with index i is sum_j digit_j(i) basis[j] (see
+    family_members); its rank is its F_p-rank divided by unit, and a
+    remainder raises.  Scaling a member by c in F_p^* keeps its rank and the
+    smallest index of each orbit has leading digit 1, so only the indices in
+    [p^k, 2 p^k), k = 0..n-1, are ranked, in increasing order and in chunks
+    of bounded size: the first deficient index and the minimum rank up to it
+    are those of a scan of every index.  check(index, matrix, rank) is called
+    on every SPOT_CHECK_EVERY-th ranked member and a False result raises.
+
+    Returns (first deficient index or None, minimum rank).  A family whose
+    scan would compute more than budget ranks is refused up front.
+    """
+    basis = np.asarray(basis)
+    n = basis.shape[0]
+    total = scan_size(p, n)
+    if total > budget:
+        raise BudgetExceeded(f"{total} ranks exceed the scan budget {budget}")
+    chunk = max(1, SCAN_CHUNK_ENTRIES // basis[0].size)
+    min_rank = None
+    scanned = 0
+    for k in range(n):
+        for lo in range(p**k, 2 * p**k, chunk):
+            idx = np.arange(lo, min(lo + chunk, 2 * p**k), dtype=np.int64)
+            mats = family_members(basis, idx, p)
+            ranks, rem = np.divmod(batch_rank(mats, p), unit)
+            if rem.any():
+                raise RuntimeError("an F_p-rank is not a multiple of the rank unit")
+            if check is not None:
+                first = -scanned % SPOT_CHECK_EVERY
+                for pos in range(first, len(idx), SPOT_CHECK_EVERY):
+                    if not check(int(idx[pos]), mats[pos], int(ranks[pos])):
+                        raise RuntimeError(
+                            f"rank scan disagrees with the direct computation "
+                            f"at index {int(idx[pos])}"
+                        )
+            scanned += len(idx)
+            bad = np.flatnonzero(ranks < threshold)
+            stop = bad[0] + 1 if bad.size else len(idx)
+            low = int(ranks[:stop].min())
+            min_rank = low if min_rank is None else min(min_rank, low)
+            if bad.size:
+                return int(idx[bad[0]]), min_rank
+    return None, min_rank

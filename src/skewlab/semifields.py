@@ -6,9 +6,9 @@ the s = 1 case of star_D has the Hughes-Kleinfeld closed form.
 
 Zero-divisor scans and nuclei work through the prime-field coordinate
 picture: every product here is F_p-bilinear, so left multiplications are
-matrices, all pairs can be scanned exactly with integer matrix products,
-and nuclei come from idealiser/centraliser linear systems on the spread
-set (never from order^3 associativity loops).
+matrices, a zero divisor is a singular left multiplication found by the
+batched rank scan in linalg, and nuclei come from idealiser/centraliser
+linear systems on the spread set (never from order^3 associativity loops).
 """
 
 import math
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .codes import BudgetExceeded
 from .fields import (
     AutMap,
     FieldError,
@@ -27,8 +26,6 @@ from .fields import (
 )
 from .polyring import Poly, ext_gcd
 from .skewpoly import CentralPoly, SkewPoly, right_mod
-
-DEFAULT_SCAN_BUDGET = 3**8
 
 
 class AlgebraElem:
@@ -293,19 +290,6 @@ class FiniteAlgebra:
             mats.append(np.array(cols, dtype=np.int64).T % self.p)
         return mats
 
-    def right_mult_matrices(self):
-        mats = []
-        for i in range(self.dim):
-            ei = self.from_vec(tuple(1 if k == i else 0 for k in range(self.dim)))
-            cols = []
-            for j in range(self.dim):
-                ej = self.from_vec(
-                    tuple(1 if k == j else 0 for k in range(self.dim))
-                )
-                cols.append(self.to_vec(self.mul(ej, ei)))
-            mats.append(np.array(cols, dtype=np.int64).T % self.p)
-        return mats
-
 
 def algebra_for_star(spec):
     """R/Rf under spec.mul as a FiniteAlgebra (finite contexts)."""
@@ -445,50 +429,43 @@ class ZeroDivisorReport:
         }
 
 
-def zero_divisor_scan(alg, budget=DEFAULT_SCAN_BUDGET, spot_check_every=997):
-    """Exhaustive pairwise scan for a*b = 0 with a, b nonzero.
+def zero_divisor_scan(alg, budget=linalg.DEFAULT_BUDGET):
+    """Exhaustive scan for a*b = 0 with a, b nonzero.
 
-    Products are F_p-bilinear, so for each left operand a the whole row of
-    products is one integer matrix product; every pair is evaluated exactly
-    and the first witness in enumeration order is reported.  Columns are
-    spot-checked against the direct product as the scan proceeds.
+    a has a zero divisor b exactly when its left multiplication L_a is
+    singular, and a -> L_a is F_p-linear, so linalg.rank_scan finds the
+    first a in enumeration order with rank(L_a) < dim (one rank per F_p^*
+    orbit; budget counts those ranks).  The witness b is the first nonzero
+    vector of ker L_a in enumeration order, so (a, b) is the first zero
+    pair of the pairwise enumeration, and pairs_checked is the number of
+    pairs that enumeration tries up to and including it.  Every
+    SPOT_CHECK_EVERY-th L_a is checked against the direct product a*a, and
+    the witness product is checked to be zero.
     """
-    order = alg.order
-    if order > budget:
-        raise BudgetExceeded(
-            f"order {order} exceeds the zero-divisor scan budget {budget}"
-        )
-    p, dim = alg.p, alg.dim
-    mats = np.stack(alg.left_mult_matrices())  # (dim, dim, dim)
-    # all nonzero coordinate vectors as columns, index = enumeration order
-    count = order - 1
-    idxs = np.arange(1, order, dtype=np.int64)
-    digits = np.zeros((dim, count), dtype=np.int64)
-    rem = idxs.copy()
-    for row in range(dim - 1, -1, -1):
-        digits[row] = rem % p
-        rem //= p
-    checked = 0
-    for a_pos in range(count):
-        coords = digits[:, a_pos]
-        M_a = np.tensordot(coords, mats, axes=([0], [0])) % p
-        prods = (M_a @ digits) % p
-        zero_cols = np.nonzero(~prods.any(axis=0))[0]
-        checked += count
-        if a_pos % spot_check_every == 0:
-            b_pos = a_pos  # diagonal spot check
-            a = alg.from_vec(tuple(int(x) for x in coords))
-            b = alg.from_vec(tuple(int(x) for x in digits[:, b_pos]))
-            direct = np.array(alg.to_vec(alg.mul(a, b)), dtype=np.int64) % p
-            if not np.array_equal(direct, prods[:, b_pos]):
-                raise RuntimeError("bilinear scan disagrees with direct product")
-        if zero_cols.size:
-            b_pos = int(zero_cols[0])
-            a = alg.from_vec(tuple(int(x) for x in coords))
-            b = alg.from_vec(tuple(int(x) for x in digits[:, b_pos]))
-            checked -= count - (b_pos + 1)
-            return ZeroDivisorReport(True, (a, b), checked)
-    return ZeroDivisorReport(False, None, checked)
+    p, dim, order = alg.p, alg.dim, alg.order
+    # digit j of an index is coordinate dim-1-j (the first is most significant)
+    basis = np.stack(alg.left_mult_matrices()[::-1])
+
+    def check(idx, L_a, _rank):
+        a = alg.elem_from_index(idx)
+        vec = np.array(alg.to_vec(a), dtype=np.int64)
+        direct = np.array(alg.to_vec(alg.mul(a, a)), dtype=np.int64) % p
+        return np.array_equal(direct, (L_a @ vec) % p)
+
+    a_idx, _ = linalg.rank_scan(basis, p, dim, budget=budget, check=check)
+    if a_idx is None:
+        return ZeroDivisorReport(False, None, (order - 1) ** 2)
+    L_a = linalg.family_members(basis, [a_idx], p)[0]
+    # the last echelon row of the kernel has the least significant leading
+    # coordinate: scaled to leading 1 it is the smallest nonzero vector
+    ker, _ = linalg.np_rref(linalg.np_kernel(L_a, p), p)
+    b_vec = tuple(int(c) for c in ker[-1])
+    a = alg.elem_from_index(a_idx)
+    b = alg.from_vec(b_vec)
+    if any(alg.to_vec(alg.mul(a, b))):
+        raise RuntimeError("zero-divisor witness has a nonzero product")
+    b_idx = sum(c * p ** (dim - 1 - i) for i, c in enumerate(b_vec))
+    return ZeroDivisorReport(True, (a, b), (a_idx - 1) * (order - 1) + b_idx)
 
 
 # ---------------------------------------------------------------- nuclei ---
@@ -540,27 +517,22 @@ def _normalise_spread(mats, p):
     raise ValueError("spread set contains no invertible element")
 
 
-def nuclei(alg, budget=DEFAULT_SCAN_BUDGET):
-    """Left/middle/right nuclei and centre sizes via the spread set.
+def nuclei(alg):
+    """Left/middle/right nuclei and centre sizes via the spread set {L_a}.
 
-    N_l and N_m are the left/right idealisers of the spread set, N_r is the
-    centraliser of the opposite spread set, and the centre is the
-    intersection of N_l with the spread-set centraliser; all of them are
-    kernels of linear systems in End over the algebra's base field.  A
-    non-unital algebra is first normalised so that its spread set (and the
-    opposite one) contain the identity.
+    N_l and N_m are the left/right idealisers of the spread set, N_r is its
+    centraliser ((ab)z = a(bz) for all a, b says R_z commutes with every
+    L_a), and the centre is the intersection of N_l with the centraliser;
+    all of them are kernels of linear systems in End over the algebra's base
+    field.  A non-unital algebra is first normalised so that its spread set
+    contains the identity.
     """
-    if alg.order > budget:
-        raise BudgetExceeded(f"order {alg.order} exceeds the nuclei budget {budget}")
     p, dim = alg.p, alg.dim
     L = alg.left_mult_matrices()
-    R = alg.right_mult_matrices()
     if not has_two_sided_unit(alg):
         L = _normalise_spread(L, p)
-        R = _normalise_spread(R, p)
     eye = np.eye(dim, dtype=np.int64)
     Q = _span_complement_rows(L, p)
-    Q_op = _span_complement_rows(R, p)
     # row-major flattening: vec(X M) = (I kron M^T) vec(X),
     #                       vec(M X) = (M kron I) vec(X)
     scalar_rows = [
@@ -575,9 +547,8 @@ def nuclei(alg, budget=DEFAULT_SCAN_BUDGET):
     nl_rows = [(Q @ np.kron(eye, M.T)) % p for M in L]
     nm_rows = [(Q @ np.kron(M, eye)) % p for M in L]
     cen_rows = [(np.kron(eye, M.T) - np.kron(M, eye)) % p for M in L]
-    cen_op_rows = [(np.kron(eye, M.T) - np.kron(M, eye)) % p for M in R]
     nl = kernel_size(nl_rows)
     nm = kernel_size(nm_rows)
-    nr = kernel_size(cen_op_rows + scalar_rows)
+    nr = kernel_size(cen_rows + scalar_rows)
     z = kernel_size(nl_rows + cen_rows + scalar_rows)
     return NucleiReport(nl, nm, nr, z)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from skewlab import cli
 
 
@@ -103,6 +105,12 @@ def test_verify_malformed_spec(capsys, tmp_path):
         capsys, "verify", "--spec", write_spec(tmp_path, {"family": "Q"})
     )
     assert code2 == 2
+    # valid JSON that is not an object: a usage error, never exit 1
+    for payload in ([D412], "D", 3, None):
+        code3, _, err3 = run_cli(
+            capsys, "verify", "--spec", write_spec(tmp_path, payload)
+        )
+        assert code3 == 2 and err3.startswith("error:")
 
 
 def test_verify_budget_exit(capsys, tmp_path):
@@ -203,15 +211,21 @@ def test_reports_are_byte_identical(capsys, tmp_path):
 
 
 def test_jobs_do_not_change_the_report(capsys, tmp_path):
-    path = write_spec(tmp_path, D412)
-    out1 = tmp_path / "j1.json"
-    out2 = tmp_path / "j2.json"
-    assert cli.main(["verify", "--spec", path, "--out", str(out1)]) == 0
-    assert cli.main(
-        ["verify", "--spec", path, "--jobs", "2", "--out", str(out2)]
-    ) == 0
-    capsys.readouterr()
-    assert out1.read_bytes() == out2.read_bytes()
+    # gamma = 1 is not MRD: the scan stops at its first counterexample, and
+    # checked counts the words up to it whatever --jobs says
+    for name, spec in (("d412", D412), ("gamma1", {**D412, "gamma": "1"})):
+        path = write_spec(tmp_path, spec, f"{name}.json")
+        out1 = tmp_path / f"{name}_j1.json"
+        out2 = tmp_path / f"{name}_j2.json"
+        code1 = cli.main(["verify", "--spec", path, "--out", str(out1)])
+        code2 = cli.main(
+            ["verify", "--spec", path, "--jobs", "2", "--out", str(out2)]
+        )
+        capsys.readouterr()
+        assert code1 == code2 == 0
+        assert out1.read_bytes() == out2.read_bytes()
+    mrd = json.loads((tmp_path / "gamma1_j1.json").read_text())["mrd"]
+    assert not mrd["witnessed"] and mrd["checked"] == 810 and mrd["min_rank"] == 2
 
 
 def test_budget_env_override(capsys, tmp_path, monkeypatch):
@@ -259,6 +273,34 @@ def test_verify_semifield_invalid_gamma_scans_anyway(capsys, tmp_path):
     report = json.loads(out)
     assert report["valid"] is False
     assert report["zero_divisors"]["pairs_checked"] > 0
+
+
+@pytest.mark.parametrize(
+    "p, n, c0, nuclei",
+    [(5, 4, 2, [25, 25, 25, 5]), (3, 6, 1, [27, 27, 9, 3])],
+    ids=["order5e8", "order3e12"],
+)
+def test_verify_larger_semifields_under_default_budget(
+    capsys, tmp_path, monkeypatch, p, n, c0, nuclei
+):
+    # star_D of order q^(2ts) with F = y^2 + c0: zero-divisor free, nuclei
+    # (q^t, q^t, q^s, q)
+    monkeypatch.delenv("SKEWLAB_BUDGET", raising=False)
+    spec = {
+        "family": "D",
+        "semifield": True,
+        "field": {"kind": "finite", "p": p, "e": 1, "n": n},
+        "F": [c0, 0, 1],
+        "k": 1,
+        "gamma": "w",
+    }
+    code, out, _ = run_cli(capsys, "verify", "--spec", write_spec(tmp_path, spec))
+    assert code == 0
+    report = json.loads(out)
+    assert report["valid"] and report["order"] == p ** (2 * n)
+    assert not report["zero_divisors"]["found"]
+    assert report["zero_divisors"]["pairs_checked"] == (p ** (2 * n) - 1) ** 2
+    assert [report["nuclei"][k] for k in ("Nl", "Nm", "Nr", "Z")] == nuclei
 
 
 def test_ffsuite_check_failure_exits_one(capsys, monkeypatch):

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from skewlab import linalg
 from skewlab.codes import (
     BudgetExceeded,
     DCodeSpec,
@@ -23,6 +24,7 @@ from skewlab.codes import (
     newness_report,
     newness_semifield,
     nuclear_params,
+    rank_family,
     right_idealiser,
     s_codeword,
     validate,
@@ -31,7 +33,7 @@ from skewlab.codes import (
     verify_mrd,
 )
 from skewlab.fields import AutMap, FunctionFieldCtx
-from skewlab.quotient import QuotCtx
+from skewlab.quotient import QuotCtx, rank
 from skewlab.skewpoly import SkewPoly, bound
 
 from helpers import finite_ctx, irreducible_quadratic, y_minus_one
@@ -433,15 +435,49 @@ def test_funcfield_d_family_sampled_mrd():
         codeword_count(spec)  # enumeration refused over an infinite field
 
 
-def test_parallel_scan_matches_sequential():
-    d = {
-        "family": "D",
-        "field": {"kind": "finite", "p": 3, "e": 1, "n": 4},
-        "F": [-1, 1],
-        "k": 2,
-        "gamma": "w",
-    }
+F81 = {"kind": "finite", "p": 3, "e": 1, "n": 4}
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        {"family": "D", "field": F81, "F": [-1, 1], "k": 2, "gamma": "w"},
+        {"family": "S", "field": F81, "F": [-1, 1], "k": 2, "eta": "w", "rho_exp": 1},
+        {"family": "D", "field": F81, "F": [1, 0, 1], "k": 1, "gamma": "w"},
+    ],
+    ids=["D412", "S412", "D_s2"],
+)
+def test_kernel_rank_equals_gcrd_rank_on_every_word(d):
     spec = code_spec_from_dict(d)
-    seq = verify_mrd(spec)
-    par = verify_mrd(spec, jobs=2, spec_dict=d)
-    assert (seq.witnessed, seq.min_rank) == (par.witnessed, par.min_rank)
+    p = spec.qctx.ctx.p
+    basis, unit = rank_family(spec)
+    idx = np.arange(1, codeword_count(spec))
+    fp = linalg.batch_rank(linalg.family_members(basis, idx, p), p)
+    assert not (fp % unit).any()
+    gcrd_ranks = [rank(codeword_from_index(spec, int(i))) for i in idx]
+    assert (fp // unit).tolist() == gcrd_ranks
+
+
+
+def test_parallel_scan_matches_sequential():
+    # the kernel ranks a chunk of orbit representatives at once; a
+    # word-by-word gcrd scan in index order must give the same report, for
+    # an MRD gamma and for gamma = 1, which is not MRD
+    for gamma in ("w", "1"):
+        d = {"family": "D", "field": F81, "F": [-1, 1], "k": 2, "gamma": gamma}
+        spec = code_spec_from_dict(d)
+        par = verify_mrd(spec)
+        min_rank, first_bad = None, None
+        for i in range(1, codeword_count(spec)):
+            r = rank(codeword_from_index(spec, i))
+            min_rank = r if min_rank is None else min(min_rank, r)
+            if r < par.distance_target:
+                first_bad = i
+                break
+        checked = codeword_count(spec) - 1 if first_bad is None else first_bad
+        assert (par.witnessed, par.min_rank, par.checked) == (
+            first_bad is None,
+            min_rank,
+            checked,
+        )
+    assert (par.witnessed, par.checked, par.min_rank) == (False, 810, 2)

@@ -8,6 +8,7 @@ import pytest
 from skewlab.codes import DCodeSpec, SCodeSpec, _membership_matrix, _vec, validate_d
 from skewlab.fields import AutMap
 from skewlab.quotient import QuotCtx
+from skewlab import linalg
 from skewlab.semifields import (
     AlgebraElem,
     HKParams,
@@ -22,7 +23,7 @@ from skewlab.semifields import (
     nuclei,
     zero_divisor_scan,
 )
-from skewlab.skewpoly import SkewPoly
+from skewlab.skewpoly import CentralPoly, SkewPoly
 
 from helpers import finite_ctx, irreducible_quadratic, y_minus_one
 
@@ -289,6 +290,37 @@ def test_zero_divisor_scan_detects_witness():
     assert to_vec(a) == (0, 1) and to_vec(b) == (1, 0)
 
 
+def pairwise_zero_divisor_scan(alg):
+    """Reference: every pair (a, b) of nonzero elements in enumeration
+    order, by the direct product; returns (witness indices, pairs tried)."""
+    elems = [alg.elem_from_index(i) for i in range(alg.order)]
+    tried = 0
+    for i in range(1, alg.order):
+        for j in range(1, alg.order):
+            tried += 1
+            if not any(alg.to_vec(alg.mul(elems[i], elems[j]))):
+                return (i, j), tried
+    return None, tried
+
+
+@pytest.mark.parametrize("gamma_lit", ["w", "w^2", "w^2+w"])
+def test_zero_divisor_scan_matches_pairwise_products(gamma_lit):
+    # order 81; gamma = w is valid, the other two have square norm
+    from skewlab.fields import elem_from_literal
+
+    q = quot_x_minus_one()
+    gamma = elem_from_literal(q.ctx, gamma_lit)
+    alg = algebra_for_star(StarDSpec(q, gamma, enforce_norm=False))
+    witness, tried = pairwise_zero_divisor_scan(alg)
+    rep = zero_divisor_scan(alg)
+    assert rep.found == (witness is not None) == (gamma_lit != "w")
+    assert rep.pairs_checked == tried
+    if witness:
+        a, b = rep.witness
+        assert alg.to_vec(a) == alg.to_vec(alg.elem_from_index(witness[0]))
+        assert alg.to_vec(b) == alg.to_vec(alg.elem_from_index(witness[1]))
+
+
 def test_invalid_norm_gamma_scan_runs_without_judgment():
     # gamma outside L' whose norm is a square: validity fails but the
     # multiplication is defined; the scan simply reports what it finds
@@ -418,6 +450,46 @@ def test_nuclei_match_associativity_definition_s2_instance():
             blocks.append(np.stack(lhs_cols, axis=1) % p)
     ker = linalg.np_kernel(np.vstack(blocks), p, ncols=dim)
     assert p ** ker.shape[0] == nuclei(alg).nr == 9
+
+
+def nuclei_by_definition(alg):
+    """(N_l, N_m, N_r) sizes straight from the structure constants
+    C[i, j] = e_i e_j: N_l = {z : (za)b = z(ab)}, N_m = {z : (az)b = a(zb)},
+    N_r = {z : (ab)z = a(bz)}, each the kernel of a system linear in z."""
+    p, d = alg.p, alg.dim
+    basis = [alg.from_vec(tuple(int(k == i) for k in range(d))) for i in range(d)]
+    C = np.array(
+        [[alg.to_vec(alg.mul(x, y)) for y in basis] for x in basis], dtype=np.int64
+    )
+
+    def size(lhs, rhs):
+        diff = np.einsum(lhs, C, C) - np.einsum(rhs, C, C)
+        rows = diff.reshape(d, d**3).T % p
+        return p ** linalg.np_kernel(rows, p, ncols=d).shape[0]
+
+    return (
+        size("lim,mjk->lijk", "ijm,lmk->lijk"),
+        size("ilm,mjk->lijk", "ljm,imk->lijk"),
+        size("ijm,mlk->lijk", "jlm,imk->lijk"),
+    )
+
+
+def test_nuclei_match_structure_constants_when_t_differs_from_s():
+    # (q, n, s) = (3, 2, 2) and (5, 2, 2) have t = 1 != s, so N_r = q^s
+    # differs from N_l = q^t; star_S' of order 3^8 (unit x) has N_r = 9
+    cases = []
+    for p_, c0 in ((3, 1), (5, 2)):
+        ctx = finite_ctx(p_, 2)
+        F = CentralPoly.from_coeffs(ctx, [ctx.from_int(c0), ctx.zero, ctx.one])
+        spec, _ = first_valid_gamma(QuotCtx(ctx, F))
+        cases.append((spec, p_**2))
+    q = quot_s2()
+    cases.append((StarSPrimeSpec(q, q.ctx.gen, AutMap.identity(q.ctx)), 9))
+    for spec, nr in cases:
+        alg = algebra_for_star(spec)
+        rep = nuclei(alg)
+        assert (rep.nl, rep.nm, rep.nr) == nuclei_by_definition(alg)
+        assert rep.nr == nr
 
 
 def test_star_products_are_not_associative():
