@@ -27,8 +27,9 @@ from .fields import (
     norm_to_fixed,
 )
 from .linalg import DEFAULT_BUDGET, BudgetExceeded  # noqa: F401
+from .modpoly import digits
 from .quotient import QuotCtx, QuotElem, rank
-from .skewpoly import CentralPoly, SkewPoly, gcrd_extended, right_mod
+from .skewpoly import CentralPoly, SkewPoly, gcrd_extended
 
 
 # ---------------------------------------------------------------- specs ----
@@ -71,12 +72,6 @@ class SCodeSpec:
             return acc
         return c
 
-    def kprime_order(self):
-        ctx = self.qctx.ctx
-        if isinstance(ctx, FiniteFieldCtx):
-            return ctx.p**self._kprime_exp
-        return None
-
 
 class DCodeSpec:
     """D_{n, s*ell, k}(gamma, F) inside R_F; needs n = 2t even."""
@@ -93,8 +88,11 @@ class DCodeSpec:
         self.gamma = gamma
         self.t = qctx.ctx.n // 2
         self.skl = qctx.s * qctx.ell * k
+        ctx = qctx.ctx
         self._lp_basis = (
-            self.lprime_basis() if isinstance(qctx.ctx, FiniteFieldCtx) else None
+            ctx.fixed_basis(ctx._sig * self.t)
+            if isinstance(ctx, FiniteFieldCtx)
+            else None
         )
 
     def in_Lprime(self, a):
@@ -103,13 +101,9 @@ class DCodeSpec:
 
     def lprime_basis(self):
         """F_p-basis of L' = Fix(sigma^t) (finite contexts)."""
-        ctx = self.qctx.ctx
-        if not isinstance(ctx, FiniteFieldCtx):
+        if self._lp_basis is None:
             raise FieldError("L' enumeration needs a finite context")
-        mat = ctx._aut_matrix((ctx._sig * self.t) % ctx.dim)
-        eye = np.eye(ctx.dim, dtype=np.int64)
-        ker = linalg.np_kernel((mat - eye) % ctx.p, ctx.p)
-        return [ctx.elem(tuple(int(c) for c in row)) for row in ker]
+        return self._lp_basis
 
 
 def validate_s(spec):
@@ -132,8 +126,6 @@ def validate_d(spec):
     sign = ctx.minus_one if spec.skl % 2 else ctx.one
     ngam = norm_to_fixed(spec.gamma, AutMap.sigma_power(ctx, 1))
     value = sign * qctx.F.F0 ** (spec.k * qctx.ell) * ngam
-    if isinstance(ctx, FiniteFieldCtx):
-        return not is_square_in_base(value)
     return not is_square_in_base(value, ctx)
 
 
@@ -159,36 +151,18 @@ def codeword_from_index(spec, idx):
     lexicographically with the first coefficient most significant."""
     ctx = spec.qctx.ctx
     if spec.family == "S":
-        digits = []
-        v = idx
-        for _ in range(spec.skl):
-            digits.append(v % ctx.order)
-            v //= ctx.order
-        digits.reverse()
-        coeffs = [ctx.elem_from_index(d) for d in digits]
+        coeffs = [ctx.elem_from_index(d) for d in digits(idx, ctx.order, spec.skl)]
         return s_codeword(spec, coeffs)
-    lp_basis = spec._lp_basis
-    lp = ctx.p ** len(lp_basis)
-    mids = []
-    v = idx
-    for _ in range(spec.skl - 1):
-        mids.append(v % ctx.order)
-        v //= ctx.order
-    a0pp_idx = v % lp
-    v //= lp
-    a0p_idx = v
-    mids.reverse()
+    # D: a_0' and a_0'' (base p over the L'-basis, first basis vector least
+    # significant) above the skl - 1 middle coefficients
+    lp_basis = spec.lprime_basis()
+    high, low = divmod(idx, ctx.order ** (spec.skl - 1))
+    a0p_idx, a0pp_idx = divmod(high, ctx.p ** len(lp_basis))
 
     def lp_elem(i):
-        acc = ctx.zero
-        for b in lp_basis:
-            d = i % ctx.p
-            if d:
-                acc = acc + ctx.from_int(d) * b
-            i //= ctx.p
-        return acc
+        return ctx.combine(digits(i, ctx.p, len(lp_basis))[::-1], lp_basis)
 
-    a_mid = [ctx.elem_from_index(d) for d in mids]
+    a_mid = [ctx.elem_from_index(d) for d in digits(low, ctx.order, spec.skl - 1)]
     return d_codeword(spec, lp_elem(a0p_idx), lp_elem(a0pp_idx), a_mid)
 
 
@@ -341,12 +315,13 @@ def rank_family(spec):
     F_p-rank divided by unit = s*ell*[L:F_p]."""
     qctx = spec.qctx
     ctx = qctx.ctx
+    alg = qctx.algebra
     total = codeword_count(spec)
     n = 0
     while ctx.p**n < total:
         n += 1
     basis = [
-        _right_mult_matrix(qctx, codeword_from_index(spec, ctx.p**j).rep)
+        alg.right_mult_matrix(alg.to_vec(codeword_from_index(spec, ctx.p**j)))
         for j in range(n)
     ]
     return basis, qctx.s * qctx.ell * ctx.dim
@@ -374,13 +349,6 @@ class NuclearParams:
         return {"Il": self.il, "Ir": self.ir, "C": self.c, "Z": self.z}
 
 
-def _vec(ctx, sp, length):
-    out = []
-    for slot in range(length):
-        out.extend(sp[slot].coeffs)
-    return np.array(out, dtype=np.int64)
-
-
 def _membership_matrix(spec):
     """Rows M with M @ vec(v) = 0 iff the residue v lies in the code."""
     qctx = spec.qctx
@@ -397,21 +365,13 @@ def _membership_matrix(spec):
             row[i * dim + b] = 1
             rows.append(row)
     if spec.family == "S":
-        if spec.eta:
-            # v_skl = eta * rho(v_0)
-            m_rho = ctx._aut_matrix(spec.rho.exp)
-            m_eta = ctx.mult_matrix(spec.eta)
-            comp = (m_eta @ m_rho) % ctx.p
-            for b in range(dim):
-                row = np.zeros(width, dtype=np.int64)
-                row[spec.skl * dim + b] = 1
-                row[0:dim] = (-comp[b]) % ctx.p
-                rows.append(row)
-        else:
-            for b in range(dim):
-                row = np.zeros(width, dtype=np.int64)
-                row[spec.skl * dim + b] = 1
-                rows.append(row)
+        # v_skl = eta * rho(v_0)
+        comp = (ctx.mult_matrix(spec.eta) @ ctx._aut_matrix(spec.rho.exp)) % ctx.p
+        for b in range(dim):
+            row = np.zeros(width, dtype=np.int64)
+            row[spec.skl * dim + b] = 1
+            row[0:dim] = (-comp[b]) % ctx.p
+            rows.append(row)
     else:
         m_sig_t = ctx._aut_matrix((ctx._sig * spec.t) % ctx.dim)
         eye = np.eye(dim, dtype=np.int64)
@@ -431,19 +391,14 @@ def _membership_matrix(spec):
 
 def _spanning_words(spec):
     """F_p-spanning set of the code (nsk*dim-ish many words)."""
-    qctx = spec.qctx
-    ctx = qctx.ctx
-    dim = ctx.dim
+    ctx = spec.qctx.ctx
     words = []
-    basis = [
-        ctx.elem(tuple(1 if k == b else 0 for k in range(dim))) for b in range(dim)
-    ]
     if spec.family == "S":
-        for b in basis:
+        for b in ctx.basis:
             coeffs = [b] + [ctx.zero] * (spec.skl - 1)
             words.append(s_codeword(spec, coeffs))
         for i in range(1, spec.skl):
-            for b in basis:
+            for b in ctx.basis:
                 coeffs = [ctx.zero] * spec.skl
                 coeffs[i] = b
                 words.append(s_codeword(spec, coeffs))
@@ -455,43 +410,11 @@ def _spanning_words(spec):
         for b in lp:
             words.append(d_codeword(spec, ctx.zero, b, zero_mid))
         for i in range(1, spec.skl):
-            for b in basis:
+            for b in ctx.basis:
                 mids = [ctx.zero] * (spec.skl - 1)
                 mids[i - 1] = b
                 words.append(d_codeword(spec, ctx.zero, ctx.zero, mids))
     return words
-
-
-def _right_mult_matrix(qctx, w):
-    """F_p-matrix of g -> g*w mod F(x^n) on R_F."""
-    ctx = qctx.ctx
-    ns = ctx.n * qctx.s
-    dim = ctx.dim
-    cols = []
-    for i in range(ns):
-        for b in range(dim):
-            unit = SkewPoly.monomial(
-                ctx, ctx.elem(tuple(1 if k == b else 0 for k in range(dim))), i
-            )
-            img = right_mod(unit * w, qctx.F_skew)
-            cols.append(_vec(ctx, img, ns))
-    return np.array(cols, dtype=np.int64).T
-
-
-def _left_mult_matrix(qctx, w):
-    """F_p-matrix of g -> w*g mod F(x^n) on R_F."""
-    ctx = qctx.ctx
-    ns = ctx.n * qctx.s
-    dim = ctx.dim
-    cols = []
-    for i in range(ns):
-        for b in range(dim):
-            unit = SkewPoly.monomial(
-                ctx, ctx.elem(tuple(1 if k == b else 0 for k in range(dim))), i
-            )
-            img = right_mod(w * unit, qctx.F_skew)
-            cols.append(_vec(ctx, img, ns))
-    return np.array(cols, dtype=np.int64).T
 
 
 def _theorem_range_flag(spec):
@@ -519,26 +442,25 @@ def _kernel_report(spec, rows):
     )
 
 
+def _idealiser(spec, words, mult_matrix):
+    """The g with mult_matrix(w) g in the code for every word w (all of
+    _spanning_words by default), by the linear membership system."""
+    M = _membership_matrix(spec)
+    alg = spec.qctx.algebra
+    if words is None:
+        words = _spanning_words(spec)
+    rows = [(M @ mult_matrix(alg.to_vec(w))) % alg.p for w in words]
+    return _kernel_report(spec, rows)
+
+
 def left_idealiser(spec, words=None):
     """{g in R_F : g C <= C}, by the linear membership system."""
-    qctx = spec.qctx
-    M = _membership_matrix(spec)
-    rows = []
-    for w in words if words is not None else _spanning_words(spec):
-        T = _right_mult_matrix(qctx, w.rep)
-        rows.append((M @ T) % qctx.ctx.p)
-    return _kernel_report(spec, rows)
+    return _idealiser(spec, words, spec.qctx.algebra.right_mult_matrix)
 
 
 def right_idealiser(spec, words=None):
     """{g in R_F : C g <= C}."""
-    qctx = spec.qctx
-    M = _membership_matrix(spec)
-    rows = []
-    for w in words if words is not None else _spanning_words(spec):
-        T = _left_mult_matrix(qctx, w.rep)
-        rows.append((M @ T) % qctx.ctx.p)
-    return _kernel_report(spec, rows)
+    return _idealiser(spec, words, spec.qctx.algebra.left_mult_matrix)
 
 
 def _first_invertible(spec):
@@ -556,38 +478,28 @@ def centraliser_and_centre(spec):
     left unit-multiple) to contain the identity."""
     qctx = spec.qctx
     ctx = qctx.ctx
+    alg = qctx.algebra
+    p = ctx.p
     u = _first_invertible(spec)
     if u is None:
         raise ValueError("no invertible codeword found; cannot normalise")
     d, alpha, _ = gcrd_extended(u.rep, qctx.F_skew)
     if d.degree != 0:
         raise RuntimeError("invertible codeword has nontrivial gcrd with F(x^n)")
-    u_inv = right_mod(alpha.scale_left(d.constant_coeff.inverse()), qctx.F_skew)
-    if right_mod(u_inv * u.rep, qctx.F_skew) != SkewPoly.one(ctx) or right_mod(
-        u.rep * u_inv, qctx.F_skew
-    ) != SkewPoly.one(ctx):
+    u_inv = qctx.reduce(alpha.scale_left(d.constant_coeff.inverse()))
+    one = SkewPoly.one(ctx)
+    if (u_inv * u).rep != one or (u * u_inv).rep != one:
         raise RuntimeError("normaliser inverse failed")
-    span = [
-        QuotElem(qctx, right_mod(u_inv * w.rep, qctx.F_skew))
-        for w in _spanning_words(spec)
-    ]
-    cen_rows = []
-    for w in span:
-        R = _right_mult_matrix(qctx, w.rep)
-        L = _left_mult_matrix(qctx, w.rep)
-        cen_rows.append((R - L) % ctx.p)
-    width = ctx.n * qctx.s * ctx.dim
-    cen_kernel = linalg.np_kernel(np.vstack(cen_rows), ctx.p, ncols=width)
-    c_size = ctx.p ** cen_kernel.shape[0]
+    span = [alg.to_vec(u_inv * w) for w in _spanning_words(spec)]
+    right = [alg.right_mult_matrix(v) for v in span]
+    cen_rows = [(R - alg.left_mult_matrix(v)) % p for R, v in zip(right, span)]
+    cen_kernel = linalg.np_kernel(np.vstack(cen_rows), p, ncols=alg.dim)
+    c_size = p ** cen_kernel.shape[0]
     # centre = left idealiser of the normalised code intersect centraliser
-    M = _membership_matrix(spec)
-    L_u = _left_mult_matrix(qctx, u.rep)
-    M_prime = (M @ L_u) % ctx.p
-    id_rows = [(M_prime @ _right_mult_matrix(qctx, w.rep)) % ctx.p for w in span]
-    z_kernel = linalg.np_kernel(
-        np.vstack(cen_rows + id_rows), ctx.p, ncols=width
-    )
-    z_size = ctx.p ** z_kernel.shape[0]
+    M_prime = (_membership_matrix(spec) @ alg.left_mult_matrix(alg.to_vec(u))) % p
+    id_rows = [(M_prime @ R) % p for R in right]
+    z_kernel = linalg.np_kernel(np.vstack(cen_rows + id_rows), p, ncols=alg.dim)
+    z_size = p ** z_kernel.shape[0]
     return c_size, z_size
 
 
@@ -865,11 +777,20 @@ def newness_report(p, e, n, s, k):
 # ------------------------------------------------------------- spec files --
 
 
+CODE_SPEC_KEYS = (
+    "family", "field", "F", "k", "eta", "gamma", "rho_exp", "f", "semifield",
+)
+
+
 def code_spec_from_dict(d):
     """Build an S/D code spec from its file form:
-    {family, field, F: [coeffs over K], k, eta|gamma: literal, rho_exp?: h}."""
+    {family, field, F: [coeffs over K], k, eta|gamma: literal, rho_exp?: h,
+    f?: literal, semifield?: bool}.  Any other key is an error."""
     if not isinstance(d, dict):
         raise ValueError("code spec must be a mapping")
+    unknown = [key for key in d if key not in CODE_SPEC_KEYS]
+    if unknown:
+        raise ValueError(f"unknown code spec key(s): {', '.join(map(repr, unknown))}")
     family = d.get("family")
     if family not in ("S", "D"):
         raise ValueError("family must be 'S' or 'D'")

@@ -11,7 +11,7 @@ and all operations are pure.
 """
 
 from . import modpoly
-from .linalg import np_kernel, np_solve
+from .linalg import np_kernel
 from .polyring import FracElem, Poly, RatFuncCtx
 
 import numpy as np
@@ -146,10 +146,13 @@ class GFCtx:
         self.dim = dim
         self.modulus = modulus
         self.zero = FFElem(self, (0,) * dim)
-        self.one = FFElem(self, ((1,) + (0,) * (dim - 1)) if dim else ())
+        # the F_p-basis 1, w, ..., w^(dim-1): the coordinate unit vectors
+        self.basis = [
+            FFElem(self, (0,) * i + (1,) + (0,) * (dim - 1 - i)) for i in range(dim)
+        ]
+        self.one = self.basis[0]
         self.minus_one = -self.one
-        gen_coeffs = tuple(1 if i == 1 else 0 for i in range(dim))
-        self.gen = FFElem(self, gen_coeffs) if dim > 1 else self.one
+        self.gen = self.basis[1] if dim > 1 else self.one
         # x^k mod modulus for k in [dim, 2*dim-2], used to fold products
         self._red = []
         cur = list(modpoly.mod(tuple(0 for _ in range(dim)) + (1,), modulus, p))
@@ -246,9 +249,7 @@ class GFCtx:
             return a
         imgs = self._frob_cache.get(k)
         if imgs is None:
-            imgs = [self.elem(tuple(0 for _ in range(i)) + (1,)) ** (self.p**k)
-                    for i in range(self.dim)]
-            imgs = [e.coeffs for e in imgs]
+            imgs = [(b ** (self.p**k)).coeffs for b in self.basis]
             self._frob_cache[k] = imgs
         p = self.p
         acc = [0] * self.dim
@@ -269,22 +270,15 @@ class GFCtx:
 
     def elem_from_index(self, idx):
         """Elements ordered by coordinate tuples lexicographically."""
-        digits = []
-        for _ in range(self.dim):
-            digits.append(idx % self.p)
-            idx //= self.p
-        digits.reverse()
-        return FFElem(self, tuple(digits))
+        return FFElem(self, tuple(modpoly.digits(idx, self.p, self.dim)))
 
-    def index_of(self, a):
-        v = 0
-        for c in a.coeffs:
-            v = v * self.p + c
-        return v
-
-    def iter_elems(self):
-        for i in range(self.order):
-            yield self.elem_from_index(i)
+    def combine(self, coords, basis):
+        """sum_i coords[i] * basis[i] for integer coordinates."""
+        acc = [0] * self.dim
+        for c, b in zip(coords, basis):
+            if c:
+                acc = [x + int(c) * y for x, y in zip(acc, b.coeffs)]
+        return self.elem(tuple(acc))
 
     def random_elem(self, rng):
         return self.elem_from_index(rng.randrange(self.order))
@@ -333,25 +327,24 @@ class FiniteFieldCtx(GFCtx):
             if n % d == 0 and self.sigma_pow(w, d) == w:
                 raise FieldError("sigma has order smaller than n")
         # fixed field of sigma = K, checked as an F_p-dimension count
-        sig_mat = self._aut_matrix(self._sig)
-        eye = np.eye(self.dim, dtype=np.int64)
-        ker = np_kernel((sig_mat - eye) % p, p)
-        if ker.shape[0] != e:
+        self.k_basis = self.fixed_basis(self._sig)
+        if len(self.k_basis) != e:
             raise FieldError("fixed field of sigma does not have order q")
-        self.k_basis = [FFElem(self, tuple(int(c) for c in row)) for row in ker]
 
     def describe(self):
         return f"F_{self.p}^{self.e * self.n} tower(q={self.q}, n={self.n})"
 
     def _aut_matrix(self, frob_exp):
         """Matrix (columns = basis images) of a -> a^(p^frob_exp) over F_p."""
-        cols = []
-        for i in range(self.dim):
-            basis = FFElem(
-                self, tuple(1 if k == i else 0 for k in range(self.dim))
-            )
-            cols.append(self.frobenius(basis, frob_exp).coeffs)
+        cols = [self.frobenius(b, frob_exp).coeffs for b in self.basis]
         return np.array(cols, dtype=np.int64).T
+
+    def fixed_basis(self, frob_exp):
+        """F_p-basis of Fix(a -> a^(p^frob_exp)): the echelon rows of the
+        kernel of that map minus the identity."""
+        mat = self._aut_matrix(frob_exp) - np.eye(self.dim, dtype=np.int64)
+        ker = np_kernel(mat % self.p, self.p)
+        return [FFElem(self, tuple(int(c) for c in row)) for row in ker]
 
     def sigma(self, a):
         return self.frobenius(a, self._sig)
@@ -362,25 +355,9 @@ class FiniteFieldCtx(GFCtx):
     def is_in_K(self, a):
         return self.sigma(a) == a
 
-    def k_coords(self, a):
-        """Coordinates of a in K over the F_p-basis k_basis (a must lie in K)."""
-        if not self.is_in_K(a):
-            raise FieldError("element does not lie in the base field K")
-        mat = np.array([b.coeffs for b in self.k_basis], dtype=np.int64).T
-        sol = np_solve(mat, list(a.coeffs), self.p)
-        if sol is None:
-            raise FieldError("K-coordinate solve failed")
-        return [int(c) for c in sol]
-
     def mult_matrix(self, a):
         """F_p-matrix of left multiplication by a on L."""
-        cols = []
-        for i in range(self.dim):
-            basis = FFElem(
-                self, tuple(1 if k == i else 0 for k in range(self.dim))
-            )
-            cols.append((a * basis).coeffs)
-        return np.array(cols, dtype=np.int64).T
+        return np.array([(a * b).coeffs for b in self.basis], dtype=np.int64).T
 
 
 # ------------------------------------------------------- function field ----
@@ -793,32 +770,33 @@ def _matching_paren(s, i):
 
 def funcfield_elem_to_literal(a):
     """Canonical literal: "num" or "(num)/(den)" with descending t-powers."""
-    num = _tpoly_to_literal(a.num)
+    num = poly_to_literal(a.num.coeffs, "t")
     if a.den.degree == 0:
         return num
-    return f"({num})/({_tpoly_to_literal(a.den)})"
+    return f"({num})/({poly_to_literal(a.den.coeffs, 't')})"
 
 
-def _tpoly_to_literal(poly):
-    if not poly:
-        return "0"
+def poly_to_literal(coeffs, var):
+    """Canonical literal of sum_i coeffs[i] var^i (t-polynomials, skew and
+    central polynomials): descending powers, composite coefficients
+    parenthesized, a coefficient 1 omitted before a power of var."""
     terms = []
-    for i in range(len(poly.coeffs) - 1, -1, -1):
-        c = poly.coeffs[i]
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
         if not c:
             continue
-        cl = finite_elem_to_literal(c)
+        cl = elem_to_literal(c)
         if i == 0:
-            terms.append(f"({cl})" if "+" in cl else cl)
+            terms.append(f"({cl})" if "+" in cl and "/" not in cl else cl)
             continue
-        head = "t" if i == 1 else f"t^{i}"
+        head = var if i == 1 else f"{var}^{i}"
         if cl == "1":
             terms.append(head)
-        elif "+" in cl:
+        elif "+" in cl or "/" in cl:
             terms.append(f"({cl})*{head}")
         else:
             terms.append(f"{cl}*{head}")
-    return "+".join(terms)
+    return "+".join(terms) if terms else "0"
 
 
 def funcfield_elem_from_literal(ctx, text):
@@ -916,13 +894,19 @@ def elem_from_literal(ctx, text):
 # -------------------------------------------------------------- field spec -
 
 
+FIELD_SPEC_KEYS = ("kind", "p", "e", "n", "sigma_exp", "modulus", "r")
+
+
 def field_from_spec(spec):
     """Build a context from a field-spec mapping:
     {"kind": "finite", "p": .., "e": .., "n": .., "sigma_exp"?: .., "modulus"?: [..]}
-    or {"kind": "funcfield", "r": ..}.
+    or {"kind": "funcfield", "r": ..}.  Any other key is an error.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise FieldError("field spec must be a mapping with a 'kind' key")
+    unknown = [key for key in spec if key not in FIELD_SPEC_KEYS]
+    if unknown:
+        raise FieldError(f"unknown field spec key(s): {', '.join(map(repr, unknown))}")
     kind = spec["kind"]
     if kind == "finite":
         return FiniteFieldCtx(

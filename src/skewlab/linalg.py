@@ -84,24 +84,10 @@ def mat_mul(A, B):
     return out
 
 
-def mat_vec(A, v):
-    out = []
-    for row in A:
-        acc = row[0] * v[0]
-        for x, y in zip(row[1:], v[1:]):
-            acc = acc + x * y
-        out.append(acc)
-    return out
-
-
 def identity_matrix(field, n):
     return [
         [field.one if i == j else field.zero for j in range(n)] for i in range(n)
     ]
-
-
-def mat_entrywise(A, fn):
-    return [[fn(x) for x in row] for row in A]
 
 
 def charpoly(A, field):
@@ -155,10 +141,6 @@ def min_poly(A, field):
 
 
 # ---------------------------------------------------------------- mod p ----
-
-
-def np_array(M, p):
-    return np.array(M, dtype=np.int64) % p
 
 
 def np_rref(M, p):

@@ -2,8 +2,17 @@
 
 Polynomials are tuples of ints in [0, p), ascending degree, with no trailing
 zeros; () is the zero polynomial.  This module only serves the construction
-of finite field contexts; user-facing polynomial types live elsewhere.
+of finite field contexts; user-facing polynomial types live elsewhere.  It
+also owns the mixed-radix digits that every enumeration index decodes to.
 """
+
+
+def digits(idx, radix, count):
+    """The count base-radix digits of idx, most significant first."""
+    out = [0] * count
+    for i in range(count - 1, -1, -1):
+        idx, out[i] = divmod(idx, radix)
+    return out
 
 
 def trim(c):
@@ -122,12 +131,7 @@ def canonical_irreducible(p, d):
     if d == 1:
         return (0, 1)
     for idx in range(p**d):
-        lower = []
-        v = idx
-        for _ in range(d):
-            lower.append(v % p)
-            v //= p
-        cand = tuple(lower) + (1,)
+        cand = tuple(reversed(digits(idx, p, d))) + (1,)
         if is_irreducible(cand, p):
             return cand
     raise ValueError(f"no irreducible of degree {d} over F_{p}")

@@ -154,11 +154,6 @@ class Poly:
         return f"Poly({list(self.coeffs)!r})"
 
 
-def poly_divides(a, b):
-    """True iff a divides b (a nonzero)."""
-    return not (b % a)
-
-
 def _gcd_coeff_lists(a, b):
     """Monic gcd on raw coefficient lists (in-place remainders, no Poly
     object churn); both inputs nonempty and trimmed."""

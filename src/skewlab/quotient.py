@@ -1,12 +1,18 @@
 """The quotient R_F = R/RF(x^n): canonical reduction, rank, eigenrings,
 and (finite case) explicit matrix images under the canonical isomorphism
 R_F = M_m(E(f)) for a distinguished irreducible right divisor f of F(x^n).
+
+This module also owns the F_p-coordinate layer every exact scan works in:
+vec/unvec (residues as F_p vectors), the residue classes (QuotElem and its
+mod-f subclasses), and FiniteAlgebra, an F_p-bilinear product given by its
+structure constants.  R_F itself is a FiniteAlgebra (QuotCtx.algebra).
 """
 
 import numpy as np
 
 from . import linalg
 from .fields import AutMap, FieldError, FiniteFieldCtx, norm_to_fixed
+from .modpoly import digits
 from .skewpoly import (
     CentralPoly,
     SkewPoly,
@@ -16,7 +22,81 @@ from .skewpoly import (
     power_reductions,
     right_divides,
     right_mod,
+    skew_to_literal,
 )
+
+
+# ---------------------------------------------------------- coordinates ----
+
+
+def vec(sp, slots):
+    """F_p coordinates of sp (finite contexts): the coefficient vectors of
+    x^0, ..., x^(slots-1), concatenated."""
+    return tuple(c for i in range(slots) for c in sp[i].coeffs)
+
+
+def unvec(ctx, v, slots):
+    """The skew polynomial of degree < slots whose coordinates are v."""
+    d = ctx.dim
+    coeffs = [tuple(int(c) for c in v[i * d : (i + 1) * d]) for i in range(slots)]
+    return SkewPoly(ctx, [ctx.elem(c) for c in coeffs])
+
+
+class FiniteAlgebra:
+    """A finite algebra in F_p coordinates: to_vec/from_vec map elements to
+    and from vectors of length dim, mul is F_p-bilinear, and scalar_mats
+    are the matrices of the base field scalars (for the nuclei systems).
+
+    Every multiplication matrix is a contraction of the structure constants
+    T, e_a e_b = sum_k T[a, b, k] e_k, which are built on first use.
+    """
+
+    def __init__(self, p, dim, to_vec, from_vec, mul, unit=None, scalar_mats=None):
+        self.p = p
+        self.dim = dim
+        self.to_vec = to_vec
+        self.from_vec = from_vec
+        self.mul = mul
+        self.unit = unit
+        self.scalar_mats = scalar_mats or []
+        self._T = None
+
+    @property
+    def order(self):
+        return self.p**self.dim
+
+    def elem_from_index(self, idx):
+        return self.from_vec(tuple(digits(idx, self.p, self.dim)))
+
+    def basis(self):
+        """The basis elements e_0, ..., e_{dim-1} (coordinate unit vectors)."""
+        d = self.dim
+        return [self.from_vec((0,) * i + (1,) + (0,) * (d - 1 - i)) for i in range(d)]
+
+    def structure_constants(self):
+        """T[a, b, k], the k-th coordinate of e_a e_b, reduced mod p."""
+        if self._T is None:
+            basis = self.basis()
+            table = [[self.to_vec(self.mul(x, y)) for y in basis] for x in basis]
+            self._T = np.array(table, dtype=np.int64) % self.p
+        return self._T
+
+    def left_mult_matrix(self, v):
+        """Matrix of b -> a b, for the element a with coordinates v."""
+        T = self.structure_constants()
+        return np.einsum("a,abk->kb", np.asarray(v, dtype=np.int64), T) % self.p
+
+    def right_mult_matrix(self, v):
+        """Matrix of b -> b a, for the element a with coordinates v."""
+        T = self.structure_constants()
+        return np.einsum("b,abk->ka", np.asarray(v, dtype=np.int64), T) % self.p
+
+    def left_mult_matrices(self):
+        """M_i = matrix of left multiplication by the i-th basis vector."""
+        return [self.left_mult_matrix(e) for e in np.eye(self.dim, dtype=np.int64)]
+
+
+# --------------------------------------------------------------- R_F ------
 
 
 class QuotCtx:
@@ -65,6 +145,7 @@ class QuotCtx:
             raise RuntimeError("inconsistent (s, ell, m) for the divisor f")
         self._eigen = None
         self._coord_inv = None
+        self._algebra = None
 
     def _find_divisor(self):
         """First monic degree-s right divisor of F(x^n), in lexicographic
@@ -78,13 +159,7 @@ class QuotCtx:
         target = sign * self.F.F0
         order = ctx.order
         for idx in range(order**s):
-            digits = []
-            v = idx
-            for _ in range(s):
-                digits.append(v % order)
-                v //= order
-            digits.reverse()
-            coeffs = [ctx.elem_from_index(d) for d in digits]
+            coeffs = [ctx.elem_from_index(d) for d in digits(idx, order, s)]
             if not coeffs[0]:
                 continue
             if norm_to_fixed(coeffs[0], sigma) != target:
@@ -102,16 +177,28 @@ class QuotCtx:
             raise FieldError("context mismatch")
         return QuotElem(self, right_mod(a, self.F_skew))
 
-    def elem(self, a):
-        return self.reduce(a)
-
     @property
-    def codeword_space_dim(self):
-        return self.ctx.n * self.s
+    def algebra(self):
+        """R_F as a FiniteAlgebra over F_p under the residue product
+        (finite contexts); its structure constants are built on first use."""
+        if self._algebra is None:
+            ctx = self.ctx
+            if not isinstance(ctx, FiniteFieldCtx):
+                raise FieldError("F_p coordinates need a finite context")
+            slots = self.F_skew.degree
+            self._algebra = FiniteAlgebra(
+                ctx.p,
+                slots * ctx.dim,
+                lambda a: vec(a.rep, slots),
+                lambda v: QuotElem(self, unvec(ctx, v, slots)),
+                lambda a, b: a * b,
+            )
+        return self._algebra
 
 
 class QuotElem:
-    """Residue class in R_F, held by its canonical representative."""
+    """Residue class held by its canonical representative; products are
+    reduced mod_r the modulus, F(x^n) here (the subclasses pick f)."""
 
     __slots__ = ("qctx", "rep")
 
@@ -119,12 +206,16 @@ class QuotElem:
         self.qctx = qctx
         self.rep = rep
 
+    @property
+    def modulus(self):
+        return self.qctx.F_skew
+
     def __bool__(self):
         return bool(self.rep)
 
     def __eq__(self, other):
         return (
-            isinstance(other, QuotElem)
+            type(other) is type(self)
             and self.qctx is other.qctx
             and self.rep == other.rep
         )
@@ -133,23 +224,19 @@ class QuotElem:
         return hash(self.rep)
 
     def __add__(self, other):
-        return QuotElem(self.qctx, self.rep + other.rep)
+        return type(self)(self.qctx, self.rep + other.rep)
 
     def __sub__(self, other):
-        return QuotElem(self.qctx, self.rep - other.rep)
+        return type(self)(self.qctx, self.rep - other.rep)
 
     def __neg__(self):
-        return QuotElem(self.qctx, -self.rep)
+        return type(self)(self.qctx, -self.rep)
 
     def __mul__(self, other):
-        return QuotElem(
-            self.qctx, right_mod(self.rep * other.rep, self.qctx.F_skew)
-        )
+        return type(self)(self.qctx, right_mod(self.rep * other.rep, self.modulus))
 
     def __repr__(self):
-        from .skewpoly import skew_to_literal
-
-        return f"QuotElem({skew_to_literal(self.rep)!r})"
+        return f"{type(self).__name__}({skew_to_literal(self.rep)!r})"
 
 
 def rank(a):
@@ -188,45 +275,29 @@ def _eigenring_finite(qctx):
     ctx = qctx.ctx
     f = qctx.f
     df = f.degree
-    dim = ctx.dim
     p = ctx.p
-
-    def vec(sp):
-        out = []
-        for slot in range(df):
-            out.extend(sp[slot].coeffs)
-        return out
-
-    cols = []
-    units = []
-    for i in range(df):
-        for b in range(dim):
-            unit = SkewPoly.monomial(
-                ctx, ctx.elem(tuple(1 if k == b else 0 for k in range(dim))), i
-            )
-            units.append(unit)
-            cols.append(vec(right_mod(f * unit, f)))
+    # column i*dim + b is the image of the unit b x^i, so a kernel row is
+    # the coordinate vector of its eigenring member
+    cols = [
+        vec(right_mod(f * SkewPoly.monomial(ctx, b, i), f), df)
+        for i in range(df)
+        for b in ctx.basis
+    ]
     kernel = linalg.np_kernel(np.array(cols, dtype=np.int64).T, p, ncols=len(cols))
-    members = []
-    for row in kernel:
-        g = SkewPoly.zero(ctx)
-        for c, unit in zip(row, units):
-            if c:
-                g = g + unit.scale_left(ctx.from_int(int(c)))
-        members.append(g)
+    members = [unvec(ctx, row, df) for row in kernel]
     # extract a K-basis from the F_p-kernel: K acts by central left scaling
     e = len(ctx.k_basis)
     if e == 1:
         return members
     selected = []
-    span = np.zeros((0, df * dim), dtype=np.int64)
+    span = np.zeros((0, df * ctx.dim), dtype=np.int64)
     for g in members:
-        gv = np.array(vec(g), dtype=np.int64)
+        gv = np.array(vec(g, df), dtype=np.int64)
         if linalg.np_rank(np.vstack([span, gv]), p) == linalg.np_rank(span, p):
             continue
         selected.append(g)
-        scaled = [vec(g.scale_left(b)) for b in ctx.k_basis]
-        span = np.vstack([span] + [np.array(v, dtype=np.int64) for v in scaled])
+        scaled = [vec(g.scale_left(b), df) for b in ctx.k_basis]
+        span = np.vstack([span, np.array(scaled, dtype=np.int64)])
     if len(selected) * e != len(members):
         raise RuntimeError("K-basis extraction failed for the eigenring")
     return selected
@@ -246,19 +317,14 @@ def _eigenring_funcfield(qctx):
         basis_elems.append(wpow * ctx.t)
         wpow = wpow * ctx.w
 
-    def vec(sp):
-        out = []
-        for slot in range(df):
-            out.extend(ctx.coords_over_K(sp[slot]))
-        return out
-
     cols = []
     units = []
     for i in range(df):
         for b in basis_elems:
             unit = SkewPoly.monomial(ctx, b, i)
             units.append(unit)
-            cols.append(vec(right_mod(f * unit, f)))
+            img = right_mod(f * unit, f)
+            cols.append([c for j in range(df) for c in ctx.coords_over_K(img[j])])
     rows = [[cols[j][i] for j in range(len(cols))] for i in range(df * nb)]
     kernel = linalg.kernel_basis(rows, len(cols), K0)
     members = []
@@ -274,36 +340,15 @@ def _eigenring_funcfield(qctx):
 # ------------------------------------------------- eigenring as a field ----
 
 
-class EigenElem:
+class EigenElem(QuotElem):
     """Element of E(f) (finite case), with the mod-f product; a field of
     order q^s, inverses via the q^s - 2 power."""
 
-    __slots__ = ("qctx", "rep")
+    __slots__ = ()
 
-    def __init__(self, qctx, rep):
-        self.qctx = qctx
-        self.rep = rep
-
-    def __bool__(self):
-        return bool(self.rep)
-
-    def __eq__(self, other):
-        return self.qctx is other.qctx and self.rep == other.rep
-
-    def __hash__(self):
-        return hash(self.rep)
-
-    def __add__(self, other):
-        return EigenElem(self.qctx, self.rep + other.rep)
-
-    def __sub__(self, other):
-        return EigenElem(self.qctx, self.rep - other.rep)
-
-    def __neg__(self):
-        return EigenElem(self.qctx, -self.rep)
-
-    def __mul__(self, other):
-        return EigenElem(self.qctx, right_mod(self.rep * other.rep, self.qctx.f))
+    @property
+    def modulus(self):
+        return self.qctx.f
 
     def inverse(self):
         if not self.rep:
@@ -334,13 +379,7 @@ def _residue_candidates(qctx):
         yield xp
     order = ctx.order
     for idx in range(1, order**df):
-        digits = []
-        v = idx
-        for _ in range(df):
-            digits.append(v % order)
-            v //= order
-        digits.reverse()
-        yield SkewPoly(ctx, [ctx.elem_from_index(d) for d in digits])
+        yield SkewPoly(ctx, [ctx.elem_from_index(d) for d in digits(idx, order, df)])
 
 
 def _coord_data(qctx):
@@ -356,15 +395,7 @@ def _coord_data(qctx):
     ebasis = qctx._eigen.basis
     f = qctx.f
     df = f.degree
-    dim = ctx.dim
-    full = df * dim
-
-    def vec(sp):
-        out = []
-        for slot in range(df):
-            out.extend(sp[slot].coeffs)
-        return out
-
+    full = df * ctx.dim
     per = len(ebasis) * len(ctx.k_basis)
     chosen = []
     cols = []
@@ -374,7 +405,7 @@ def _coord_data(qctx):
         for ej in ebasis:
             base = right_mod(cand * ej, f)
             for kb in ctx.k_basis:
-                new_cols.append(vec(base.scale_left(kb)))
+                new_cols.append(vec(base.scale_left(kb), df))
         trial = np.array(cols + new_cols, dtype=np.int64)
         r = linalg.np_rank(trial, ctx.p)
         if r == rank_so_far + per:
@@ -402,53 +433,24 @@ def matrix_image(a):
     ne = len(ebasis)
     e = len(ctx.k_basis)
     f = qctx.f
-    df = f.degree
-
-    def vec(sp):
-        out = []
-        for slot in range(df):
-            out.extend(sp[slot].coeffs)
-        return out
-
     m = qctx.m
     entries = [[None] * m for _ in range(m)]
     for col in range(m):
         img = right_mod(a.rep * basis[col], f)
-        coords = (inv @ np.array(vec(img), dtype=np.int64)) % ctx.p
+        coords = (inv @ np.array(vec(img, f.degree), dtype=np.int64)) % ctx.p
         for row in range(m):
             acc = SkewPoly.zero(ctx)
             for j in range(ne):
-                for b in range(e):
-                    c = int(coords[(row * ne + j) * e + b])
-                    if c:
-                        scal = ctx.from_int(c) * ctx.k_basis[b]
-                        acc = acc + ebasis[j].scale_left(scal)
+                at = (row * ne + j) * e
+                scal = ctx.combine(coords[at : at + e], ctx.k_basis)
+                acc = acc + ebasis[j].scale_left(scal)
             entries[row][col] = EigenElem(qctx, acc)
     return entries
 
 
 def matrix_rank(entries):
     """Row rank of a matrix over E(f) by Gaussian elimination."""
-    if not entries:
-        return 0
-    rows = [list(r) for r in entries]
-    ncols = len(rows[0])
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                fac = rows[i][c]
-                rows[i] = [x - fac * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+    return len(linalg.rref(entries)[1])
 
 
 def linearized_rank(a):
@@ -459,8 +461,7 @@ def linearized_rank(a):
     if not isinstance(ctx, FiniteFieldCtx) or qctx.s != 1:
         raise FieldError("linearised rank needs a finite context with s = 1")
     cols = []
-    for b in range(ctx.dim):
-        basis = ctx.elem(tuple(1 if k == b else 0 for k in range(ctx.dim)))
+    for basis in ctx.basis:
         img = ctx.zero
         for i, c in enumerate(a.rep.coeffs):
             if c:

@@ -25,40 +25,18 @@ from .fields import (
     norm_to_fixed,
 )
 from .polyring import Poly, ext_gcd
+from .quotient import FiniteAlgebra, QuotElem, unvec, vec
 from .skewpoly import CentralPoly, SkewPoly, right_mod
 
 
-class AlgebraElem:
+class AlgebraElem(QuotElem):
     """Residue in R/Rf, the carrier of the star products."""
 
-    __slots__ = ("qctx", "rep")
+    __slots__ = ()
 
-    def __init__(self, qctx, rep):
-        self.qctx = qctx
-        self.rep = rep
-
-    def __bool__(self):
-        return bool(self.rep)
-
-    def __eq__(self, other):
-        return self.qctx is other.qctx and self.rep == other.rep
-
-    def __hash__(self):
-        return hash(self.rep)
-
-    def __add__(self, other):
-        return AlgebraElem(self.qctx, self.rep + other.rep)
-
-    def __sub__(self, other):
-        return AlgebraElem(self.qctx, self.rep - other.rep)
-
-    def __neg__(self):
-        return AlgebraElem(self.qctx, -self.rep)
-
-    def __repr__(self):
-        from .skewpoly import skew_to_literal
-
-        return f"AlgebraElem({skew_to_literal(self.rep)!r})"
+    @property
+    def modulus(self):
+        return self.qctx.f
 
 
 def algebra_elem(qctx, coeffs):
@@ -176,11 +154,7 @@ class StarDSpec:
         if ctx.sigma_pow(ratio, self.t) == ratio:
             raise ValueError("gamma/f0 lies in L'")
         ngam = norm_to_fixed(gamma, AutMap.sigma_power(ctx, 1))
-        if isinstance(ctx, FiniteFieldCtx):
-            square = is_square_in_base(ngam)
-        else:
-            square = is_square_in_base(ngam, ctx)
-        if square and enforce_norm:
+        if is_square_in_base(ngam, ctx) and enforce_norm:
             raise ValueError("N(gamma) is a square in K")
         if ctx.sigma_pow(gamma, self.t) == gamma:
             raise ValueError("gamma lies in L'")
@@ -251,46 +225,6 @@ def hk_mul(c, d, params):
 # ------------------------------------------------- coordinate algebras -----
 
 
-class FiniteAlgebra:
-    """An F_p-coordinatised finite algebra: enough structure for the
-    pairwise scan and the spread-set nuclei systems."""
-
-    def __init__(self, p, dim, to_vec, from_vec, mul, unit=None, scalar_mats=None):
-        self.p = p
-        self.dim = dim
-        self.to_vec = to_vec
-        self.from_vec = from_vec
-        self.mul = mul
-        self.unit = unit
-        self.scalar_mats = scalar_mats or []
-
-    @property
-    def order(self):
-        return self.p**self.dim
-
-    def elem_from_index(self, idx):
-        digits = []
-        for _ in range(self.dim):
-            digits.append(idx % self.p)
-            idx //= self.p
-        digits.reverse()
-        return self.from_vec(tuple(digits))
-
-    def left_mult_matrices(self):
-        """M_i = matrix of left multiplication by the i-th basis vector."""
-        mats = []
-        for i in range(self.dim):
-            ei = self.from_vec(tuple(1 if k == i else 0 for k in range(self.dim)))
-            cols = []
-            for j in range(self.dim):
-                ej = self.from_vec(
-                    tuple(1 if k == j else 0 for k in range(self.dim))
-                )
-                cols.append(self.to_vec(self.mul(ei, ej)))
-            mats.append(np.array(cols, dtype=np.int64).T % self.p)
-        return mats
-
-
 def algebra_for_star(spec):
     """R/Rf under spec.mul as a FiniteAlgebra (finite contexts)."""
     qctx = spec.qctx
@@ -298,60 +232,31 @@ def algebra_for_star(spec):
     if not isinstance(ctx, FiniteFieldCtx):
         raise FieldError("coordinate scans need a finite context")
     df = qctx.f.degree
-    dim = df * ctx.dim
-
-    def to_vec(a):
-        out = []
-        for slot in range(df):
-            out.extend(a.rep[slot].coeffs)
-        return tuple(out)
-
-    def from_vec(v):
-        coeffs = [
-            ctx.elem(tuple(v[s * ctx.dim : (s + 1) * ctx.dim])) for s in range(df)
-        ]
-        return AlgebraElem(qctx, SkewPoly(ctx, coeffs))
-
     unit = getattr(spec, "unit", None)
     # scalar multiplications by the base field of the algebra:
-    # K' (= Fix(rho) cap K) for star_S/star_S', K for star_D
+    # K' (= Fix(rho) cap K) for star_S/star_S', K for star_D; each acts on
+    # every coefficient slot
     if isinstance(spec, StarSSpec):
-        kp = math.gcd(spec.rho.exp, ctx.e)
-        scalars = [
-            b
-            for b in _subfield_basis(ctx, kp)
-        ]
+        scalars = ctx.fixed_basis(math.gcd(spec.rho.exp, ctx.e))
     else:
-        scalars = list(ctx.k_basis)
-    mats = []
-    for sc in scalars:
-        blocks = ctx.mult_matrix(sc)
-        big = np.zeros((dim, dim), dtype=np.int64)
-        for s in range(df):
-            big[
-                s * ctx.dim : (s + 1) * ctx.dim, s * ctx.dim : (s + 1) * ctx.dim
-            ] = blocks
-        mats.append(big % ctx.p)
-    return FiniteAlgebra(ctx.p, dim, to_vec, from_vec, spec.mul, unit, mats)
-
-
-def _subfield_basis(ctx, frob_exp):
-    """F_p-basis of Fix(a -> a^(p^frob_exp))."""
-    if frob_exp % ctx.dim == 0:
-        return [
-            ctx.elem(tuple(1 if k == i else 0 for k in range(ctx.dim)))
-            for i in range(ctx.dim)
-        ]
-    mat = ctx._aut_matrix(frob_exp % ctx.dim)
-    eye = np.eye(ctx.dim, dtype=np.int64)
-    ker = linalg.np_kernel((mat - eye) % ctx.p, ctx.p)
-    return [ctx.elem(tuple(int(c) for c in row)) for row in ker]
+        scalars = ctx.k_basis
+    eye = np.eye(df, dtype=np.int64)
+    mats = [np.kron(eye, ctx.mult_matrix(sc)) % ctx.p for sc in scalars]
+    return FiniteAlgebra(
+        ctx.p,
+        df * ctx.dim,
+        lambda a: vec(a.rep, df),
+        lambda v: AlgebraElem(qctx, unvec(ctx, v, df)),
+        spec.mul,
+        unit,
+        mats,
+    )
 
 
 def algebra_for_hk(params):
     """F_{q^t} + F_{q^t} under hk_mul as a FiniteAlgebra."""
     ctx = params.ctx
-    sub = _subfield_basis(ctx, (ctx._sig * params.t) % ctx.dim)
+    sub = ctx.fixed_basis(ctx._sig * params.t)
     half = len(sub)
     basis_mat = np.array([b.coeffs for b in sub], dtype=np.int64).T
 
@@ -361,18 +266,11 @@ def algebra_for_hk(params):
             raise FieldError("element is not in F_{q^t}")
         return [int(c) for c in sol]
 
-    def sub_elem(digits):
-        acc = ctx.zero
-        for d, b in zip(digits, sub):
-            if d:
-                acc = acc + ctx.from_int(int(d)) * b
-        return acc
-
     def to_vec(pair):
         return tuple(sub_coords(pair[0]) + sub_coords(pair[1]))
 
     def from_vec(v):
-        return (sub_elem(v[:half]), sub_elem(v[half:]))
+        return (ctx.combine(v[:half], sub), ctx.combine(v[half:], sub))
 
     def mul(a, b):
         return hk_mul(a, b, params)
@@ -496,8 +394,7 @@ def has_two_sided_unit(alg):
     """True iff alg.unit is set and satisfies both unit laws on the basis."""
     if alg.unit is None:
         return False
-    for i in range(alg.dim):
-        ei = alg.from_vec(tuple(1 if k == i else 0 for k in range(alg.dim)))
+    for ei in alg.basis():
         want = tuple(alg.to_vec(ei))
         if tuple(alg.to_vec(alg.mul(alg.unit, ei))) != want:
             return False

@@ -6,7 +6,13 @@ bound (minimal central multiple) of a polynomial all live here.
 """
 
 from . import linalg
-from .fields import FieldError, FiniteFieldCtx, LiteralError, elem_from_literal, elem_to_literal
+from .fields import (
+    FieldError,
+    FiniteFieldCtx,
+    LiteralError,
+    elem_from_literal,
+    poly_to_literal,
+)
 from .polyring import NEG_INF, Poly, exact_power
 
 import numpy as np
@@ -476,38 +482,25 @@ def bound_oracle(f):
         raise FieldError("brute-force bound oracle requires a finite context")
     if not f.is_monic() or f.degree < 1 or not f.constant_coeff:
         raise ValueError("oracle needs a monic f with nonzero constant coefficient")
+    from .quotient import vec
+
     h = f.degree
     n = ctx.n
+    e = len(ctx.k_basis)
     reds = power_reductions(f, n * h)
-
-    def vec(sp):
-        out = []
-        for slot in range(h):
-            out.extend(sp[slot].coeffs)
-        return out
-
     for d in range(1, h + 1):
         cols = []
         for i in range(d):
             red = reds[n * i]
             for b in ctx.k_basis:
-                cols.append(vec(red.scale_left(b)))
-        rhs = [(-x) % ctx.p for x in vec(reds[n * d])]
+                cols.append(vec(red.scale_left(b), h))
+        rhs = [(-x) % ctx.p for x in vec(reds[n * d], h)]
         mat = np.array(cols, dtype=np.int64).T
         sol = linalg.np_solve(mat, rhs, ctx.p)
         if sol is None:
             continue
-        coeffs = []
-        e = len(ctx.k_basis)
-        for i in range(d):
-            acc = ctx.zero
-            for j, b in enumerate(ctx.k_basis):
-                c = int(sol[i * e + j])
-                if c:
-                    acc = acc + ctx.from_int(c) * b
-            coeffs.append(acc)
-        coeffs.append(ctx.one)
-        return CentralPoly.from_coeffs(ctx, coeffs)
+        coeffs = [ctx.combine(sol[i * e : (i + 1) * e], ctx.k_basis) for i in range(d)]
+        return CentralPoly.from_coeffs(ctx, coeffs + [ctx.one])
     raise RuntimeError("oracle found no bound up to deg f")
 
 
@@ -575,25 +568,7 @@ def norm_identity_check(f, rep):
 def skew_to_literal(f):
     """Canonical literal: descending powers of x, composite coefficients
     parenthesized, monic leading term written without its coefficient."""
-    if not f:
-        return "0"
-    terms = []
-    for i in range(len(f.coeffs) - 1, -1, -1):
-        c = f.coeffs[i]
-        if not c:
-            continue
-        cl = elem_to_literal(c)
-        if i == 0:
-            terms.append(f"({cl})" if "+" in cl and "/" not in cl else cl)
-            continue
-        head = "x" if i == 1 else f"x^{i}"
-        if cl == "1":
-            terms.append(head)
-        elif "+" in cl or "/" in cl:
-            terms.append(f"({cl})*{head}")
-        else:
-            terms.append(f"{cl}*{head}")
-    return "+".join(terms)
+    return poly_to_literal(f.coeffs, "x")
 
 
 def skew_from_literal(ctx, text):
@@ -654,22 +629,4 @@ def _outside_parens(s):
 
 def central_to_literal(cp):
     """Literal for F(y), same grammar as skew polynomials with variable y."""
-    if not cp.poly:
-        return "0"
-    terms = []
-    for i in range(len(cp.poly.coeffs) - 1, -1, -1):
-        c = cp.poly.coeffs[i]
-        if not c:
-            continue
-        cl = elem_to_literal(c)
-        if i == 0:
-            terms.append(f"({cl})" if "+" in cl and "/" not in cl else cl)
-            continue
-        head = "y" if i == 1 else f"y^{i}"
-        if cl == "1":
-            terms.append(head)
-        elif "+" in cl or "/" in cl:
-            terms.append(f"({cl})*{head}")
-        else:
-            terms.append(f"{cl}*{head}")
-    return "+".join(terms)
+    return poly_to_literal(cp.poly.coeffs, "y")

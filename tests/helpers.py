@@ -42,18 +42,25 @@ def y_minus_one(ctx):
     return CentralPoly.from_coeffs(ctx, [ctx.minus_one, ctx.one])
 
 
+def base_field_elems(ctx):
+    """Every element of K, index i having base-p digits i over k_basis
+    (k_basis[0] least significant); for e = 1 element i is i * 1."""
+    from skewlab.modpoly import digits
+
+    return [
+        ctx.combine(digits(i, ctx.p, ctx.e)[::-1], ctx.k_basis) for i in range(ctx.q)
+    ]
+
+
 def irreducible_quadratic(ctx):
-    """A fixed monic irreducible F(y) of degree 2 with F(0) != 0 over K."""
+    """A fixed monic irreducible F(y) of degree 2 with F(0) != 0 over K:
+    the first (F0, F1) in the order of base_field_elems."""
     from skewlab.skewpoly import central_is_irreducible
 
-    order = ctx.q
-    for c0 in range(1, order):
-        for c1 in range(order):
-            if ctx.e == 1:
-                coeffs = [ctx.from_int(c0), ctx.from_int(c1), ctx.one]
-            else:
-                raise NotImplementedError("tests use prime base fields")
-            F = CentralPoly.from_coeffs(ctx, coeffs)
+    K = base_field_elems(ctx)
+    for c0 in K[1:]:
+        for c1 in K:
+            F = CentralPoly.from_coeffs(ctx, [c0, c1, ctx.one])
             if central_is_irreducible(F):
                 return F
     raise RuntimeError("no irreducible quadratic found")

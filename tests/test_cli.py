@@ -113,6 +113,34 @@ def test_verify_malformed_spec(capsys, tmp_path):
         assert code3 == 2 and err3.startswith("error:")
 
 
+def test_unknown_spec_keys_are_usage_errors(capsys, tmp_path):
+    # a mistyped key used to be ignored: rho = id, sigma_exp = 1
+    s412 = {**D412, "family": "S", "eta": "w"}
+    del s412["gamma"]
+    bad_code = {**s412, "rho_expo": 1}
+    bad_field = {**s412, "field": {**D412["field"], "sigma_exps": 3}}
+    bad_semifield = {**D412, "F": [1, 0, 1], "k": 1, "semifield": True, "gama": "w"}
+    for payload, key in (
+        (bad_code, "rho_expo"),
+        (bad_field, "sigma_exps"),
+        (bad_semifield, "gama"),
+    ):
+        code, out, err = run_cli(
+            capsys, "verify", "--spec", write_spec(tmp_path, payload)
+        )
+        assert code == 2 and not out
+        assert err.startswith("error:") and repr(key) in err
+    code, out, err = run_cli(
+        capsys, "bound", "--field", "finite:p=2,e=1,n=3,sigma=1", "--poly", "x+w"
+    )
+    assert code == 2 and not out and "'sigma'" in err
+    # every documented key is still accepted
+    code, _, _ = run_cli(
+        capsys, "verify", "--spec", write_spec(tmp_path, {**s412, "rho_exp": 1})
+    )
+    assert code == 0
+
+
 def test_verify_budget_exit(capsys, tmp_path):
     code, _, err = run_cli(
         capsys,

@@ -1,6 +1,7 @@
 """S- and D-family codes: validation, enumeration, MRD scans, idealisers,
 centralisers, and the newness arithmetic."""
 
+import itertools
 import random
 
 import numpy as np
@@ -12,7 +13,6 @@ from skewlab.codes import (
     DCodeSpec,
     SCodeSpec,
     _membership_matrix,
-    _vec,
     centraliser_and_centre,
     code_spec_from_dict,
     codeword_count,
@@ -33,7 +33,7 @@ from skewlab.codes import (
     verify_mrd,
 )
 from skewlab.fields import AutMap, FunctionFieldCtx
-from skewlab.quotient import QuotCtx, rank
+from skewlab.quotient import QuotCtx, QuotElem, rank, vec
 from skewlab.skewpoly import SkewPoly, bound
 
 from helpers import finite_ctx, irreducible_quadratic, y_minus_one
@@ -275,12 +275,12 @@ def test_idealiser_invariant_under_normalisation():
         for wd in _spanning_words(spec)
     ]
     # membership matrix of the normalised code: M' = M . L_u
-    from skewlab.codes import _left_mult_matrix, _right_mult_matrix
     from skewlab import linalg
 
+    alg = q.algebra
     M = _membership_matrix(spec)
-    Mp = (M @ _left_mult_matrix(q, u.rep)) % ctx.p
-    rows = [(Mp @ _right_mult_matrix(q, wd.rep)) % ctx.p for wd in normalised]
+    Mp = (M @ alg.left_mult_matrix(alg.to_vec(u))) % ctx.p
+    rows = [(Mp @ alg.right_mult_matrix(alg.to_vec(wd))) % ctx.p for wd in normalised]
     width = ctx.n * q.s * ctx.dim
     ker = linalg.np_kernel(np.vstack(rows), ctx.p, ncols=width)
     assert ctx.p ** ker.shape[0] == base
@@ -341,12 +341,12 @@ def test_membership_matrix_characterises_codewords():
     rng = random.Random(41)
     for _ in range(10):
         word = codeword_from_index(spec, rng.randrange(codeword_count(spec)))
-        vec = _vec(ctx, word.rep, ctx.n * q.s)
-        assert not ((M @ vec) % ctx.p).any()
+        v = np.array(vec(word.rep, ctx.n * q.s))
+        assert not ((M @ v) % ctx.p).any()
     # a non-codeword violates it
     bad = SkewPoly(ctx, (ctx.zero, ctx.zero, ctx.zero, ctx.one))
-    vec = _vec(ctx, bad, ctx.n * q.s)
-    assert ((M @ vec) % ctx.p).any()
+    v = np.array(vec(bad, ctx.n * q.s))
+    assert ((M @ v) % ctx.p).any()
 
 
 def test_newness_acceptance_case():
@@ -481,3 +481,114 @@ def test_parallel_scan_matches_sequential():
             checked,
         )
     assert (par.witnessed, par.checked, par.min_rank) == (False, 810, 2)
+
+
+# -------------------------------------------- nuclear parameters oracle ----
+
+
+def nuclear_params_by_definition(spec):
+    """(Il, Ir, C, Z) counted over every g in R_F from the definitions:
+    Il = #{g : g C <= C}, Ir = #{g : C g <= C}, and for the normalised code
+    C' = u^{-1} C (u the first codeword with a left inverse, in index
+    order) C = #{g : g c = c g for c in C'} and Z counts those g with
+    g C' <= C' as well.
+
+    Membership is looked up in the set of all codewords.  The product g*w
+    of every g is the F_p-combination, by the coordinates of g, of the
+    direct products e_j*w of the unit residues e_j = b x^i; it is enough to
+    test the words of an F_p-basis of the code, taken from the codewords
+    by rank.  Nothing here uses the structure constants, the spanning
+    words or the membership matrix of the code under test.
+    """
+    q = spec.qctx
+    ctx = q.ctx
+    p = ctx.p
+    slots = q.F_skew.degree
+    units = [
+        QuotElem(q, SkewPoly.monomial(ctx, b, i))
+        for i in range(slots)
+        for b in ctx.basis
+    ]
+    dim = len(units)
+    weights = p ** np.arange(dim - 1, -1, -1)
+    every_g = np.array(list(itertools.product(range(p), repeat=dim)), dtype=np.int64)
+
+    def coords(a):
+        return np.array(vec(a.rep, slots), dtype=np.int64)
+
+    def products(mul):
+        """Rows vec(mul(g)) for every g, mul being F_p-linear in g."""
+        images = np.array([coords(mul(e)) for e in units])
+        return every_g @ images % p
+
+    def index_set(elems):
+        return np.array(sorted({int(coords(a) @ weights) for a in elems}))
+
+    def all_in(rows, indices):
+        return np.isin(rows @ weights, indices)
+
+    code = list(enumerate_codewords(spec))
+    basis = []
+    for w in code:
+        cand = np.array([coords(b) for b in basis + [w]])
+        if linalg.np_rank(cand, p) > len(basis):
+            basis.append(w)
+    code_idx = index_set(code)
+    one = coords(QuotElem(q, SkewPoly.one(ctx)))
+    il = np.ones(len(every_g), dtype=bool)
+    ir = np.ones(len(every_g), dtype=bool)
+    for w in basis:
+        il &= all_in(products(lambda e: e * w), code_idx)
+        ir &= all_in(products(lambda e: w * e), code_idx)
+    for u in code:
+        left_inverses = np.flatnonzero((products(lambda e: e * u) == one).all(axis=1))
+        if left_inverses.size:
+            break
+    g = every_g[left_inverses[0]]
+    u_inv = QuotElem(q, SkewPoly.zero(ctx))
+    for c, e in zip(g, units):
+        u_inv = u_inv + QuotElem(q, e.rep.scale_left(ctx.from_int(int(c))))
+    normalised = [u_inv * w for w in basis]
+    normalised_idx = index_set(u_inv * w for w in code)
+    cen = np.ones(len(every_g), dtype=bool)
+    idl = np.ones(len(every_g), dtype=bool)
+    for c in normalised:
+        right = products(lambda e: e * c)
+        cen &= (right == products(lambda e: c * e)).all(axis=1)
+        idl &= all_in(right, normalised_idx)
+    return int(il.sum()), int(ir.sum()), int(cen.sum()), int((cen & idl).sum())
+
+
+def _small_nuclear_specs():
+    for p in (2, 3):
+        for s in (1, 2):
+            ctx = finite_ctx(p, 2)
+            F = y_minus_one(ctx) if s == 1 else irreducible_quadratic(ctx)
+            q = QuotCtx(ctx, F)
+            rho = AutMap.sigma_power(ctx, 1)
+            # the first valid eta (over F_4 only eta = 0 is valid)
+            s_spec = next(
+                spec
+                for spec in (
+                    SCodeSpec(q, 1, ctx.elem_from_index(i), rho)
+                    for i in (*range(1, ctx.order), 0)
+                )
+                if validate_s(spec)
+            )
+            yield f"S_q{p}_s{s}", s_spec
+            yield f"D_q{p}_s{s}", DCodeSpec(q, 1, ctx.gen)
+    # one-sided: Il = 8 but Ir = 16 (eta = 1 is not a valid eta over F_8)
+    ctx = finite_ctx(2, 3)
+    q = QuotCtx(ctx, y_minus_one(ctx))
+    yield "S_q2_n3_k2", SCodeSpec(q, 2, ctx.one, AutMap.identity(ctx))
+
+
+NUCLEAR_SPECS = dict(_small_nuclear_specs())
+
+
+@pytest.mark.parametrize("name", list(NUCLEAR_SPECS))
+def test_nuclear_params_match_definitions(name):
+    spec = NUCLEAR_SPECS[name]
+    assert spec.qctx.algebra.order <= 3**8
+    got = nuclear_params(spec)
+    assert (got.il, got.ir, got.c, got.z) == nuclear_params_by_definition(spec)

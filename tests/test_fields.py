@@ -1,5 +1,6 @@
 """Field contexts: arithmetic, automorphisms, norms, squares, literals."""
 
+import itertools
 import random
 
 import pytest
@@ -269,3 +270,21 @@ def test_tower_with_e_greater_than_one():
     assert ctx.sigma(w) != w
     for b in ctx.k_basis:
         assert ctx.is_in_K(b)
+
+
+@pytest.mark.parametrize(
+    "p,e,n,sigma_exp", [(2, 2, 2, 1), (2, 2, 3, 2), (3, 1, 4, 3), (2, 1, 6, 1)]
+)
+def test_fixed_basis_matches_definition(p, e, n, sigma_exp):
+    # the F_p-span of fixed_basis(h) is exactly {a : a^(p^h) = a}
+    ctx = FiniteFieldCtx(p, e, n, sigma_exp)
+    elems = [ctx.elem_from_index(i) for i in range(ctx.order)]
+    for h in range(ctx.dim + 1):
+        basis = ctx.fixed_basis(h)
+        fixed = {a for a in elems if a ** (p**h) == a}
+        span = {
+            ctx.combine(c, basis)
+            for c in itertools.product(range(p), repeat=len(basis))
+        }
+        assert len(span) == p ** len(basis) and span == fixed
+    assert ctx.k_basis == ctx.fixed_basis(ctx._sig) and len(ctx.k_basis) == e

@@ -2,9 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
 
-from skewlab.fields import AutMap, FunctionFieldCtx, norm_to_fixed
+from skewlab.fields import AutMap, FiniteFieldCtx, FunctionFieldCtx, norm_to_fixed
 from skewlab.quotient import (
     QuotCtx,
     eigenring,
@@ -20,7 +21,13 @@ from skewlab.skewpoly import (
     right_mod,
 )
 
-from helpers import finite_ctx, irreducible_quadratic, random_skew, y_minus_one
+from helpers import (
+    base_field_elems,
+    finite_ctx,
+    irreducible_quadratic,
+    random_skew,
+    y_minus_one,
+)
 
 
 def quot_f8():
@@ -280,3 +287,53 @@ def test_rank_lower_bound_and_norm_ratio():
                 a.rep[skl], sigma
             )
             assert ratio == target
+
+
+# ------------------------------------------ beyond e = 1, sigma_exp = 1 ----
+
+TOWERS = [(2, 2, 2, 1), (2, 2, 3, 2), (3, 1, 4, 3)]
+
+
+def tower_quotient(p, e, n, sigma_exp, s):
+    ctx = FiniteFieldCtx(p, e, n, sigma_exp)
+    F = y_minus_one(ctx) if s == 1 else irreducible_quadratic(ctx)
+    return QuotCtx(ctx, F)
+
+
+def test_irreducible_quadratic_over_non_prime_base():
+    ctx = FiniteFieldCtx(2, 2, 3, 2)  # K = F_4 inside L = F_64, sigma = a^16
+    K = base_field_elems(ctx)
+    assert len(set(K)) == ctx.q and all(ctx.is_in_K(c) for c in K)
+    F = irreducible_quadratic(ctx)
+    assert F.s == 2 and F.is_monic() and F.F0
+    assert all(F.poly.evaluate(c) for c in K)  # no root in K
+    # e = 1 keeps the integer order of the coefficients
+    ctx3 = finite_ctx(3, 4)
+    assert irreducible_quadratic(ctx3).poly.coeffs == (
+        ctx3.one, ctx3.zero, ctx3.one
+    )
+
+
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("p,e,n,sigma_exp", TOWERS)
+def test_multiplication_matrices_match_direct_products(p, e, n, sigma_exp, s):
+    q = tower_quotient(p, e, n, sigma_exp, s)
+    assert q.s == s
+    alg = q.algebra
+    assert alg.dim == n * s * e * n
+    rng = random.Random(p * 1000 + e * 100 + n * 10 + s)
+    for _ in range(12):
+        a = alg.elem_from_index(rng.randrange(alg.order))
+        b = alg.elem_from_index(rng.randrange(alg.order))
+        va = np.array(alg.to_vec(a))
+        vb = np.array(alg.to_vec(b))
+        assert tuple(alg.left_mult_matrix(va) @ vb % p) == alg.to_vec(a * b)
+        assert tuple(alg.right_mult_matrix(va) @ vb % p) == alg.to_vec(b * a)
+    # column j of M_i is e_i e_j, for the products of basis residues
+    units = alg.basis()
+    mats = alg.left_mult_matrices()
+    for i in rng.sample(range(alg.dim), 4):
+        for j in rng.sample(range(alg.dim), 4):
+            assert tuple(mats[i][:, j]) == alg.to_vec(units[i] * units[j])
+    # the residue round trip through the coordinates
+    assert all(alg.from_vec(alg.to_vec(u)) == u for u in units)
