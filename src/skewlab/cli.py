@@ -28,6 +28,7 @@ from .fields import (
     LiteralError,
     field_from_inline,
     field_from_spec,
+    spec_int,
 )
 from .skewpoly import (
     bound,
@@ -175,7 +176,7 @@ def _verify_semifield(args, spec_dict):
     )
     from .skewpoly import skew_to_literal
 
-    if int(spec_dict.get("k", 1)) != 1:
+    if spec_int(spec_dict.get("k", 1), "k") != 1:
         raise ValueError("semifield specs need k = 1")
     code_spec = code_spec_from_dict({**spec_dict, "k": 1})
     qctx = code_spec.qctx

@@ -4,17 +4,15 @@ S-family: words a_0 + a_1 x + ... + a_{skl-1} x^(skl-1) + eta a_0^rho x^skl.
 D-family: words a_0' + sum a_i x^i + gamma a_0'' x^skl with a_0', a_0'' in the
 index-2 subfield L'.  Validation evaluates the exact norm conditions;
 verify_mrd ranks codewords with the batched rank scan in linalg;
-idealisers, centralisers and centres are computed by prime-field linear
-systems on spanning sets; the newness report replays the known-family
-parameter comparison.
+nuclear_params takes the idealisers, centraliser and centre of the code's
+spanning words in R_F from quotient.subspace_nuclei; the newness report
+replays the known-family parameter comparison.
 """
 
 import math
 # unused here; skewbench/tracing.py patches this name to time a worker pool
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import linalg
 from .fields import (
@@ -25,11 +23,13 @@ from .fields import (
     field_from_spec,
     is_square_in_base,
     norm_to_fixed,
+    spec_int,
+    spec_list,
 )
 from .linalg import DEFAULT_BUDGET, BudgetExceeded  # noqa: F401
 from .modpoly import digits
-from .quotient import QuotCtx, QuotElem, rank
-from .skewpoly import CentralPoly, SkewPoly, gcrd_extended
+from .quotient import QuotCtx, QuotElem, rank, subspace_nuclei
+from .skewpoly import CentralPoly, SkewPoly
 
 
 # ---------------------------------------------------------------- specs ----
@@ -331,13 +331,6 @@ def rank_family(spec):
 
 
 @dataclass
-class IdealiserPart:
-    size: int
-    constant_field_order: int | None
-    outside_theorem_range: bool
-
-
-@dataclass
 class NuclearParams:
     il: int
     ir: int
@@ -347,46 +340,6 @@ class NuclearParams:
 
     def as_dict(self):
         return {"Il": self.il, "Ir": self.ir, "C": self.c, "Z": self.z}
-
-
-def _membership_matrix(spec):
-    """Rows M with M @ vec(v) = 0 iff the residue v lies in the code."""
-    qctx = spec.qctx
-    ctx = qctx.ctx
-    if not isinstance(ctx, FiniteFieldCtx):
-        raise FieldError("idealiser and membership systems need a finite context")
-    ns = ctx.n * qctx.s
-    dim = ctx.dim
-    width = ns * dim
-    rows = []
-    for i in range(spec.skl + 1, ns):
-        for b in range(dim):
-            row = np.zeros(width, dtype=np.int64)
-            row[i * dim + b] = 1
-            rows.append(row)
-    if spec.family == "S":
-        # v_skl = eta * rho(v_0)
-        comp = (ctx.mult_matrix(spec.eta) @ ctx._aut_matrix(spec.rho.exp)) % ctx.p
-        for b in range(dim):
-            row = np.zeros(width, dtype=np.int64)
-            row[spec.skl * dim + b] = 1
-            row[0:dim] = (-comp[b]) % ctx.p
-            rows.append(row)
-    else:
-        m_sig_t = ctx._aut_matrix((ctx._sig * spec.t) % ctx.dim)
-        eye = np.eye(dim, dtype=np.int64)
-        proj = (m_sig_t - eye) % ctx.p
-        for b in range(dim):
-            row = np.zeros(width, dtype=np.int64)
-            row[0:dim] = proj[b]
-            rows.append(row)
-        m_gamma_inv = ctx.mult_matrix(spec.gamma.inverse())
-        comp = (proj @ m_gamma_inv) % ctx.p
-        for b in range(dim):
-            row = np.zeros(width, dtype=np.int64)
-            row[spec.skl * dim : (spec.skl + 1) * dim] = comp[b]
-            rows.append(row)
-    return np.array(rows, dtype=np.int64) % ctx.p
 
 
 def _spanning_words(spec):
@@ -424,97 +377,14 @@ def _theorem_range_flag(spec):
     return not (1 <= spec.k <= m // 2 and spec.skl >= 2)
 
 
-def _kernel_report(spec, rows):
-    ctx = spec.qctx.ctx
-    width = ctx.n * spec.qctx.s * ctx.dim
-    if rows:
-        mat = np.vstack(rows)
-        kernel = linalg.np_kernel(mat, ctx.p, ncols=width)
-    else:
-        kernel = np.eye(width, dtype=np.int64)
-    size = ctx.p ** kernel.shape[0]
-    dim = ctx.dim
-    constant = all(not row[dim:].any() for row in kernel)
-    return IdealiserPart(
-        size=size,
-        constant_field_order=size if constant else None,
-        outside_theorem_range=_theorem_range_flag(spec),
-    )
-
-
-def _idealiser(spec, words, mult_matrix):
-    """The g with mult_matrix(w) g in the code for every word w (all of
-    _spanning_words by default), by the linear membership system."""
-    M = _membership_matrix(spec)
-    alg = spec.qctx.algebra
-    if words is None:
-        words = _spanning_words(spec)
-    rows = [(M @ mult_matrix(alg.to_vec(w))) % alg.p for w in words]
-    return _kernel_report(spec, rows)
-
-
-def left_idealiser(spec, words=None):
-    """{g in R_F : g C <= C}, by the linear membership system."""
-    return _idealiser(spec, words, spec.qctx.algebra.right_mult_matrix)
-
-
-def right_idealiser(spec, words=None):
-    """{g in R_F : C g <= C}."""
-    return _idealiser(spec, words, spec.qctx.algebra.left_mult_matrix)
-
-
-def _first_invertible(spec):
-    m = spec.qctx.m
-    total = codeword_count(spec)
-    for idx in range(1, total):
-        word = codeword_from_index(spec, idx)
-        if word.rep and rank(word) == m:
-            return word
-    return None
-
-
-def centraliser_and_centre(spec):
-    """Centraliser and centre sizes of the code, after normalising (by a
-    left unit-multiple) to contain the identity."""
-    qctx = spec.qctx
-    ctx = qctx.ctx
-    alg = qctx.algebra
-    p = ctx.p
-    u = _first_invertible(spec)
-    if u is None:
-        raise ValueError("no invertible codeword found; cannot normalise")
-    d, alpha, _ = gcrd_extended(u.rep, qctx.F_skew)
-    if d.degree != 0:
-        raise RuntimeError("invertible codeword has nontrivial gcrd with F(x^n)")
-    u_inv = qctx.reduce(alpha.scale_left(d.constant_coeff.inverse()))
-    one = SkewPoly.one(ctx)
-    if (u_inv * u).rep != one or (u * u_inv).rep != one:
-        raise RuntimeError("normaliser inverse failed")
-    span = [alg.to_vec(u_inv * w) for w in _spanning_words(spec)]
-    right = [alg.right_mult_matrix(v) for v in span]
-    cen_rows = [(R - alg.left_mult_matrix(v)) % p for R, v in zip(right, span)]
-    cen_kernel = linalg.np_kernel(np.vstack(cen_rows), p, ncols=alg.dim)
-    c_size = p ** cen_kernel.shape[0]
-    # centre = left idealiser of the normalised code intersect centraliser
-    M_prime = (_membership_matrix(spec) @ alg.left_mult_matrix(alg.to_vec(u))) % p
-    id_rows = [(M_prime @ R) % p for R in right]
-    z_kernel = linalg.np_kernel(np.vstack(cen_rows + id_rows), p, ncols=alg.dim)
-    z_size = p ** z_kernel.shape[0]
-    return c_size, z_size
-
-
 def nuclear_params(spec):
-    """Left/right idealiser, centraliser and centre orders of the code."""
-    il = left_idealiser(spec)
-    ir = right_idealiser(spec)
-    c, z = centraliser_and_centre(spec)
-    return NuclearParams(
-        il=il.size,
-        ir=ir.size,
-        c=c,
-        z=z,
-        outside_theorem_range=il.outside_theorem_range,
-    )
+    """Left/right idealiser, centraliser and centre orders of the code: the
+    kernels of quotient.subspace_nuclei on R_F and the spanning words (C
+    and Z after normalising by the first spanning word that is a unit)."""
+    alg = spec.qctx.algebra
+    span = [alg.to_vec(w) for w in _spanning_words(spec)]
+    il, ir, c, z = (alg.p ** len(basis) for basis in subspace_nuclei(alg, span))
+    return NuclearParams(il, ir, c, z, _theorem_range_flag(spec))
 
 
 # ---------------------------------------------------------------- newness --
@@ -796,13 +666,13 @@ def code_spec_from_dict(d):
         raise ValueError("family must be 'S' or 'D'")
     ctx = field_from_spec(d["field"])
     coeffs = []
-    for c in d["F"]:
+    for c in spec_list(d["F"], "F"):
         if isinstance(c, str):
             coeffs.append(elem_from_literal(ctx, c))
         else:
             if not isinstance(ctx, FiniteFieldCtx):
                 raise ValueError("integer F-coefficients need a finite field")
-            coeffs.append(ctx.from_int(int(c)))
+            coeffs.append(ctx.from_int(spec_int(c, "F")))
     F = CentralPoly.from_coeffs(ctx, coeffs)
     if isinstance(ctx, FiniteFieldCtx):
         qctx = QuotCtx(ctx, F)
@@ -812,12 +682,12 @@ def code_spec_from_dict(d):
             raise ValueError("function-field code specs need the catalogued 'f'")
         from .skewpoly import skew_from_literal
 
-        f = skew_from_literal(ctx, f_lit)
+        f = skew_from_literal(ctx, str(f_lit))
         qctx = QuotCtx(ctx, F, f=f, irreducible_certified=True)
-    k = int(d["k"])
+    k = spec_int(d["k"], "k")
     if family == "S":
         eta = elem_from_literal(ctx, str(d["eta"]))
-        rho_exp = int(d.get("rho_exp", 0))
+        rho_exp = spec_int(d.get("rho_exp", 0), "rho_exp")
         if isinstance(ctx, FiniteFieldCtx):
             rho = AutMap.frobenius_power(ctx, rho_exp)
         else:

@@ -897,6 +897,22 @@ def elem_from_literal(ctx, text):
 FIELD_SPEC_KEYS = ("kind", "p", "e", "n", "sigma_exp", "modulus", "r")
 
 
+def spec_int(value, key):
+    """int(value), or a ValueError naming the spec key the value came from."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        msg = f"spec key {key!r} must be an integer, got {value!r}"
+        raise ValueError(msg) from None
+
+
+def spec_list(value, key):
+    """value, or a ValueError naming the spec key if it is not a list."""
+    if not isinstance(value, list):
+        raise ValueError(f"spec key {key!r} must be a list, got {value!r}")
+    return value
+
+
 def field_from_spec(spec):
     """Build a context from a field-spec mapping:
     {"kind": "finite", "p": .., "e": .., "n": .., "sigma_exp"?: .., "modulus"?: [..]}
@@ -909,15 +925,19 @@ def field_from_spec(spec):
         raise FieldError(f"unknown field spec key(s): {', '.join(map(repr, unknown))}")
     kind = spec["kind"]
     if kind == "finite":
+        modulus = spec.get("modulus")
         return FiniteFieldCtx(
-            p=int(spec["p"]),
-            e=int(spec.get("e", 1)),
-            n=int(spec["n"]),
-            sigma_exp=int(spec.get("sigma_exp", 1)),
-            modulus=tuple(spec["modulus"]) if spec.get("modulus") else None,
+            p=spec_int(spec["p"], "p"),
+            e=spec_int(spec.get("e", 1), "e"),
+            n=spec_int(spec["n"], "n"),
+            sigma_exp=spec_int(spec.get("sigma_exp", 1), "sigma_exp"),
+            modulus=(
+                tuple(spec_int(c, "modulus") for c in spec_list(modulus, "modulus"))
+                if modulus else None
+            ),
         )
     if kind == "funcfield":
-        return FunctionFieldCtx(int(spec["r"]))
+        return FunctionFieldCtx(spec_int(spec["r"], "r"))
     raise FieldError(f"unknown field kind {kind!r}")
 
 

@@ -4,9 +4,14 @@ R_F = M_m(E(f)) for a distinguished irreducible right divisor f of F(x^n).
 
 This module also owns the F_p-coordinate layer every exact scan works in:
 vec/unvec (residues as F_p vectors), the residue classes (QuotElem and its
-mod-f subclasses), and FiniteAlgebra, an F_p-bilinear product given by its
-structure constants.  R_F itself is a FiniteAlgebra (QuotCtx.algebra).
+mod-f subclasses), FiniteAlgebra, an F_p-bilinear product given by its
+structure constants, and subspace_nuclei, the idealiser, centraliser and
+centre systems of a subspace of such an algebra (the nuclear parameters of
+a code and the nuclei of a semifield).  R_F itself is a FiniteAlgebra
+(QuotCtx.algebra).
 """
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -94,6 +99,51 @@ class FiniteAlgebra:
     def left_mult_matrices(self):
         """M_i = matrix of left multiplication by the i-th basis vector."""
         return [self.left_mult_matrix(e) for e in np.eye(self.dim, dtype=np.int64)]
+
+
+# kernel bases (rows of F_p coordinates) of the four idealiser systems
+SubspaceNuclei = namedtuple("SubspaceNuclei", "il ir c z")
+
+
+def subspace_nuclei(amb, span, scalars=()):
+    """Left/right idealisers, centraliser and centre of the F_p-subspace S
+    spanned by the coordinate vectors span inside the algebra amb (any
+    object with p, dim, left_mult_matrix(v) and right_mult_matrix(v)).
+
+    Il = {g : gS <= S} and Ir = {g : Sg <= S} are taken on S itself.  C and
+    Z are taken on the normalised S' = u^-1 S, u the first spanning vector
+    whose left multiplication L_u is invertible: C is the centraliser of S'
+    and of the scalars (vectors of amb), and Z = C cap Il(S').  Every set is
+    the kernel of a linear system; v lies in S iff Q v = 0 for the
+    complement rows Q, and in S' iff Q L_u v = 0.
+    """
+    p, dim = amb.p, amb.dim
+    span = np.array(span, dtype=np.int64) % p
+    Q = linalg.np_kernel(span, p, ncols=dim)
+
+    def kernel(rows):
+        return linalg.np_kernel(np.vstack(rows) % p, p, ncols=dim)
+
+    il = kernel([Q @ amb.right_mult_matrix(v) for v in span])
+    ir = kernel([Q @ amb.left_mult_matrix(v) for v in span])
+    for u in span:
+        L_u = amb.left_mult_matrix(u)
+        # [L_u | span^T] reduces to [I | L_u^-1 span^T] iff L_u is invertible
+        R, pivots = linalg.np_rref(np.hstack([L_u, span.T]), p)
+        if pivots == list(range(dim)):
+            break
+    else:
+        raise ValueError("no invertible codeword found; cannot normalise")
+    normalised = R[:, dim:].T
+    c = kernel(
+        [amb.right_mult_matrix(v) - amb.left_mult_matrix(v)
+         for v in [*normalised, *scalars]]
+    )
+    # Z in the coordinates of the C basis: the rows of Il(S') times C^T
+    Q_u = Q @ L_u % p
+    il_rows = np.vstack([Q_u @ amb.right_mult_matrix(v) % p for v in normalised])
+    z = linalg.np_kernel(il_rows @ c.T % p, p, ncols=len(c)) @ c % p
+    return SubspaceNuclei(il, ir, c, z)
 
 
 # --------------------------------------------------------------- R_F ------

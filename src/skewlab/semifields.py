@@ -7,8 +7,10 @@ the s = 1 case of star_D has the Hughes-Kleinfeld closed form.
 Zero-divisor scans and nuclei work through the prime-field coordinate
 picture: every product here is F_p-bilinear, so left multiplications are
 matrices, a zero divisor is a singular left multiplication found by the
-batched rank scan in linalg, and nuclei come from idealiser/centraliser
-linear systems on the spread set (never from order^3 associativity loops).
+batched rank scan in linalg, and the nuclei are the idealisers, centraliser
+and centre of the spread set {L_a} inside M_dim(F_p), which
+quotient.subspace_nuclei solves as linear systems (never order^3
+associativity loops).
 """
 
 import math
@@ -25,7 +27,7 @@ from .fields import (
     norm_to_fixed,
 )
 from .polyring import Poly, ext_gcd
-from .quotient import FiniteAlgebra, QuotElem, unvec, vec
+from .quotient import FiniteAlgebra, QuotElem, subspace_nuclei, unvec, vec
 from .skewpoly import CentralPoly, SkewPoly, right_mod
 
 
@@ -380,16 +382,6 @@ class NucleiReport:
         return {"Nl": self.nl, "Nm": self.nm, "Nr": self.nr, "Z": self.z}
 
 
-def _vec_rows(mats):
-    return np.array([m.reshape(-1) for m in mats], dtype=np.int64)
-
-
-def _span_complement_rows(mats, p):
-    """Rows q with q @ vec(M) = 0 exactly for M in the F_p-span of mats."""
-    span = _vec_rows(mats)
-    return linalg.np_kernel(span, p, ncols=span.shape[1])
-
-
 def has_two_sided_unit(alg):
     """True iff alg.unit is set and satisfies both unit laws on the basis."""
     if alg.unit is None:
@@ -403,49 +395,32 @@ def has_two_sided_unit(alg):
     return True
 
 
-def _normalise_spread(mats, p):
-    """Left-multiply the spread span by the inverse of its first member so
-    that it contains the identity (the nuclear-parameter normalisation for
-    codes not containing the identity; sizes are equivalence invariants)."""
-    for M in mats:
-        if linalg.np_rank(M, p) == M.shape[0]:
-            inv = linalg.np_inv(M, p)
-            return [(inv @ X) % p for X in mats]
-    raise ValueError("spread set contains no invertible element")
+class MatrixAlgebra:
+    """M_d(F_p) in row-major coordinates: vec(X Y) = (X kron I) vec(Y) and
+    vec(Y X) = (I kron X^T) vec(Y)."""
+
+    def __init__(self, p, d):
+        self.p, self.d, self.dim = p, d, d * d
+        self._eye = np.eye(d, dtype=np.int64)
+
+    def left_mult_matrix(self, v):
+        return np.kron(np.reshape(v, (self.d, self.d)), self._eye)
+
+    def right_mult_matrix(self, v):
+        return np.kron(self._eye, np.reshape(v, (self.d, self.d)).T)
 
 
 def nuclei(alg):
     """Left/middle/right nuclei and centre sizes via the spread set {L_a}.
 
-    N_l and N_m are the left/right idealisers of the spread set, N_r is its
-    centraliser ((ab)z = a(bz) for all a, b says R_z commutes with every
-    L_a), and the centre is the intersection of N_l with the centraliser;
-    all of them are kernels of linear systems in End over the algebra's base
-    field.  A non-unital algebra is first normalised so that its spread set
-    contains the identity.
+    N_l and N_m are the left/right idealisers of the spread set inside
+    M_dim(F_p), N_r is the centraliser of the normalised spread set and the
+    base field scalars ((ab)z = a(bz) for all a, b says R_z commutes with
+    every L_a), and the centre is its intersection with N_l, all from
+    quotient.subspace_nuclei.  Normalising by the first invertible L_a puts
+    the identity in the spread set, unital or not.
     """
-    p, dim = alg.p, alg.dim
-    L = alg.left_mult_matrices()
-    if not has_two_sided_unit(alg):
-        L = _normalise_spread(L, p)
-    eye = np.eye(dim, dtype=np.int64)
-    Q = _span_complement_rows(L, p)
-    # row-major flattening: vec(X M) = (I kron M^T) vec(X),
-    #                       vec(M X) = (M kron I) vec(X)
-    scalar_rows = [
-        (np.kron(eye, S.T) - np.kron(S, eye)) % p for S in alg.scalar_mats
-    ]
-
-    def kernel_size(rows):
-        stacked = np.vstack(rows) if rows else np.zeros((0, dim * dim), dtype=np.int64)
-        ker = linalg.np_kernel(stacked % p, p, ncols=dim * dim)
-        return p ** ker.shape[0]
-
-    nl_rows = [(Q @ np.kron(eye, M.T)) % p for M in L]
-    nm_rows = [(Q @ np.kron(M, eye)) % p for M in L]
-    cen_rows = [(np.kron(eye, M.T) - np.kron(M, eye)) % p for M in L]
-    nl = kernel_size(nl_rows)
-    nm = kernel_size(nm_rows)
-    nr = kernel_size(cen_rows + scalar_rows)
-    z = kernel_size(nl_rows + cen_rows + scalar_rows)
-    return NucleiReport(nl, nm, nr, z)
+    spread = [M.reshape(-1) for M in alg.left_mult_matrices()]
+    scalars = [S.reshape(-1) for S in alg.scalar_mats]
+    kernels = subspace_nuclei(MatrixAlgebra(alg.p, alg.dim), spread, scalars)
+    return NucleiReport(*(alg.p ** len(basis) for basis in kernels))

@@ -141,6 +141,39 @@ def test_unknown_spec_keys_are_usage_errors(capsys, tmp_path):
     assert code == 0
 
 
+S412 = {**{k: v for k, v in D412.items() if k != "gamma"}, "family": "S", "eta": "w"}
+
+
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        ({**D412, "F": 5}, "F"),
+        ({**D412, "F": [[1], 1]}, "F"),
+        ({**D412, "k": [2]}, "k"),
+        ({**D412, "k": None}, "k"),
+        ({**S412, "rho_exp": None}, "rho_exp"),
+    ],
+)
+def test_wrong_value_types_are_usage_errors(capsys, tmp_path, payload, key):
+    # these used to end in a TypeError traceback and exit 1
+    code, out, err = run_cli(capsys, "verify", "--spec", write_spec(tmp_path, payload))
+    assert code == 2 and not out
+    assert err.startswith("error:") and repr(key) in err
+
+
+@pytest.mark.parametrize(
+    "field, key",
+    [
+        ('{"kind": "finite", "p": 3, "n": [4]}', "n"),
+        ('{"kind": "finite", "p": 3, "n": 4, "modulus": 5}', "modulus"),
+    ],
+)
+def test_wrong_field_value_type_is_a_usage_error(capsys, field, key):
+    code, out, err = run_cli(capsys, "bound", "--field", field, "--poly", "x+w")
+    assert code == 2 and not out
+    assert err.startswith("error:") and repr(key) in err
+
+
 def test_verify_budget_exit(capsys, tmp_path):
     code, _, err = run_cli(
         capsys,
@@ -207,6 +240,13 @@ def test_verify_funcfield_spec(capsys, tmp_path):
     assert report["valid"] is True
     assert report["nuclear"] is None
     assert report["mrd"]["min_rank"] >= report["mrd"]["distance_target"]
+    # a number for the divisor literal is read as the literal "5": a usage
+    # error, not a traceback
+    code, out, err = run_cli(
+        capsys, "verify", "--spec", write_spec(tmp_path, {**spec, "f": 5}),
+        "--mode", "sampled", "--samples", "1", "--seed", "3",
+    )
+    assert code == 2 and not out and err.startswith("error:")
 
 
 def test_ffsuite(capsys):

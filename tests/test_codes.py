@@ -12,20 +12,17 @@ from skewlab.codes import (
     BudgetExceeded,
     DCodeSpec,
     SCodeSpec,
-    _membership_matrix,
-    centraliser_and_centre,
+    _spanning_words,
     code_spec_from_dict,
     codeword_count,
     codeword_from_index,
     d_codeword,
     enumerate_codewords,
-    left_idealiser,
     newness_mrd,
     newness_report,
     newness_semifield,
     nuclear_params,
     rank_family,
-    right_idealiser,
     s_codeword,
     validate,
     validate_d,
@@ -33,7 +30,7 @@ from skewlab.codes import (
     verify_mrd,
 )
 from skewlab.fields import AutMap, FunctionFieldCtx
-from skewlab.quotient import QuotCtx, QuotElem, rank, vec
+from skewlab.quotient import QuotCtx, QuotElem, rank, subspace_nuclei, vec
 from skewlab.skewpoly import SkewPoly, bound
 
 from helpers import finite_ctx, irreducible_quadratic, y_minus_one
@@ -171,14 +168,17 @@ def test_left_idealiser_sizes():
     ctx = q.ctx
     w = ctx.gen
     d2 = DCodeSpec(q, 2, w)
-    li = left_idealiser(d2)
-    assert li.size == 9 and li.constant_field_order == 9
-    assert not li.outside_theorem_range
+    alg = q.algebra
+    il = subspace_nuclei(alg, [alg.to_vec(wd) for wd in _spanning_words(d2)]).il
+    # Il of the D-code is made of constants: an F_9 inside L
+    assert ctx.p ** len(il) == 9 and not il[:, ctx.dim :].any()
+    assert nuclear_params(d2).il == 9
+    assert not nuclear_params(d2).outside_theorem_range
     s2 = SCodeSpec(q, 2, w, AutMap.identity(ctx))
-    assert left_idealiser(s2).size == 81
+    assert nuclear_params(s2).il == 81
     s0 = SCodeSpec(q, 2, ctx.zero, AutMap.identity(ctx))
-    assert left_idealiser(s0).size == 81
-    assert right_idealiser(s0).size == 81
+    assert nuclear_params(s0).il == 81
+    assert nuclear_params(s0).ir == 81
 
 
 def test_right_idealiser_composite_fixed_field():
@@ -188,9 +188,9 @@ def test_right_idealiser_composite_fixed_field():
     # rho = sigma^2, skl = 2: Fix(rho^{-1} sigma^{skl}) = Fix(id) = L
     s22 = SCodeSpec(q, 2, w, AutMap.sigma_power(ctx, 2))
     assert validate_s(s22)
-    assert right_idealiser(s22).size == 81
+    assert nuclear_params(s22).ir == 81
     d2 = DCodeSpec(q, 2, w)
-    assert right_idealiser(d2).size == 9
+    assert nuclear_params(d2).ir == 9
 
 
 def test_s_family_idealisers_match_fixed_field_orders():
@@ -215,23 +215,23 @@ def test_s_family_idealisers_match_fixed_field_orders():
             continue
         spec = SCodeSpec(q2, 2, eta, rho)
         expected = 3 ** math.gcd(h, 4) if h else 81
-        li = left_idealiser(spec)
-        assert not li.outside_theorem_range
-        assert li.size == expected
-        assert right_idealiser(spec).size == expected
+        got = nuclear_params(spec)
+        assert not got.outside_theorem_range
+        assert got.il == expected
+        assert got.ir == expected
 
 
 def test_centraliser_and_centre():
     q = quot34()
     ctx = q.ctx
     w = ctx.gen
-    c, z = centraliser_and_centre(DCodeSpec(q, 2, w))
-    assert c == 3 and z == 3
+    got = nuclear_params(DCodeSpec(q, 2, w))
+    assert got.c == 3 and got.z == 3
     # Gabidulin-like code contains the identity; centre = K (k = 2 so that
     # the code reaches past the constants)
     s0 = SCodeSpec(q, 2, ctx.zero, AutMap.identity(ctx))
-    c0, z0 = centraliser_and_centre(s0)
-    assert c0 == 3 and z0 == 3
+    got0 = nuclear_params(s0)
+    assert got0.c == 3 and got0.z == 3
     # s = 2 D-code: centraliser = E_F of order q^s
     ctx2 = finite_ctx(3, 4)
     q2 = QuotCtx(ctx2, irreducible_quadratic(ctx2))
@@ -242,8 +242,8 @@ def test_centraliser_and_centre():
         if validate_d(spec):
             gamma = cand
             break
-    c2, z2 = centraliser_and_centre(DCodeSpec(q2, 1, gamma))
-    assert c2 == 9 and z2 == 3
+    got2 = nuclear_params(DCodeSpec(q2, 1, gamma))
+    assert got2.c == 9 and got2.z == 3
 
 
 def test_nuclear_params_match_theorem():
@@ -252,38 +252,51 @@ def test_nuclear_params_match_theorem():
     assert (np_.il, np_.ir, np_.c, np_.z) == (9, 9, 3, 3)
     assert not np_.outside_theorem_range
     # skl = 1 sits outside the closed-form hypotheses but still computes
-    part = left_idealiser(DCodeSpec(q, 1, q.ctx.gen))
-    assert part.outside_theorem_range and part.size == 9
+    part = nuclear_params(DCodeSpec(q, 1, q.ctx.gen))
+    assert part.outside_theorem_range and part.il == 9
+
+
+NO_UNIT_SPEC = {
+    "family": "S", "field": {"kind": "finite", "p": 3, "e": 1, "n": 4},
+    "F": [-1, 1], "k": 1, "eta": "w^3+w^2+1", "rho_exp": 3,
+}
+
+
+def test_nuclear_params_never_rank_codewords(monkeypatch):
+    # the normalising unit comes from the spanning words' left
+    # multiplications, never from ranking codewords one by one
+    import skewlab.codes
+
+    def no_rank(_word):
+        raise AssertionError("nuclear_params ranked a codeword")
+
+    monkeypatch.setattr(skewlab.codes, "rank", no_rank)
+    q = quot34()
+    got = nuclear_params(DCodeSpec(q, 2, q.ctx.gen))
+    assert (got.il, got.ir, got.c, got.z) == (9, 9, 3, 3)
+    with pytest.raises(ValueError, match="no invertible codeword found; cannot normalise"):
+        nuclear_params(code_spec_from_dict(NO_UNIT_SPEC))
 
 
 def test_idealiser_invariant_under_normalisation():
-    # sizes computed on the raw code equal those after the identity
-    # normalisation used for the centraliser
-    from skewlab.codes import _first_invertible, _spanning_words
-    from skewlab.quotient import QuotElem
+    # sizes computed on the raw code equal those on u^-1 C, for u the first
+    # codeword (in index order) that is a unit
     from skewlab.skewpoly import gcrd_extended, right_mod
 
     q = quot34()
     ctx = q.ctx
     spec = DCodeSpec(q, 2, ctx.gen)
-    base = left_idealiser(spec).size
-    u = _first_invertible(spec)
+    base = nuclear_params(spec)
+    u = next(w for w in enumerate_codewords(spec) if w.rep and rank(w) == q.m)
     d, alpha, _ = gcrd_extended(u.rep, q.F_skew)
     u_inv = right_mod(alpha.scale_left(d.constant_coeff.inverse()), q.F_skew)
+    alg = q.algebra
     normalised = [
-        QuotElem(q, right_mod(u_inv * wd.rep, q.F_skew))
+        alg.to_vec(QuotElem(q, right_mod(u_inv * wd.rep, q.F_skew)))
         for wd in _spanning_words(spec)
     ]
-    # membership matrix of the normalised code: M' = M . L_u
-    from skewlab import linalg
-
-    alg = q.algebra
-    M = _membership_matrix(spec)
-    Mp = (M @ alg.left_mult_matrix(alg.to_vec(u))) % ctx.p
-    rows = [(Mp @ alg.right_mult_matrix(alg.to_vec(wd))) % ctx.p for wd in normalised]
-    width = ctx.n * q.s * ctx.dim
-    ker = linalg.np_kernel(np.vstack(rows), ctx.p, ncols=width)
-    assert ctx.p ** ker.shape[0] == base
+    sizes = [ctx.p ** len(b) for b in subspace_nuclei(alg, normalised)]
+    assert sizes == [base.il, base.ir, base.c, base.z]
 
 
 def test_eta_zero_is_rho_independent():
@@ -333,20 +346,24 @@ def test_dimension_matches_singleton_equality():
 
 
 def test_membership_matrix_characterises_codewords():
+    # the spanning words span exactly the code: F_p-dimension log_p |C|,
+    # every sampled codeword inside, a non-codeword outside
     q = quot34()
     ctx = q.ctx
     w = ctx.gen
     spec = SCodeSpec(q, 2, w, AutMap.sigma_power(ctx, 1))
-    M = _membership_matrix(spec)
+    slots = ctx.n * q.s
+    span = np.array([vec(wd.rep, slots) for wd in _spanning_words(spec)])
+    dim = linalg.np_rank(span, ctx.p)
+    assert ctx.p**dim == codeword_count(spec)
     rng = random.Random(41)
     for _ in range(10):
         word = codeword_from_index(spec, rng.randrange(codeword_count(spec)))
-        v = np.array(vec(word.rep, ctx.n * q.s))
-        assert not ((M @ v) % ctx.p).any()
-    # a non-codeword violates it
+        v = np.array(vec(word.rep, slots))
+        assert linalg.np_rank(np.vstack([span, v]), ctx.p) == dim
     bad = SkewPoly(ctx, (ctx.zero, ctx.zero, ctx.zero, ctx.one))
-    v = np.array(vec(bad, ctx.n * q.s))
-    assert ((M @ v) % ctx.p).any()
+    v = np.array(vec(bad, slots))
+    assert linalg.np_rank(np.vstack([span, v]), ctx.p) == dim + 1
 
 
 def test_newness_acceptance_case():
@@ -491,7 +508,7 @@ def nuclear_params_by_definition(spec):
     Il = #{g : g C <= C}, Ir = #{g : C g <= C}, and for the normalised code
     C' = u^{-1} C (u the first codeword with a left inverse, in index
     order) C = #{g : g c = c g for c in C'} and Z counts those g with
-    g C' <= C' as well.
+    g C' <= C' as well.  C and Z are None when no codeword is a unit.
 
     Membership is looked up in the set of all codewords.  The product g*w
     of every g is the F_p-combination, by the coordinates of g, of the
@@ -544,6 +561,8 @@ def nuclear_params_by_definition(spec):
         left_inverses = np.flatnonzero((products(lambda e: e * u) == one).all(axis=1))
         if left_inverses.size:
             break
+    else:
+        return int(il.sum()), int(ir.sum()), None, None
     g = every_g[left_inverses[0]]
     u_inv = QuotElem(q, SkewPoly.zero(ctx))
     for c, e in zip(g, units):
@@ -581,6 +600,25 @@ def _small_nuclear_specs():
     ctx = finite_ctx(2, 3)
     q = QuotCtx(ctx, y_minus_one(ctx))
     yield "S_q2_n3_k2", SCodeSpec(q, 2, ctx.one, AutMap.identity(ctx))
+    # e = 2 towers (K = F_{p^2}, n = 2, skl = 1) with rho the p-Frobenius,
+    # which is no power of sigma: the first valid nonzero eta (over F_16
+    # only eta = 0 is valid) and the first invalid one; with rho = sigma the
+    # first invalid eta over F_81 leaves the code without a unit
+    for p in (2, 3):
+        ctx = finite_ctx(p, 2, e=2)
+        q = QuotCtx(ctx, y_minus_one(ctx))
+        frob = AutMap.frobenius_power(ctx, 1)
+        specs = [
+            SCodeSpec(q, 1, ctx.elem_from_index(i), frob) for i in range(ctx.order)
+        ]
+        yield f"S_q{p}e2_frob_valid", next(
+            (spec for spec in specs[1:] if validate_s(spec)), specs[0]
+        )
+        yield f"S_q{p}e2_frob_invalid", next(sp for sp in specs if not validate_s(sp))
+        yield f"D_q{p}e2_s1", DCodeSpec(q, 1, ctx.gen)
+    sigma = AutMap.sigma_power(ctx, 1)
+    specs = [SCodeSpec(q, 1, ctx.elem_from_index(i), sigma) for i in range(ctx.order)]
+    yield "S_q3e2_sigma_no_unit", next(sp for sp in specs if not validate_s(sp))
 
 
 NUCLEAR_SPECS = dict(_small_nuclear_specs())
@@ -590,5 +628,10 @@ NUCLEAR_SPECS = dict(_small_nuclear_specs())
 def test_nuclear_params_match_definitions(name):
     spec = NUCLEAR_SPECS[name]
     assert spec.qctx.algebra.order <= 3**8
+    want = nuclear_params_by_definition(spec)
+    if want[2] is None:
+        with pytest.raises(ValueError, match="no invertible codeword"):
+            nuclear_params(spec)
+        return
     got = nuclear_params(spec)
-    assert (got.il, got.ir, got.c, got.z) == nuclear_params_by_definition(spec)
+    assert (got.il, got.ir, got.c, got.z) == want

@@ -58,6 +58,13 @@ CASES = {
         {"family": "D", "field": F81, "F": [-1, 1], "k": 2, "gamma": "1"},
         0,
     ),
+    # no codeword is a unit, so the nuclear parameters are an error entry
+    "verify_s_no_unit": (
+        [],
+        {"family": "S", "field": F81, "F": [-1, 1], "k": 1,
+         "eta": "w^3+w^2+1", "rho_exp": 3},
+        0,
+    ),
     "semifield_star_d_3e8": (
         [],
         {**SF, "family": "D", "field": F81, "F": [1, 0, 1], "gamma": "w"},

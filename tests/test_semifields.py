@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from skewlab.codes import DCodeSpec, SCodeSpec, _membership_matrix, validate_d
+from skewlab.codes import DCodeSpec, SCodeSpec, _spanning_words, validate_d
 from skewlab.fields import AutMap
 from skewlab.quotient import QuotCtx, vec
 from skewlab import linalg
@@ -61,6 +61,13 @@ def test_star_s_zero_absorbs():
     assert not spec.mul(b, zero)
 
 
+def code_complement(code):
+    """Rows Q with Q v = 0 exactly for v in the F_p-span of the code."""
+    q = code.qctx
+    span = [vec(w.rep, q.ctx.n * q.s) for w in _spanning_words(code)]
+    return linalg.np_kernel(np.array(span), q.ctx.p)
+
+
 def test_star_s_left_mults_are_the_k1_code():
     # phi_S(R/Rf) coincides with S_{n, s*ell, 1}(eta, rho, F)
     q = quot_x_minus_one()
@@ -70,14 +77,14 @@ def test_star_s_left_mults_are_the_k1_code():
         rho = AutMap.sigma_power(ctx, rho_exp)
         spec = StarSSpec(q, ctx.gen, rho)
         code = SCodeSpec(q, 1, ctx.gen, rho)
-        M = _membership_matrix(code)
+        Q = code_complement(code)
         for _ in range(20):
             a = AlgebraElem(
                 q, SkewPoly.constant(ctx, ctx.elem_from_index(rng.randrange(81)))
             )
             lifted = spec.lift(a)
             v = np.array(vec(lifted, ctx.n * q.s))
-            assert not ((M @ v) % ctx.p).any()
+            assert not ((Q @ v) % ctx.p).any()
 
 
 def test_star_s_product_table_no_zero_divisors():
@@ -206,13 +213,13 @@ def test_star_d_left_mults_are_the_k1_code():
     ctx = q.ctx
     # phi_D lands in D(-gamma/f0, F) with k = 1
     code = DCodeSpec(q, 1, -(gamma / q.f.constant_coeff))
-    M = _membership_matrix(code)
+    Q = code_complement(code)
     alg = algebra_for_star(spec)
     rng = random.Random(17)
     for _ in range(20):
         a = alg.elem_from_index(rng.randrange(alg.order))
         v = np.array(vec(spec.lift(a), ctx.n * q.s))
-        assert not ((M @ v) % ctx.p).any()
+        assert not ((Q @ v) % ctx.p).any()
 
 
 def test_star_d_invalid_gamma_rejected():
@@ -453,25 +460,28 @@ def test_nuclei_match_associativity_definition_s2_instance():
 
 
 def nuclei_by_definition(alg):
-    """(N_l, N_m, N_r) sizes straight from the structure constants
+    """(N_l, N_m, N_r, Z) sizes straight from the structure constants
     C[i, j] = e_i e_j: N_l = {z : (za)b = z(ab)}, N_m = {z : (az)b = a(zb)},
-    N_r = {z : (ab)z = a(bz)}, each the kernel of a system linear in z."""
+    N_r = {z : (ab)z = a(bz)} and Z = {z in all three : za = az}, each the
+    kernel of a system linear in z."""
     p, d = alg.p, alg.dim
     basis = [alg.from_vec(tuple(int(k == i) for k in range(d))) for i in range(d)]
     C = np.array(
         [[alg.to_vec(alg.mul(x, y)) for y in basis] for x in basis], dtype=np.int64
     )
 
-    def size(lhs, rhs):
+    def rows(lhs, rhs):
         diff = np.einsum(lhs, C, C) - np.einsum(rhs, C, C)
-        rows = diff.reshape(d, d**3).T % p
-        return p ** linalg.np_kernel(rows, p, ncols=d).shape[0]
+        return diff.reshape(d, d**3).T % p
 
-    return (
-        size("lim,mjk->lijk", "ijm,lmk->lijk"),
-        size("ilm,mjk->lijk", "ljm,imk->lijk"),
-        size("ijm,mlk->lijk", "jlm,imk->lijk"),
-    )
+    def size(*blocks):
+        return p ** linalg.np_kernel(np.vstack(blocks) % p, p, ncols=d).shape[0]
+
+    nl = rows("lim,mjk->lijk", "ijm,lmk->lijk")
+    nm = rows("ilm,mjk->lijk", "ljm,imk->lijk")
+    nr = rows("ijm,mlk->lijk", "jlm,imk->lijk")
+    comm = (C - C.transpose(1, 0, 2)).reshape(d, d * d).T
+    return size(nl), size(nm), size(nr), size(nl, nm, nr, comm)
 
 
 def test_nuclei_match_structure_constants_when_t_differs_from_s():
@@ -488,7 +498,7 @@ def test_nuclei_match_structure_constants_when_t_differs_from_s():
     for spec, nr in cases:
         alg = algebra_for_star(spec)
         rep = nuclei(alg)
-        assert (rep.nl, rep.nm, rep.nr) == nuclei_by_definition(alg)
+        assert (rep.nl, rep.nm, rep.nr, rep.z) == nuclei_by_definition(alg)
         assert rep.nr == nr
 
 
