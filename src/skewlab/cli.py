@@ -124,7 +124,7 @@ def cmd_verify(args):
     newness = []
     if finite:
         try:
-            np_ = nuclear_params(spec)
+            np_ = nuclear_params(spec, budget=_budget(args))
             nuclear = np_.as_dict()
             nuclear["outside_theorem_range"] = np_.outside_theorem_range
         except ValueError as exc:
@@ -199,7 +199,7 @@ def _verify_semifield(args, spec_dict):
     alg = algebra_for_star(star)
     scan = zero_divisor_scan(alg, budget=_budget(args))
     unital = has_two_sided_unit(alg)
-    nuc = nuclei(alg)
+    nuc = nuclei(alg, budget=_budget(args))
     newness = []
     if family == "D":
         newness = [

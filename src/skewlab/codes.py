@@ -310,21 +310,13 @@ def verify_mrd(
 
 def rank_family(spec):
     """(basis, unit) for linalg.rank_scan: word i acts on R_F by g -> g*w_i,
-    whose matrix is sum_j digit_j(i) basis[j] with basis[j] that of word p^j
-    (decoding is F_p-linear in the index digits), and rank(w_i) is its
-    F_p-rank divided by unit = s*ell*[L:F_p]."""
+    whose matrix is sum_j digit_j(i) basis[j] with basis[j] that of the
+    spanning word p^j, and rank(w_i) is its F_p-rank divided by
+    unit = s*ell*[L:F_p]."""
     qctx = spec.qctx
-    ctx = qctx.ctx
     alg = qctx.algebra
-    total = codeword_count(spec)
-    n = 0
-    while ctx.p**n < total:
-        n += 1
-    basis = [
-        alg.right_mult_matrix(alg.to_vec(codeword_from_index(spec, ctx.p**j)))
-        for j in range(n)
-    ]
-    return basis, qctx.s * qctx.ell * ctx.dim
+    basis = [alg.right_mult_matrix(alg.to_vec(w)) for w in _spanning_words(spec)]
+    return basis, qctx.s * qctx.ell * qctx.ctx.dim
 
 
 # ------------------------------------------------ idealisers and centre ----
@@ -343,31 +335,14 @@ class NuclearParams:
 
 
 def _spanning_words(spec):
-    """F_p-spanning set of the code (nsk*dim-ish many words)."""
-    ctx = spec.qctx.ctx
-    words = []
-    if spec.family == "S":
-        for b in ctx.basis:
-            coeffs = [b] + [ctx.zero] * (spec.skl - 1)
-            words.append(s_codeword(spec, coeffs))
-        for i in range(1, spec.skl):
-            for b in ctx.basis:
-                coeffs = [ctx.zero] * spec.skl
-                coeffs[i] = b
-                words.append(s_codeword(spec, coeffs))
-    else:
-        lp = spec.lprime_basis()
-        zero_mid = [ctx.zero] * (spec.skl - 1)
-        for b in lp:
-            words.append(d_codeword(spec, b, ctx.zero, zero_mid))
-        for b in lp:
-            words.append(d_codeword(spec, ctx.zero, b, zero_mid))
-        for i in range(1, spec.skl):
-            for b in ctx.basis:
-                mids = [ctx.zero] * (spec.skl - 1)
-                mids[i - 1] = b
-                words.append(d_codeword(spec, ctx.zero, ctx.zero, mids))
-    return words
+    """The codewords of index p^j, j < log_p |C|: an F_p-basis of the code,
+    since decoding is F_p-linear in the base-p digits of the index."""
+    p = spec.qctx.ctx.p
+    total = codeword_count(spec)
+    n = 0
+    while p**n < total:
+        n += 1
+    return [codeword_from_index(spec, p**j) for j in range(n)]
 
 
 def _theorem_range_flag(spec):
@@ -377,13 +352,18 @@ def _theorem_range_flag(spec):
     return not (1 <= spec.k <= m // 2 and spec.skl >= 2)
 
 
-def nuclear_params(spec):
+def nuclear_params(spec, budget=DEFAULT_BUDGET):
     """Left/right idealiser, centraliser and centre orders of the code: the
     kernels of quotient.subspace_nuclei on R_F and the spanning words (C
-    and Z after normalising by the first spanning word that is a unit)."""
+    and Z after normalising by a unit codeword, searched for within budget
+    ranks when no spanning word is one)."""
     alg = spec.qctx.algebra
     span = [alg.to_vec(w) for w in _spanning_words(spec)]
-    il, ir, c, z = (alg.p ** len(basis) for basis in subspace_nuclei(alg, span))
+    try:
+        kernels = subspace_nuclei(alg, span, budget=budget)
+    except ValueError:
+        raise ValueError("no invertible codeword found; cannot normalise") from None
+    il, ir, c, z = (alg.p ** len(basis) for basis in kernels)
     return NuclearParams(il, ir, c, z, _theorem_range_flag(spec))
 
 

@@ -599,15 +599,6 @@ class AutMap:
     def is_identity(self):
         return self.exp == 0
 
-    def fixed_field_order(self):
-        import math
-
-        if not isinstance(self.ctx, FiniteFieldCtx):
-            raise FieldError("fixed field order is only finite for finite L")
-        return self.ctx.p ** math.gcd(self.exp, self.ctx.dim) if self.exp else (
-            self.ctx.p**self.ctx.dim
-        )
-
 
 def apply_aut(phi, a):
     """Image of a under the automorphism phi."""

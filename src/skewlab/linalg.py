@@ -291,50 +291,73 @@ def batch_rank(mats, p):
     return ranks
 
 
+def _orbit_chunks(basis, p):
+    """(indices, members) of an F_p-linear family in chunks of bounded size,
+    one member per F_p^* orbit: the smallest index of each orbit has leading
+    digit 1, so only the indices in [p^k, 2 p^k), k = 0..n-1, in increasing
+    order."""
+    chunk = max(1, SCAN_CHUNK_ENTRIES // basis[0].size)
+    for k in range(basis.shape[0]):
+        for lo in range(p**k, 2 * p**k, chunk):
+            idx = np.arange(lo, min(lo + chunk, 2 * p**k), dtype=np.int64)
+            yield idx, family_members(basis, idx, p)
+
+
 def rank_scan(basis, p, threshold, unit=1, budget=DEFAULT_BUDGET, check=None):
     """First member of an F_p-linear family of matrices whose rank is below
     threshold, in index order, and the minimum rank up to that member.
 
     The member with index i is sum_j digit_j(i) basis[j] (see
     family_members); its rank is its F_p-rank divided by unit, and a
-    remainder raises.  Scaling a member by c in F_p^* keeps its rank and the
-    smallest index of each orbit has leading digit 1, so only the indices in
-    [p^k, 2 p^k), k = 0..n-1, are ranked, in increasing order and in chunks
-    of bounded size: the first deficient index and the minimum rank up to it
-    are those of a scan of every index.  check(index, matrix, rank) is called
-    on every SPOT_CHECK_EVERY-th ranked member and a False result raises.
+    remainder raises.  Scaling a member by c in F_p^* keeps its rank, so
+    only one member per orbit is ranked (see _orbit_chunks): the first
+    deficient index and the minimum rank up to it are those of a scan of
+    every index.  check(index, matrix, rank) is called on every
+    SPOT_CHECK_EVERY-th ranked member and a False result raises.
 
     Returns (first deficient index or None, minimum rank).  A family whose
     scan would compute more than budget ranks is refused up front.
     """
     basis = np.asarray(basis)
-    n = basis.shape[0]
-    total = scan_size(p, n)
+    total = scan_size(p, basis.shape[0])
     if total > budget:
         raise BudgetExceeded(f"{total} ranks exceed the scan budget {budget}")
-    chunk = max(1, SCAN_CHUNK_ENTRIES // basis[0].size)
     min_rank = None
     scanned = 0
-    for k in range(n):
-        for lo in range(p**k, 2 * p**k, chunk):
-            idx = np.arange(lo, min(lo + chunk, 2 * p**k), dtype=np.int64)
-            mats = family_members(basis, idx, p)
-            ranks, rem = np.divmod(batch_rank(mats, p), unit)
-            if rem.any():
-                raise RuntimeError("an F_p-rank is not a multiple of the rank unit")
-            if check is not None:
-                first = -scanned % SPOT_CHECK_EVERY
-                for pos in range(first, len(idx), SPOT_CHECK_EVERY):
-                    if not check(int(idx[pos]), mats[pos], int(ranks[pos])):
-                        raise RuntimeError(
-                            f"rank scan disagrees with the direct computation "
-                            f"at index {int(idx[pos])}"
-                        )
-            scanned += len(idx)
-            bad = np.flatnonzero(ranks < threshold)
-            stop = bad[0] + 1 if bad.size else len(idx)
-            low = int(ranks[:stop].min())
-            min_rank = low if min_rank is None else min(min_rank, low)
-            if bad.size:
-                return int(idx[bad[0]]), min_rank
+    for idx, mats in _orbit_chunks(basis, p):
+        ranks, rem = np.divmod(batch_rank(mats, p), unit)
+        if rem.any():
+            raise RuntimeError("an F_p-rank is not a multiple of the rank unit")
+        if check is not None:
+            first = -scanned % SPOT_CHECK_EVERY
+            for pos in range(first, len(idx), SPOT_CHECK_EVERY):
+                if not check(int(idx[pos]), mats[pos], int(ranks[pos])):
+                    raise RuntimeError(
+                        f"rank scan disagrees with the direct computation "
+                        f"at index {int(idx[pos])}"
+                    )
+        scanned += len(idx)
+        bad = np.flatnonzero(ranks < threshold)
+        stop = bad[0] + 1 if bad.size else len(idx)
+        low = int(ranks[:stop].min())
+        min_rank = low if min_rank is None else min(min_rank, low)
+        if bad.size:
+            return int(idx[bad[0]]), min_rank
     return None, min_rank
+
+
+def first_invertible(basis, p, budget=DEFAULT_BUDGET):
+    """Index of the first invertible member of an F_p-linear family of
+    square matrices, in rank_scan's order, or None if every member is
+    singular.  A chunk that would take the ranks computed past budget
+    raises BudgetExceeded instead."""
+    basis = np.asarray(basis)
+    ranked = 0
+    for idx, mats in _orbit_chunks(basis, p):
+        ranked += len(idx)
+        if ranked > budget:
+            raise BudgetExceeded(f"no invertible member within the budget {budget}")
+        full = np.flatnonzero(batch_rank(mats, p) == basis.shape[1])
+        if full.size:
+            return int(idx[full[0]])
+    return None

@@ -105,17 +105,19 @@ class FiniteAlgebra:
 SubspaceNuclei = namedtuple("SubspaceNuclei", "il ir c z")
 
 
-def subspace_nuclei(amb, span, scalars=()):
+def subspace_nuclei(amb, span, scalars=(), budget=linalg.DEFAULT_BUDGET):
     """Left/right idealisers, centraliser and centre of the F_p-subspace S
     spanned by the coordinate vectors span inside the algebra amb (any
     object with p, dim, left_mult_matrix(v) and right_mult_matrix(v)).
 
     Il = {g : gS <= S} and Ir = {g : Sg <= S} are taken on S itself.  C and
     Z are taken on the normalised S' = u^-1 S, u the first spanning vector
-    whose left multiplication L_u is invertible: C is the centraliser of S'
-    and of the scalars (vectors of amb), and Z = C cap Il(S').  Every set is
-    the kernel of a linear system; v lies in S iff Q v = 0 for the
-    complement rows Q, and in S' iff Q L_u v = 0.
+    whose left multiplication L_u is invertible, else the first unit in
+    linalg.first_invertible's scan of S (at most budget ranks; ValueError
+    if S holds no unit).  C is the
+    centraliser of S' and of the scalars (vectors of amb), and Z = C cap
+    Il(S').  Every set is the kernel of a linear system; v lies in S iff
+    Q v = 0 for the complement rows Q, and in S' iff Q L_u v = 0.
     """
     p, dim = amb.p, amb.dim
     span = np.array(span, dtype=np.int64) % p
@@ -124,16 +126,20 @@ def subspace_nuclei(amb, span, scalars=()):
     def kernel(rows):
         return linalg.np_kernel(np.vstack(rows) % p, p, ncols=dim)
 
+    mults = np.array([amb.left_mult_matrix(v) for v in span]) % p
     il = kernel([Q @ amb.right_mult_matrix(v) for v in span])
-    ir = kernel([Q @ amb.left_mult_matrix(v) for v in span])
-    for u in span:
-        L_u = amb.left_mult_matrix(u)
-        # [L_u | span^T] reduces to [I | L_u^-1 span^T] iff L_u is invertible
+    ir = kernel([Q @ L for L in mults])
+    # [L_u | span^T] reduces to [I | L_u^-1 span^T] iff L_u is invertible
+    for L_u in mults:
         R, pivots = linalg.np_rref(np.hstack([L_u, span.T]), p)
         if pivots == list(range(dim)):
             break
     else:
-        raise ValueError("no invertible codeword found; cannot normalise")
+        index = linalg.first_invertible(mults, p, budget)
+        if index is None:
+            raise ValueError("the subspace holds no unit; cannot normalise")
+        L_u = linalg.family_members(mults, [index], p)[0] % p
+        R = linalg.np_rref(np.hstack([L_u, span.T]), p)[0]
     normalised = R[:, dim:].T
     c = kernel(
         [amb.right_mult_matrix(v) - amb.left_mult_matrix(v)

@@ -41,10 +41,6 @@ class AlgebraElem(QuotElem):
         return self.qctx.f
 
 
-def algebra_elem(qctx, coeffs):
-    return AlgebraElem(qctx, SkewPoly(qctx.ctx, coeffs))
-
-
 # ------------------------------------------------------------- star_S ------
 
 
@@ -410,17 +406,23 @@ class MatrixAlgebra:
         return np.kron(self._eye, np.reshape(v, (self.d, self.d)).T)
 
 
-def nuclei(alg):
+def nuclei(alg, budget=linalg.DEFAULT_BUDGET):
     """Left/middle/right nuclei and centre sizes via the spread set {L_a}.
 
     N_l and N_m are the left/right idealisers of the spread set inside
     M_dim(F_p), N_r is the centraliser of the normalised spread set and the
     base field scalars ((ab)z = a(bz) for all a, b says R_z commutes with
     every L_a), and the centre is its intersection with N_l, all from
-    quotient.subspace_nuclei.  Normalising by the first invertible L_a puts
-    the identity in the spread set, unital or not.
+    quotient.subspace_nuclei.  Normalising by an invertible L_a (searched
+    for within budget ranks when no basis element gives one) puts the
+    identity in the spread set, unital or not.
     """
     spread = [M.reshape(-1) for M in alg.left_mult_matrices()]
     scalars = [S.reshape(-1) for S in alg.scalar_mats]
-    kernels = subspace_nuclei(MatrixAlgebra(alg.p, alg.dim), spread, scalars)
+    try:
+        kernels = subspace_nuclei(
+            MatrixAlgebra(alg.p, alg.dim), spread, scalars, budget
+        )
+    except ValueError:
+        raise ValueError("spread set contains no invertible element") from None
     return NucleiReport(*(alg.p ** len(basis) for basis in kernels))

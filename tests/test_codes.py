@@ -635,3 +635,25 @@ def test_nuclear_params_match_definitions(name):
         return
     got = nuclear_params(spec)
     assert (got.il, got.ir, got.c, got.z) == want
+
+
+# over F_256 with K = F_16 and rho = a^4 (not in Gal(L/K)), every spanning
+# word a + eta rho(a) x, a = w^i, is a non-unit, yet 204 of the 255 nonzero
+# codewords are units
+UNIT_OFF_SPANNING_WORDS = {
+    "family": "S", "field": {"kind": "finite", "p": 2, "e": 4, "n": 2},
+    "F": ["w^7+w^6+w^5", 1], "k": 1, "eta": "w^5+w^4", "rho_exp": 2,
+}
+
+
+def test_nuclear_params_when_no_spanning_word_is_a_unit():
+    spec = code_spec_from_dict(UNIT_OFF_SPANNING_WORDS)
+    alg = spec.qctx.algebra
+    mults = [alg.left_mult_matrix(alg.to_vec(w)) for w in _spanning_words(spec)]
+    assert all(linalg.np_rank(L, alg.p) < alg.dim for L in mults)
+    got = nuclear_params(spec)
+    assert (got.il, got.ir, got.c, got.z) == nuclear_params_by_definition(spec)
+    assert (got.il, got.ir, got.c, got.z) == (4, 4, 16, 4)
+    # the search for a unit codeword is counted against the budget
+    with pytest.raises(BudgetExceeded):
+        nuclear_params(spec, budget=1)

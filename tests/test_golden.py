@@ -65,6 +65,13 @@ CASES = {
          "eta": "w^3+w^2+1", "rho_exp": 3},
         0,
     ),
+    # no spanning word is a unit, but 204 of the 255 nonzero codewords are
+    "verify_s_unit_off_spanning_words": (
+        [],
+        {"family": "S", "field": {"kind": "finite", "p": 2, "e": 4, "n": 2},
+         "F": ["w^7+w^6+w^5", 1], "k": 1, "eta": "w^5+w^4", "rho_exp": 2},
+        0,
+    ),
     "semifield_star_d_3e8": (
         [],
         {**SF, "family": "D", "field": F81, "F": [1, 0, 1], "gamma": "w"},

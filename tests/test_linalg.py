@@ -54,3 +54,23 @@ def test_rank_scan_budget_and_spot_checks(monkeypatch):
     assert seen == ranked[::4]
     with pytest.raises(RuntimeError, match="disagrees"):
         linalg.rank_scan(basis, 3, 1, check=lambda idx, mat, rank: idx != 9)
+
+
+def test_first_invertible_is_the_first_full_rank_index(monkeypatch):
+    # members [[a, c], [0, b]] for index a + 3b + 9c: invertible iff a, b != 0
+    basis = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [0, 0]]])
+    assert linalg.first_invertible(basis, 3) == 4
+    assert linalg.first_invertible(basis[[0, 2]], 3) is None
+    with pytest.raises(linalg.BudgetExceeded):
+        linalg.first_invertible(basis[[0, 2]], 3, budget=linalg.scan_size(3, 2) - 1)
+    # random families, chunk boundaries inside ranges: the orbit cut keeps
+    # the first invertible index of a scan of every index
+    monkeypatch.setattr(linalg, "SCAN_CHUNK_ENTRIES", 5 * 9)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        basis = rng.integers(0, 5, size=(3, 3, 3)) * (rng.random((3, 3, 3)) < 0.3)
+        members = linalg.family_members(basis, np.arange(1, 5**3), 5)
+        want = next(
+            (i for i, m in enumerate(members, 1) if linalg.np_rank(m, 5) == 3), None
+        )
+        assert linalg.first_invertible(basis, 5) == want

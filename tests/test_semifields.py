@@ -566,3 +566,27 @@ def test_nuclei_invariant_under_normalisation():
         alg.p, alg.dim, alg.to_vec, alg.from_vec, alg.mul, None, alg.scalar_mats
     )
     assert nuclei(alg).as_dict() == nuclei(stripped).as_dict()
+
+
+def test_nuclei_search_the_spread_set_for_an_invertible_element():
+    # F_3 x F_3 with the componentwise product, passed without its unit:
+    # neither basis L_a = diag(1, 0), diag(0, 1) is invertible, their sum is
+    from skewlab.semifields import FiniteAlgebra
+
+    ctx = finite_ctx(3, 2)
+
+    def to_vec(a):
+        return (a[0].coeffs[0], a[1].coeffs[0])
+
+    def from_vec(v):
+        return (ctx.from_int(int(v[0])), ctx.from_int(int(v[1])))
+
+    def mul(a, b):
+        return (a[0] * b[0], a[1] * b[1])
+
+    # the spread set is the diagonal matrices: every nucleus is that F_3 x F_3
+    alg = FiniteAlgebra(3, 2, to_vec, from_vec, mul)
+    assert nuclei(alg).as_dict() == {"Nl": 9, "Nm": 9, "Nr": 9, "Z": 9}
+    zero = FiniteAlgebra(3, 2, to_vec, from_vec, lambda a, b: (ctx.zero, ctx.zero))
+    with pytest.raises(ValueError, match="spread set contains no invertible element"):
+        nuclei(zero)
