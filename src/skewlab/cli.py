@@ -108,7 +108,7 @@ def cmd_verify(args):
         raise ValueError("a spec file must hold a JSON object")
     if spec_dict.get("semifield"):
         return _verify_semifield(args, spec_dict)
-    spec = code_spec_from_dict(spec_dict)
+    spec = code_spec_from_dict(spec_dict, budget=_budget(args))
     qctx = spec.qctx
     ctx = qctx.ctx
     finite = isinstance(ctx, FiniteFieldCtx)
@@ -160,12 +160,7 @@ def cmd_verify(args):
 
 def _verify_semifield(args, spec_dict):
     """Semifield-spec verification: zero-divisor scan, nuclei, newness."""
-    from .fields import (
-        AutMap,
-        elem_from_literal,
-        is_square_in_base,
-        norm_to_fixed,
-    )
+    from .fields import AutMap, is_square_in_base, norm_to_fixed
     from .semifields import (
         StarDSpec,
         StarSPrimeSpec,
@@ -178,23 +173,20 @@ def _verify_semifield(args, spec_dict):
 
     if spec_int(spec_dict.get("k", 1), "k") != 1:
         raise ValueError("semifield specs need k = 1")
-    code_spec = code_spec_from_dict({**spec_dict, "k": 1})
+    code_spec = code_spec_from_dict({**spec_dict, "k": 1}, budget=_budget(args))
     qctx = code_spec.qctx
     ctx = qctx.ctx
     if not isinstance(ctx, FiniteFieldCtx):
         raise ValueError("semifield verification needs a finite context")
-    family = spec_dict["family"]
+    family = code_spec.family
     if family == "S":
         # an invalid eta leaves tau_eta non-invertible, so the product
         # itself is undefined and construction errors out
-        eta = elem_from_literal(ctx, str(spec_dict["eta"]))
-        rho = AutMap.frobenius_power(ctx, int(spec_dict.get("rho_exp", 0)))
-        star = StarSPrimeSpec(qctx, eta, rho)
+        star = StarSPrimeSpec(qctx, code_spec.eta, code_spec.rho)
         valid = True
     else:
-        gamma = elem_from_literal(ctx, str(spec_dict["gamma"]))
-        star = StarDSpec(qctx, gamma, enforce_norm=False)
-        ngam = norm_to_fixed(gamma, AutMap.sigma_power(ctx, 1))
+        star = StarDSpec(qctx, code_spec.gamma, enforce_norm=False)
+        ngam = norm_to_fixed(code_spec.gamma, AutMap.sigma_power(ctx, 1))
         valid = not is_square_in_base(ngam)
     alg = algebra_for_star(star)
     scan = zero_divisor_scan(alg, budget=_budget(args))

@@ -25,6 +25,7 @@ from .fields import (
     norm_to_fixed,
     spec_int,
     spec_list,
+    spec_literal,
 )
 from .linalg import DEFAULT_BUDGET, BudgetExceeded  # noqa: F401
 from .modpoly import digits
@@ -632,10 +633,11 @@ CODE_SPEC_KEYS = (
 )
 
 
-def code_spec_from_dict(d):
+def code_spec_from_dict(d, budget=DEFAULT_BUDGET):
     """Build an S/D code spec from its file form:
     {family, field, F: [coeffs over K], k, eta|gamma: literal, rho_exp?: h,
-    f?: literal, semifield?: bool}.  Any other key is an error."""
+    f?: literal, semifield?: bool}.  Any other key is an error.  budget
+    bounds the candidates the search for the divisor f may try."""
     if not isinstance(d, dict):
         raise ValueError("code spec must be a mapping")
     unknown = [key for key in d if key not in CODE_SPEC_KEYS]
@@ -655,23 +657,23 @@ def code_spec_from_dict(d):
             coeffs.append(ctx.from_int(spec_int(c, "F")))
     F = CentralPoly.from_coeffs(ctx, coeffs)
     if isinstance(ctx, FiniteFieldCtx):
-        qctx = QuotCtx(ctx, F)
+        qctx = QuotCtx(ctx, F, budget=budget)
     else:
         f_lit = d.get("f")
         if not f_lit:
             raise ValueError("function-field code specs need the catalogued 'f'")
         from .skewpoly import skew_from_literal
 
-        f = skew_from_literal(ctx, str(f_lit))
+        f = skew_from_literal(ctx, spec_literal(f_lit, "f"))
         qctx = QuotCtx(ctx, F, f=f, irreducible_certified=True)
     k = spec_int(d["k"], "k")
     if family == "S":
-        eta = elem_from_literal(ctx, str(d["eta"]))
+        eta = elem_from_literal(ctx, spec_literal(d["eta"], "eta"))
         rho_exp = spec_int(d.get("rho_exp", 0), "rho_exp")
         if isinstance(ctx, FiniteFieldCtx):
             rho = AutMap.frobenius_power(ctx, rho_exp)
         else:
             rho = AutMap.sigma_power(ctx, rho_exp)
         return SCodeSpec(qctx, k, eta, rho)
-    gamma = elem_from_literal(ctx, str(d["gamma"]))
+    gamma = elem_from_literal(ctx, spec_literal(d["gamma"], "gamma"))
     return DCodeSpec(qctx, k, gamma)

@@ -10,9 +10,16 @@ elements are reduced fractions.  Contexts are immutable after construction
 and all operations are pure.
 """
 
-from . import modpoly
 from .linalg import np_kernel
-from .polyring import FracElem, Poly, RatFuncCtx
+from .modpoly import digits
+from .polyring import (
+    FracElem,
+    Poly,
+    RatFuncCtx,
+    ext_gcd,
+    irreducible_over,
+    prime_divisors,
+)
 
 import numpy as np
 
@@ -133,18 +140,10 @@ class GFCtx:
     """The plain finite field F_p[w]/(modulus), of degree dim over F_p."""
 
     def __init__(self, p, dim, modulus=None):
-        if not _is_prime(p):
+        if prime_divisors(p) != [p]:
             raise FieldError(f"{p} is not prime")
-        if modulus is None:
-            modulus = modpoly.canonical_irreducible(p, dim)
-        modulus = modpoly.trim(c % p for c in modulus)
-        if len(modulus) - 1 != dim or modulus[-1] != 1:
-            raise FieldError("modulus must be monic of the stated degree")
-        if not modpoly.is_irreducible(modulus, p):
-            raise FieldError("modulus is not irreducible")
         self.p = p
         self.dim = dim
-        self.modulus = modulus
         self.zero = FFElem(self, (0,) * dim)
         # the F_p-basis 1, w, ..., w^(dim-1): the coordinate unit vectors
         self.basis = [
@@ -153,19 +152,6 @@ class GFCtx:
         self.one = self.basis[0]
         self.minus_one = -self.one
         self.gen = self.basis[1] if dim > 1 else self.one
-        # x^k mod modulus for k in [dim, 2*dim-2], used to fold products
-        self._red = []
-        cur = list(modpoly.mod(tuple(0 for _ in range(dim)) + (1,), modulus, p))
-        for _ in range(dim, 2 * dim - 1):
-            vec = cur + [0] * (dim - len(cur))
-            self._red.append(tuple(vec))
-            cur = [0] + cur
-            if len(cur) > dim:
-                lead = cur.pop()
-                if lead:
-                    cur = [
-                        (c - lead * m) % p for c, m in zip(cur, modulus[:-1])
-                    ]
         self._frob_cache = {}
         # memoised products and inverses pay off in the fraction-field and
         # scan loops; only worthwhile (and bounded) for small fields
@@ -177,6 +163,29 @@ class GFCtx:
         tiny = p**dim <= 64
         self._add_cache = {} if tiny else None
         self._sub_cache = {} if tiny else None
+        # the modulus lives in F_p[y], over the prime field (this field
+        # itself when dim = 1, whose products never reduce)
+        self.prime_field = self if dim == 1 else GFCtx(p, 1)
+        if modulus is None:
+            M = canonical_irreducible(self.prime_field, dim)
+        else:
+            M = self._poly(modulus)
+            if M.degree != dim or M.lead != self.prime_field.one:
+                raise FieldError("modulus must be monic of the stated degree")
+            if not irreducible_over(M, p):
+                raise FieldError("modulus is not irreducible")
+        self._M = M
+        self.modulus = _ints(M.coeffs)
+        # y^k mod modulus for k in [dim, 2*dim-2], used to fold products
+        y = Poly.gen(self.prime_field)
+        self._red = [
+            _ints(pow(y, k, M).coeffs, dim) for k in range(dim, 2 * dim - 1)
+        ]
+
+    def _poly(self, coeffs):
+        """The F_p[y] polynomial with integer coefficients coeffs."""
+        fp = self.prime_field
+        return Poly(fp, (fp.from_int(c) for c in coeffs))
 
     def describe(self):
         return f"GF({self.p}^{self.dim})" if self.dim > 1 else f"GF({self.p})"
@@ -184,8 +193,8 @@ class GFCtx:
     def elem(self, coeffs):
         coeffs = tuple(c % self.p for c in coeffs)
         if len(coeffs) > self.dim:
-            red = modpoly.mod(modpoly.trim(coeffs), self.modulus, self.p)
-            coeffs = red
+            red = self._poly(coeffs) % self._M
+            return FFElem(self, _ints(red.coeffs, self.dim))
         return FFElem(self, coeffs + (0,) * (self.dim - len(coeffs)))
 
     def from_int(self, v):
@@ -227,20 +236,12 @@ class GFCtx:
         return result
 
     def _inverse_uncached(self, a):
-        poly = modpoly.trim(a.coeffs)
-        if not poly:
+        if not a:
             raise ZeroDivisionError("zero has no inverse")
-        # extended Euclid in F_p[x]
-        r0, r1 = self.modulus, poly
-        s0, s1 = (), (1,)
-        p = self.p
-        while r1:
-            q, r = modpoly.divmod_(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, modpoly.sub(s0, modpoly.mul(q, s1, p), p)
-        inv_lead = pow(r0[-1], -1, p)
-        inv = tuple((c * inv_lead) % p for c in s0)
-        return self.elem(inv)
+        if self.dim == 1:
+            return FFElem(self, (pow(a.coeffs[0], -1, self.p),))
+        _, inv, _ = ext_gcd(self._poly(a.coeffs), self._M)
+        return FFElem(self, _ints(inv.coeffs, self.dim))
 
     def frobenius(self, a, k=1):
         """a^(p^k), via cached basis-image tables."""
@@ -270,7 +271,7 @@ class GFCtx:
 
     def elem_from_index(self, idx):
         """Elements ordered by coordinate tuples lexicographically."""
-        return FFElem(self, tuple(modpoly.digits(idx, self.p, self.dim)))
+        return FFElem(self, tuple(digits(idx, self.p, self.dim)))
 
     def combine(self, coords, basis):
         """sum_i coords[i] * basis[i] for integer coordinates."""
@@ -284,15 +285,25 @@ class GFCtx:
         return self.elem_from_index(rng.randrange(self.order))
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+def _ints(coeffs, size=0):
+    """Integer coordinates of prime-field coefficients, zero-padded to size."""
+    out = tuple(c.coeffs[0] for c in coeffs)
+    return out + (0,) * (size - len(out))
+
+
+def canonical_irreducible(fp, d):
+    """The canonical monic irreducible of degree d over the prime field fp.
+
+    Candidates y^d + c are scanned by the integer encoding of the lower
+    coefficients, c_0 + c_1*p + ... + c_{d-1}*p^(d-1), smallest first.
+    """
+    p = fp.p
+    for idx in range(p**d):
+        low = [fp.from_int(c) for c in reversed(digits(idx, p, d))]
+        cand = Poly(fp, low + [fp.one])
+        if irreducible_over(cand, p):
+            return cand
+    raise ValueError(f"no irreducible of degree {d} over F_{p}")
 
 
 class FiniteFieldCtx(GFCtx):
@@ -667,17 +678,7 @@ def is_square_in_base(a, ctx=None):
 
 def finite_elem_to_literal(a):
     """Canonical literal: descending powers of w, e.g. "w^3+2*w+1"."""
-    terms = []
-    for i in range(len(a.coeffs) - 1, -1, -1):
-        c = a.coeffs[i]
-        if not c:
-            continue
-        if i == 0:
-            terms.append(str(c))
-        else:
-            head = "w" if i == 1 else f"w^{i}"
-            terms.append(head if c == 1 else f"{c}*{head}")
-    return "+".join(terms) if terms else "0"
+    return poly_to_literal(a.coeffs, "w")
 
 
 def finite_elem_from_literal(ctx, text):
@@ -870,9 +871,12 @@ def _parse_t_term(ctx, term, pos):
     return coef * ctx.t**k if k else coef
 
 
-def elem_to_literal(a, ctx=None):
+def elem_to_literal(a):
+    """Literal of a field element, or of an integer (an F_p coordinate)."""
     if isinstance(a, FFElem):
         return finite_elem_to_literal(a)
+    if isinstance(a, (int, np.integer)):
+        return str(int(a))
     return funcfield_elem_to_literal(a)
 
 
@@ -901,6 +905,13 @@ def spec_list(value, key):
     """value, or a ValueError naming the spec key if it is not a list."""
     if not isinstance(value, list):
         raise ValueError(f"spec key {key!r} must be a list, got {value!r}")
+    return value
+
+
+def spec_literal(value, key):
+    """value, or a ValueError naming the spec key if it is not a string."""
+    if not isinstance(value, str):
+        raise ValueError(f"spec key {key!r} must be a literal string, got {value!r}")
     return value
 
 

@@ -116,14 +116,17 @@ class Poly:
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
-    def __pow__(self, e):
-        result = Poly.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+    def __pow__(self, e, mod=None):
+        """self**e, or pow(self, e, mod) with every product reduced mod
+        `mod`; left-to-right, so powers of y multiply by y only."""
+        reduce = (lambda a: a) if mod is None else (lambda a: a % mod)
+        if not e:
+            return reduce(Poly.one(self.field))
+        result = base = reduce(self)
+        for bit in bin(e)[3:]:
+            result = reduce(result * result)
+            if bit == "1":
+                result = reduce(result * base)
         return result
 
     def monic(self):
@@ -132,10 +135,7 @@ class Poly:
         return self.scale(self.lead.inverse())
 
     def gcd(self, other):
-        a, b = self, other
-        while b:
-            a, b = b, a % b
-        return a.monic()
+        return Poly(self.field, _gcd_coeff_lists(self.coeffs, other.coeffs)).monic()
 
     def evaluate(self, x):
         """Horner evaluation; x may live in any extension of the field."""
@@ -155,8 +155,8 @@ class Poly:
 
 
 def _gcd_coeff_lists(a, b):
-    """Monic gcd on raw coefficient lists (in-place remainders, no Poly
-    object churn); both inputs nonempty and trimmed."""
+    """A gcd, not normalised, of two trimmed coefficient lists (in-place
+    remainders, no Poly object churn); [] when both are empty."""
     a = list(a)
     b = list(b)
     while b:
@@ -192,6 +192,35 @@ def ext_gcd(a, b):
         raise ValueError("ext_gcd(0, 0) is undefined")
     c = r0.lead.inverse()
     return r0.scale(c), u0.scale(c), v0.scale(c)
+
+
+def prime_divisors(n):
+    """The distinct primes dividing n, ascending ([] for n < 2)."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def irreducible_over(f, q):
+    """Rabin's test: f of degree d over a field of order q (its coefficients
+    may lie in a subfield of f.field of that order) is irreducible iff
+    y^(q^d) = y mod f and gcd(y^(q^(d/r)) - y, f) = 1 for each prime r | d."""
+    d = f.degree
+    if d < 1:
+        return False
+    y = Poly.gen(f.field)
+    for r in prime_divisors(d):
+        if (pow(y, q ** (d // r), f) - y).gcd(f).degree != 0:
+            return False
+    return pow(y, q**d, f) == y % f
 
 
 def exact_power(base, target):

@@ -159,11 +159,15 @@ class QuotCtx:
     """R_F with its distinguished monic irreducible right divisor f.
 
     Over finite fields f is found by enumerating monic degree-s polynomials
-    in lexicographic coefficient order; over function fields the catalogued
-    (paper-certified) f must be supplied with irreducible_certified=True.
+    in lexicographic coefficient order, at most budget of them; over
+    function fields the catalogued (paper-certified) f must be supplied with
+    irreducible_certified=True.
     """
 
-    def __init__(self, ctx, F, f=None, irreducible_certified=False):
+    def __init__(
+        self, ctx, F, f=None, irreducible_certified=False,
+        budget=linalg.DEFAULT_BUDGET,
+    ):
         if not isinstance(F, CentralPoly):
             raise TypeError("F must be a CentralPoly")
         if not F.is_monic() or F.s < 1:
@@ -178,7 +182,7 @@ class QuotCtx:
             if not central_is_irreducible(F):
                 raise ValueError("F(y) is not irreducible over K")
             if f is None:
-                f = self._find_divisor()
+                f = self._find_divisor(budget)
         else:
             if f is None:
                 raise ValueError("function-field contexts need the catalogued f")
@@ -203,10 +207,11 @@ class QuotCtx:
         self._coord_inv = None
         self._algebra = None
 
-    def _find_divisor(self):
+    def _find_divisor(self, budget):
         """First monic degree-s right divisor of F(x^n), in lexicographic
         coefficient order; the norm identity on the constant coefficient is
-        a necessary condition and is used as a cheap filter."""
+        a necessary condition and is used as a cheap filter.  Trying more
+        than budget candidates raises BudgetExceeded."""
         ctx = self.ctx
         s = self.s
         sigma = AutMap.sigma_power(ctx, 1)
@@ -215,6 +220,10 @@ class QuotCtx:
         target = sign * self.F.F0
         order = ctx.order
         for idx in range(order**s):
+            if idx == budget:
+                raise linalg.BudgetExceeded(
+                    f"no right divisor f within the budget {budget} of candidates"
+                )
             coeffs = [ctx.elem_from_index(d) for d in digits(idx, order, s)]
             if not coeffs[0]:
                 continue

@@ -13,7 +13,7 @@ from .fields import (
     elem_from_literal,
     poly_to_literal,
 )
-from .polyring import NEG_INF, Poly, exact_power
+from .polyring import NEG_INF, Poly, exact_power, irreducible_over
 
 import numpy as np
 
@@ -350,41 +350,7 @@ def central_is_irreducible(cp):
     ctx = cp.ctx
     if not isinstance(ctx, FiniteFieldCtx):
         raise FieldError("irreducibility over K is only decided for finite fields")
-    F = cp.poly
-    s = F.degree
-    if s < 1:
-        return False
-    if s == 1:
-        return True
-    q = ctx.q
-    y = Poly.gen(ctx)
-
-    def pow_mod(base, e, m):
-        result = Poly.one(ctx)
-        base = base % m
-        while e:
-            if e & 1:
-                result = (result * base) % m
-            base = (base * base) % m
-            e >>= 1
-        return result
-
-    d = s
-    primes = []
-    k = 2
-    while k * k <= d:
-        if d % k == 0:
-            primes.append(k)
-            while d % k == 0:
-                d //= k
-        k += 1
-    if d > 1:
-        primes.append(d)
-    for r in primes:
-        h = pow_mod(y, q ** (s // r), F)
-        if (h - y).gcd(F).degree != 0:
-            return False
-    return pow_mod(y, q**s, F) == y % F
+    return irreducible_over(cp.poly, ctx.q)
 
 
 class SemilinearData:

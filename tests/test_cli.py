@@ -152,6 +152,10 @@ S412 = {**{k: v for k, v in D412.items() if k != "gamma"}, "family": "S", "eta":
         ({**D412, "k": [2]}, "k"),
         ({**D412, "k": None}, "k"),
         ({**S412, "rho_exp": None}, "rho_exp"),
+        # a number used to be read as a literal and reduced mod p
+        ({**S412, "eta": 5}, "eta"),
+        ({**D412, "gamma": 1}, "gamma"),
+        ({**D412, "gamma": None}, "gamma"),
     ],
 )
 def test_wrong_value_types_are_usage_errors(capsys, tmp_path, payload, key):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from skewlab.fields import AutMap, FiniteFieldCtx, FunctionFieldCtx, norm_to_fixed
+from skewlab.linalg import BudgetExceeded
 from skewlab.quotient import (
     QuotCtx,
     eigenring,
@@ -72,6 +73,22 @@ def test_distinguished_divisor_properties():
     assert q.f.is_monic() and q.f.degree == q.s * q.ell
     assert not right_mod(q.F_skew, q.f)
     assert q.ell == 1 and q.m == 4
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_divisor_search_is_budgeted(s):
+    ctx = finite_ctx(3, 4)
+    F = y_minus_one(ctx) if s == 1 else irreducible_quadratic(ctx)
+    f = QuotCtx(ctx, F).f
+    # the candidate index of f: its lower coefficients as base-order digits,
+    # each element as the base-p digits of its coordinates
+    index = 0
+    for c in f.coeffs[:-1]:
+        index = index * ctx.order + int("".join(map(str, c.coeffs)), ctx.p)
+    assert index > 0
+    with pytest.raises(BudgetExceeded):
+        QuotCtx(ctx, F, budget=index)
+    assert QuotCtx(ctx, F, budget=index + 1).f == f
 
 
 def test_quotctx_rejects_bad_F():
