@@ -276,8 +276,11 @@ def main(argv=None):
         if args.mode == "sampled" and args.seed is None:
             print("error: sampled mode requires --seed", file=sys.stderr)
             return EXIT_USAGE
-        if args.mode == "sampled" and not args.samples:
+        if args.mode == "sampled" and args.samples is None:
             print("error: sampled mode requires --samples", file=sys.stderr)
+            return EXIT_USAGE
+        if args.mode == "sampled" and args.samples < 1:
+            print("error: --samples must be >= 1", file=sys.stderr)
             return EXIT_USAGE
         if args.jobs < 1:
             print("error: --jobs must be >= 1", file=sys.stderr)

@@ -3,7 +3,8 @@
 S-family: words a_0 + a_1 x + ... + a_{skl-1} x^(skl-1) + eta a_0^rho x^skl.
 D-family: words a_0' + sum a_i x^i + gamma a_0'' x^skl with a_0', a_0'' in the
 index-2 subfield L'.  Validation evaluates the exact norm conditions;
-verify_mrd ranks codewords with the batched rank scan in linalg;
+verify_mrd ranks every codeword with the batched rank scan in linalg, or
+seeded samples of them (certified full rank or gcrd rank, from quotient);
 nuclear_params takes the idealisers, centraliser and centre of the code's
 spanning words in R_F from quotient.subspace_nuclei; the newness report
 replays the known-family parameter comparison.
@@ -29,7 +30,13 @@ from .fields import (
 )
 from .linalg import DEFAULT_BUDGET, BudgetExceeded  # noqa: F401
 from .modpoly import digits
-from .quotient import QuotCtx, QuotElem, rank, subspace_nuclei
+from .quotient import (
+    QuotCtx,
+    QuotElem,
+    full_rank_certified,
+    rank,
+    subspace_nuclei,
+)
 from .skewpoly import CentralPoly, SkewPoly
 
 
@@ -253,16 +260,25 @@ def verify_mrd(
     enumeration order, and as checked the number of nonzero words up to it
     (every nonzero word if there is none).  budget counts ranks computed,
     one per F_p^* orbit of codewords; every SPOT_CHECK_EVERY-th rank is
-    checked against the gcrd rank.  Sampled mode draws seeded random
-    codewords, ranks them by gcrd, and is probabilistic evidence only.
+    checked against the gcrd rank.
+
+    Sampled mode draws samples >= 1 seeded random codewords and is
+    probabilistic evidence only.  Over F_(2^r)(t) a word counts as rank m
+    when quotient.full_rank_certified proves it (its rows x^i w mod F(x^n)
+    keep full rank after evaluation at a point of GF(2^(2r)), and
+    specialising can only lower a rank); any other word, and every word
+    over a finite field, is ranked by gcrd (quotient.rank).  Both give the
+    same rank, so the report does not depend on which one ran.
     """
     qctx = spec.qctx
     d_target = qctx.m - spec.k + 1
     if mode == "sampled":
         if seed is None:
             raise ValueError("sampled mode requires a seed")
-        if not samples:
+        if samples is None:
             raise ValueError("sampled mode requires a sample count")
+        if samples < 1:
+            raise ValueError(f"sampled mode needs samples >= 1, got {samples}")
         import random as _random
 
         rng = _random.Random(seed)
@@ -273,7 +289,7 @@ def verify_mrd(
             word = random_codeword(spec, rng)
             if not word.rep:
                 continue
-            r = rank(word)
+            r = qctx.m if full_rank_certified(word) else rank(word)
             checked += 1
             if min_rank is None or r < min_rank:
                 min_rank = r

@@ -2,6 +2,12 @@
 and (finite case) explicit matrix images under the canonical isomorphism
 R_F = M_m(E(f)) for a distinguished irreducible right divisor f of F(x^n).
 
+rank is the gcrd definition.  Over F_(2^r)(t), full_rank_certified is a
+cheaper sufficient test for rank m, which sampled MRD scans try first: the
+matrix of the rows x^i a mod F(x^n) is evaluated at points of GF(2^(2r)),
+where a rank can only drop, so full rank there proves full rank over
+F_(2^r)(t); a word it cannot certify is ranked by gcrd.
+
 This module also owns the F_p-coordinate layer every exact scan works in:
 vec/unvec (residues as F_p vectors), the residue classes (QuotElem and its
 mod-f subclasses), FiniteAlgebra, an F_p-bilinear product given by its
@@ -12,12 +18,21 @@ a code and the nuclei of a semifield).  R_F itself is a FiniteAlgebra
 """
 
 from collections import namedtuple
+from itertools import islice
 
 import numpy as np
 
 from . import linalg
-from .fields import AutMap, FieldError, FiniteFieldCtx, norm_to_fixed
+from .fields import (
+    AutMap,
+    FieldError,
+    FiniteFieldCtx,
+    FunctionFieldCtx,
+    GFCtx,
+    norm_to_fixed,
+)
 from .modpoly import digits
+from .polyring import Poly, prime_divisors
 from .skewpoly import (
     CentralPoly,
     SkewPoly,
@@ -206,6 +221,7 @@ class QuotCtx:
         self._eigen = None
         self._coord_inv = None
         self._algebra = None
+        self._special = None
 
     def _find_divisor(self, budget):
         """First monic degree-s right divisor of F(x^n), in lexicographic
@@ -305,7 +321,10 @@ class QuotElem:
 
 
 def rank(a):
-    """rk(a) = m - deg(gcrd(a, F(x^n))) / (s*ell); rank(0) = 0 by convention."""
+    """rk(a) = m - deg(gcrd(a, F(x^n))) / (s*ell); rank(0) = 0 by convention.
+
+    This is the definition; over function fields full_rank_certified proves
+    rank(a) = m more cheaply for most words, and falls back to it."""
     if not a.rep:
         return 0
     q = a.qctx
@@ -314,6 +333,104 @@ def rank(a):
     if d % (q.s * q.ell):
         raise RuntimeError("gcrd degree is not a multiple of s*ell")
     return q.m - d // (q.s * q.ell)
+
+
+# ------------------------------------- full rank by specialisation (F(t)) --
+
+# points t0 of GF(2^(2r)) tried per word before falling back to the gcrd rank
+CERTIFICATE_POINTS = 3
+
+
+class Specialisation:
+    """Evaluation at points t0 of E = GF(2^(2r)) (function fields): embed
+    maps the coefficient field GF(2^r) into E, sending w to the first root
+    of its modulus in E, and points pairs each t0 with F(X^n) evaluated
+    there (None where a coefficient of F has a pole).  The points are the
+    first CERTIFICATE_POINTS elements of E, in elem_from_index order, of
+    degree 2r over F_2: outside every proper subfield, GF(2^r) included,
+    where words rarely certify."""
+
+    def __init__(self, qctx):
+        ctx = qctx.ctx
+        cf = ctx.coeff_field
+        E = GFCtx(2, 2 * ctx.r)
+
+        def scan():
+            return map(E.elem_from_index, range(E.order))
+
+        root = next(
+            z for z in scan()
+            if not E.combine(cf.modulus, [z**i for i in range(cf.dim + 1)])
+        )
+        powers = [root**i for i in range(cf.dim)]
+        self.field = E
+        self.embed = {
+            c.coeffs: E.combine(c.coeffs, powers)
+            for c in map(cf.elem_from_index, range(cf.order))
+        }
+        maximal = [E.dim // q for q in prime_divisors(E.dim)]
+        full = (z for z in scan() if all(E.frobenius(z, d) != z for d in maximal))
+        self.points = [
+            (z, self._modulus_at(qctx.F_skew, z))
+            for z in islice(full, CERTIFICATE_POINTS)
+        ]
+
+    def evaluate(self, a, z):
+        """a(z) for a fraction a = num/den over GF(2^r), or None where den
+        vanishes."""
+        den = self._image(a.den).evaluate(z)
+        if not den:
+            return None
+        return self._image(a.num).evaluate(z) / den
+
+    def _image(self, poly):
+        """poly with its coefficients mapped into E."""
+        return Poly(self.field, (self.embed[c.coeffs] for c in poly.coeffs))
+
+    def _modulus_at(self, F_skew, z):
+        values = [self.evaluate(c, z) for c in F_skew.coeffs]
+        return None if None in values else Poly(self.field, values)
+
+
+def full_rank_certified(a):
+    """True only if rank(a) = m, proven by specialisation (function fields;
+    always False over finite contexts, and for a = 0).
+
+    The rows x^i a mod_r F(x^n), i < N = deg F(x^n), span the left L-space
+    R_F a, of dimension s*ell*rank(a).  F(x^n) has its coefficients in the
+    fixed field K, which commutes with x, so row i is the ordinary remainder
+    of X^i sum_j sigma^i(a_j) X^j mod F(X^n) in L[X].  Evaluation at a
+    point t0 is a ring map into E from the fractions regular at t0; where
+    every sigma^i(a_j) and every coefficient of F is regular, it commutes
+    with that remainder and cannot raise a rank: an evaluated rank N means
+    an N x N minor is nonzero at t0, hence nonzero in L, and rank(a) = m.
+    Points with a pole are skipped.  A lower evaluated rank at every point proves
+    nothing; the caller then falls back to rank(a), the definition.
+    """
+    qctx = a.qctx
+    ctx = qctx.ctx
+    if not isinstance(ctx, FunctionFieldCtx) or not a.rep:
+        return False
+    if qctx._special is None:
+        qctx._special = Specialisation(qctx)
+    special = qctx._special
+    E = special.field
+    N = qctx.F_skew.degree
+    # sigma has order n (and N = s*n), so rows i and i + n twist a alike
+    twisted = [[ctx.sigma_pow(c, i) for c in a.rep.coeffs] for i in range(ctx.n)]
+    for z, modulus in special.points:
+        if modulus is None:
+            continue
+        values = [[special.evaluate(c, z) for c in row] for row in twisted]
+        if any(None in row for row in values):
+            continue
+        rows = []
+        for i in range(N):
+            rem = Poly(E, [E.zero] * i + values[i % ctx.n]) % modulus
+            rows.append([rem[j] for j in range(N)])
+        if len(linalg.rref(rows)[1]) == N:
+            return True
+    return False
 
 
 class EigenringBasis:

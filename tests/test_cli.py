@@ -200,6 +200,16 @@ def test_verify_sampled_needs_seed_and_samples(capsys, tmp_path):
     assert code2 == 2
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_sampled_needs_a_positive_sample_count(capsys, tmp_path, samples):
+    # a scan of no words would report checked 0 and min_rank null as a pass
+    code, out, err = run_cli(
+        capsys, "verify", "--spec", write_spec(tmp_path, D412),
+        "--mode", "sampled", "--samples", samples, "--seed", "5",
+    )
+    assert code == 2 and not out and "--samples" in err
+
+
 def test_verify_sampled_runs(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys,

@@ -3,6 +3,7 @@ centralisers, and the newness arithmetic."""
 
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -31,9 +32,9 @@ from skewlab.codes import (
 )
 from skewlab.fields import AutMap, FunctionFieldCtx
 from skewlab.quotient import QuotCtx, QuotElem, rank, subspace_nuclei, vec
-from skewlab.skewpoly import SkewPoly, bound
+from skewlab.skewpoly import CentralPoly, SkewPoly, bound, central_is_irreducible
 
-from helpers import finite_ctx, irreducible_quadratic, y_minus_one
+from helpers import base_field_elems, finite_ctx, irreducible_quadratic, y_minus_one
 
 
 def quot34():
@@ -144,6 +145,9 @@ def test_verify_mrd_budget_and_sampled():
     assert rep.min_rank >= 3 and rep.seed == 9
     with pytest.raises(ValueError):
         verify_mrd(spec, mode="sampled", samples=50)  # missing seed
+    for samples in (None, 0, -3):
+        with pytest.raises(ValueError, match="sample"):
+            verify_mrd(spec, mode="sampled", samples=samples, seed=9)
 
 
 def test_sufficiency_on_small_instances():
@@ -386,6 +390,57 @@ def test_newness_known_and_undecided():
     # n | sk violates the hypotheses: overall undecided
     out = {e.family: e for e in newness_mrd(3, 1, 4, 4, 2)}
     assert out["overall"].verdict == "undecided"
+
+
+def _quoting_d_specs():
+    """D-codes whose newness report quotes orders: newness_mrd quotes them
+    for s >= 2 and k >= 2, which needs m >= 3; over n = 4 (ell = 1, m = 4)
+    with q = 3 (s = 2, 3) and q = 5 (s = 2), k = 2, 3, the first valid
+    gamma in index order and the first monic irreducible F(y) with F(0) != 0
+    in the order of base_field_elems."""
+    for p, s in ((3, 2), (3, 3), (5, 2)):
+        ctx = finite_ctx(p, 4)
+        K = base_field_elems(ctx)
+        F = next(
+            F
+            for low in itertools.product(K, repeat=s)
+            if low[0]
+            for F in [CentralPoly.from_coeffs(ctx, [*low, ctx.one])]
+            if central_is_irreducible(F)
+        )
+        q = QuotCtx(ctx, F)
+        for k in (2, 3):
+            gamma = next(
+                g
+                for g in map(ctx.elem_from_index, range(1, ctx.order))
+                if validate_d(DCodeSpec(q, k, g))
+            )
+            yield f"D_q{p}_n4_s{s}_k{k}", DCodeSpec(q, k, gamma)
+
+
+QUOTING_D_SPECS = dict(_quoting_d_specs())
+
+
+@pytest.mark.parametrize("name", list(QUOTING_D_SPECS))
+def test_newness_quotes_the_computed_idealiser_orders(name):
+    spec = QUOTING_D_SPECS[name]
+    ctx = spec.qctx.ctx
+    assert spec.qctx.m == 4
+    got = nuclear_params(spec)
+    quoted = 0
+    for entry in newness_mrd(ctx.p, ctx.e, ctx.n, spec.qctx.s, spec.k):
+        for exp in re.findall(r"left idealiser order q\^(\d+)", entry.reason):
+            assert got.il == ctx.q ** int(exp)
+            quoted += 1
+        for exp in re.findall(r"both idealisers q\^(\d+)", entry.reason):
+            assert got.il == got.ir == ctx.q ** int(exp)
+            quoted += 1
+        # the Trombetti-Zhou comparison quotes the centraliser C (the
+        # paper's q^s), against the centre q of a TZ code
+        for exp in re.findall(r"centre order q\^(\d+) != q", entry.reason):
+            assert (got.c, got.z) == (ctx.q ** int(exp), ctx.q)
+            quoted += 1
+    assert quoted >= 2
 
 
 def test_code_spec_from_dict_roundtrip(tmp_path):

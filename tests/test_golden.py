@@ -23,6 +23,11 @@ FF8 = {
     "F": ["(t^6+t^4+t^2+1)/(t^6+t^5+t^3+t+1)", "1"],
     "f": "x^2+(t^2+1)/(t^2+t+1)",
 }
+FF32 = {
+    "field": {"kind": "funcfield", "r": 5},
+    "F": ["(t^10+t^8+t^2+1)/(t^10+t^9+t^8+t^6+t^5+t^4+t^2+t+1)", "1"],
+    "f": "x^2+(t^2+1)/(t^2+t+1)",
+}
 SF = {"semifield": True, "k": 1}
 
 # name -> (argv after the spec path, spec or None, exit code)
@@ -105,6 +110,26 @@ CASES = {
     "sampled_ff8_d_k1": (
         ["--mode", "sampled", "--samples", "2", "--seed", "11"],
         {**FF8, "family": "D", "k": 1, "gamma": "t+1"},
+        0,
+    ),
+    "sampled_ff8_s_k1_many": (
+        ["--mode", "sampled", "--samples", "60", "--seed", "13"],
+        {**FF8, "family": "S", "k": 1, "eta": "t"},
+        0,
+    ),
+    "sampled_ff8_s_k2": (
+        ["--mode", "sampled", "--samples", "4", "--seed", "5"],
+        {**FF8, "family": "S", "k": 2, "eta": "t"},
+        0,
+    ),
+    "sampled_ff32_s_k1": (
+        ["--mode", "sampled", "--samples", "6", "--seed", "3"],
+        {**FF32, "family": "S", "k": 1, "eta": "t"},
+        0,
+    ),
+    "sampled_ff32_d_k1": (
+        ["--mode", "sampled", "--samples", "4", "--seed", "3"],
+        {**FF32, "family": "D", "k": 1, "gamma": "t+1"},
         0,
     ),
     "ffsuite_r3": (["ffsuite", "--r", "3"], None, 0),

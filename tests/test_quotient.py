@@ -1,15 +1,27 @@
-"""Quotient ring R_F: reduction, rank, eigenrings, matrix images."""
+"""Quotient ring R_F: reduction, rank, the full-rank certificate over
+F_(2^r)(t), eigenrings, matrix images."""
 
 import random
 
 import numpy as np
 import pytest
 
+from skewlab import codes
+from skewlab.codes import (
+    code_spec_from_dict,
+    d_codeword,
+    random_codeword,
+    validate,
+    verify_mrd,
+)
 from skewlab.fields import AutMap, FiniteFieldCtx, FunctionFieldCtx, norm_to_fixed
 from skewlab.linalg import BudgetExceeded
 from skewlab.quotient import (
+    CERTIFICATE_POINTS,
     QuotCtx,
+    Specialisation,
     eigenring,
+    full_rank_certified,
     linearized_rank,
     matrix_image,
     matrix_rank,
@@ -29,6 +41,7 @@ from helpers import (
     random_skew,
     y_minus_one,
 )
+from test_golden import CASES, FF8
 
 
 def quot_f8():
@@ -261,14 +274,17 @@ def test_tower_e2_quotient_and_eigenring_extraction():
         assert rank(a) == matrix_rank(matrix_image(a))
 
 
-def test_funcfield_g_side_quotient():
-    # the ell = 1 function-field quotient: m = 2r, ranks through gcrd only
-    from skewlab.fields import FunctionFieldCtx
-
+def quot_funcfield_g_side():
     ff = FunctionFieldCtx(3)
     x = SkewPoly.x(ff)
     g = x * x + SkewPoly.constant(ff, ff.one / ff.t)
-    q = QuotCtx(ff, bound(g).F, f=g, irreducible_certified=True)
+    return QuotCtx(ff, bound(g).F, f=g, irreducible_certified=True)
+
+
+def test_funcfield_g_side_quotient():
+    # the ell = 1 function-field quotient: m = 2r, ranks through gcrd only
+    q = quot_funcfield_g_side()
+    ff, g = q.ctx, q.f
     assert q.ell == 1 and q.m == 6 and q.s == 2
     assert rank(q.reduce(SkewPoly.one(ff))) == 6
     assert rank(q.reduce(g)) == 5
@@ -354,3 +370,114 @@ def test_multiplication_matrices_match_direct_products(p, e, n, sigma_exp, s):
             assert tuple(mats[i][:, j]) == alg.to_vec(units[i] * units[j])
     # the residue round trip through the coordinates
     assert all(alg.from_vec(alg.to_vec(u)) == u for u in units)
+
+
+# ------------------------------------- full-rank certificate over F(t) ----
+
+
+def _sampled_funcfield_scans():
+    """(spec dict, samples, seed) of every sampled F_(2^r)(t) scan in the
+    golden reports and the tests, and of invalid-eta/gamma variants."""
+    for name, (argv, spec, _) in CASES.items():
+        if spec is not None and "sampled" in argv:
+            opts = dict(zip(argv[::2], argv[1::2]))
+            yield name, spec, int(opts["--samples"]), int(opts["--seed"])
+    s, d = {**FF8, "family": "S"}, {**FF8, "family": "D"}
+    yield "test_funcfield_s_k1", {**s, "k": 1, "eta": "t"}, 25, 5
+    yield "test_funcfield_s_k2", {**s, "k": 2, "eta": "t"}, 25, 5
+    yield "test_funcfield_d_k1", {**d, "k": 1, "gamma": "t+1"}, 20, 8
+    yield "test_verify_funcfield_spec", {**d, "k": 1, "gamma": "t+1"}, 10, 3
+    # invalid: eta = 1/f_0 and 1/f_0^2 make N(eta) F_0^(k ell) = 1 (f_0's
+    # norm is F_0^2); gamma = 1 lies in L'; gamma = t has a square norm
+    yield "invalid_s_k1", {**s, "k": 1, "eta": "(t^2+t+1)/(t^2+1)"}, 10, 1
+    yield "invalid_s_k2", {**s, "k": 2, "eta": "(t^4+t^2+1)/(t^4+1)"}, 4, 1
+    yield "invalid_d_gamma_1", {**d, "k": 1, "gamma": "1"}, 10, 1
+    yield "invalid_d_gamma_t", {**d, "k": 1, "gamma": "t"}, 10, 1
+
+
+SAMPLED_FUNCFIELD = {name: rest for name, *rest in _sampled_funcfield_scans()}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_FUNCFIELD))
+def test_certified_words_have_gcrd_rank_m(name):
+    spec_dict, samples, seed = SAMPLED_FUNCFIELD[name]
+    spec = code_spec_from_dict(spec_dict)
+    assert validate(spec) == (not name.startswith("invalid"))
+    # the words verify_mrd draws for this seed (up to its first counterexample)
+    rng = random.Random(seed)
+    certified = 0
+    for _ in range(samples):
+        word = random_codeword(spec, rng)
+        if full_rank_certified(word):
+            certified += 1
+            assert rank(word) == spec.qctx.m
+    assert certified
+
+
+@pytest.mark.parametrize("make", [quot_funcfield, quot_funcfield_g_side])
+def test_rank_deficient_words_are_never_certified(make):
+    # h*f mod F(x^n) lies in the left ideal R_F f, of rank below m; the
+    # s = 2, ell = 1 quotient (m = 6) certifies 12 x 12 matrices
+    q = make()
+    ctx = q.ctx
+    rng = random.Random(4)
+    deficient = 0
+    for _ in range(15):
+        h = random_skew(ctx, 3, rng, nonzero=True)
+        word = q.reduce(h * q.f)
+        if word:
+            assert not full_rank_certified(word)
+            assert rank(word) < q.m
+            deficient += 1
+        word = q.reduce(random_skew(ctx, 3, rng, nonzero=True))
+        if full_rank_certified(word):
+            assert rank(word) == q.m
+    assert deficient >= 10
+    assert not full_rank_certified(q.reduce(SkewPoly.zero(ctx)))
+    # over a finite field the caller always ranks by gcrd
+    q8 = quot_f8()
+    assert not full_rank_certified(q8.reduce(SkewPoly.one(q8.ctx)))
+
+
+def test_verify_mrd_ranks_uncertified_words_by_gcrd(monkeypatch):
+    # with gamma = 1 in L', f = f_0 + x^2 itself is a codeword of rank m - 1
+    spec = code_spec_from_dict(
+        {**SAMPLED_FUNCFIELD["test_funcfield_d_k1"][0], "gamma": "1"}
+    )
+    q = spec.qctx
+    ff = q.ctx
+    word = d_codeword(spec, q.f[0], ff.one, [q.f[1]])
+    assert word.rep == q.f
+    monkeypatch.setattr(codes, "random_codeword", lambda _spec, _rng: word)
+    rep = verify_mrd(spec, mode="sampled", samples=5, seed=1)
+    assert (rep.min_rank, rep.checked, rep.counterexample) == (q.m - 1, 1, word)
+
+
+def _degree_over_f2(z):
+    d = 1
+    while z ** (2**d) != z:
+        d += 1
+    return d
+
+
+@pytest.mark.parametrize("r", [3, 5])
+def test_certificate_points_lie_outside_gf_2_r(r):
+    q = quot_funcfield(r)
+    special = Specialisation(q)
+    E = special.field
+    assert (E.p, E.dim) == (2, 2 * r)
+    # the first points of degree 2r in index order: none in GF(2^r)
+    want = [
+        z for z in map(E.elem_from_index, range(E.order)) if _degree_over_f2(z) == 2 * r
+    ][:CERTIFICATE_POINTS]
+    assert [z for z, _ in special.points] == want
+    assert all(z ** (2**r) != z for z in want)
+    # embed is a ring map GF(2^r) -> E, so it commutes with evaluation
+    cf = q.ctx.coeff_field
+    elems = [cf.elem_from_index(i) for i in range(cf.order)]
+    embed = special.embed
+    for a in elems:
+        for b in elems[:: max(1, cf.order // 8)]:
+            assert embed[(a * b).coeffs] == embed[a.coeffs] * embed[b.coeffs]
+            assert embed[(a + b).coeffs] == embed[a.coeffs] + embed[b.coeffs]
+    assert embed[cf.one.coeffs] == E.one

@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewlab import linalg
 from skewlab.fields import AutMap, FunctionFieldCtx
@@ -415,3 +416,87 @@ def test_skew_literals():
     assert skew_from_literal(ctx, "x^3+(w+1)*x+1") == SkewPoly(
         ctx, (ctx.one, ctx.gen + ctx.one, ctx.zero, ctx.one)
     )
+
+
+# ------------------------------------------ contracts beyond sigma = Frob_q --
+
+TOWERS = {
+    "F_8/F_2, sigma = a^4": finite_ctx(2, 3, sigma_exp=2),
+    "F_81/F_3, sigma = a^27": finite_ctx(3, 4, sigma_exp=3),
+    "F_64/F_4 (e = 2)": finite_ctx(2, 3, e=2),
+    "F_64/F_4 (e = 2), sigma = a^16": finite_ctx(2, 3, e=2, sigma_exp=2),
+    "F_81/F_9 (e = 2)": finite_ctx(3, 2, e=2),
+}
+
+
+def skew_polys(ctx, max_deg):
+    return st.lists(st.integers(0, ctx.order - 1), max_size=max_deg + 1).map(
+        lambda idx: SkewPoly(ctx, [ctx.elem_from_index(i) for i in idx])
+    )
+
+
+def tower_and_skews(count, max_deg=4):
+    return st.sampled_from(sorted(TOWERS)).flatmap(
+        lambda name: st.tuples(
+            st.just(TOWERS[name]),
+            *(skew_polys(TOWERS[name], max_deg) for _ in range(count)),
+        )
+    )
+
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
+
+
+def test_towers_twist_by_their_sigma():
+    for ctx in TOWERS.values():
+        a = ctx.gen
+        twisted = SkewPoly.x(ctx) * SkewPoly.constant(ctx, a)
+        assert twisted == SkewPoly.monomial(ctx, a ** (ctx.q**ctx.sigma_exp), 1)
+        assert len(ctx.k_basis) == ctx.e
+
+
+@PROPERTY
+@given(tower_and_skews(2))
+def test_right_divmod_contract(args):
+    _, f, g = args
+    if not g:
+        with pytest.raises(ZeroDivisionError):
+            right_divmod(f, g)
+        return
+    q, r = right_divmod(f, g)
+    assert q * g + r == f
+    assert r.degree < g.degree
+
+
+@PROPERTY
+@given(tower_and_skews(3, max_deg=3))
+def test_gcrd_contract(args):
+    _, a, b, c = args
+    # a common right factor c makes nontrivial gcrds common
+    f, g = a * c, b * c
+    if not f and not g:
+        with pytest.raises(ValueError):
+            gcrd(f, g)
+        return
+    d = gcrd(f, g)
+    assert d.is_monic()
+    assert right_divides(d, f) and right_divides(d, g)
+    d2, u, v = gcrd_extended(f, g)
+    assert d2 == d and u * f + v * g == d
+    if c:
+        assert right_divides(c, d)
+
+
+@PROPERTY
+@given(tower_and_skews(2, max_deg=3))
+def test_lclm_contract(args):
+    _, f, g = args
+    if not f or not g:
+        with pytest.raises(ValueError):
+            lclm(f, g)
+        return
+    m = lclm(f, g)
+    assert m.is_monic()
+    assert right_divides(f, m) and right_divides(g, m)
+    # deg lclm + deg gcrd = deg f + deg g pins the least common multiple
+    assert m.degree == f.degree + g.degree - gcrd(f, g).degree
