@@ -33,9 +33,10 @@ from .modpoly import digits
 from .quotient import (
     QuotCtx,
     QuotElem,
+    cached_nuclei,
     full_rank_certified,
     rank,
-    subspace_nuclei,
+    subspace_action,
 )
 from .skewpoly import CentralPoly, SkewPoly
 
@@ -258,9 +259,16 @@ def verify_mrd(
     Exhaustive mode ranks the right multiplications g -> g*w on R_F with
     linalg.rank_scan (see rank_family).  It reports the first violation in
     enumeration order, and as checked the number of nonzero words up to it
-    (every nonzero word if there is none).  budget counts ranks computed,
-    one per F_p^* orbit of codewords; every SPOT_CHECK_EVERY-th rank is
-    checked against the gcrd rank.
+    (every nonzero word if there is none).  rank(g w) = rank(w) for a unit
+    g of the left idealiser Il, so the scan ranks one word per Il^* orbit
+    when Il passes rank_scan's field check, and one per F_p^* orbit
+    otherwise or when the nuclear systems raise.  Il comes from the
+    computation nuclear_params reports, made once per spec and budget.  A
+    deficient representative sends the scan back to F_p^* orbits in index
+    order, so the counterexample, min_rank and checked are those of a scan
+    of every word.  budget counts the ranks computed (see rank_scan);
+    every SPOT_CHECK_EVERY-th rank is checked against the gcrd rank of the
+    word decoded from its index.
 
     Sampled mode draws samples >= 1 seeded random codewords and is
     probabilistic evidence only.  Over F_(2^r)(t) a word counts as rank m
@@ -307,7 +315,13 @@ def verify_mrd(
         return r == rank(codeword_from_index(spec, idx))
 
     first_bad, min_rank = linalg.rank_scan(
-        basis, qctx.ctx.p, d_target, unit=unit, budget=budget, check=check
+        basis,
+        qctx.ctx.p,
+        d_target,
+        unit=unit,
+        budget=budget,
+        check=check,
+        field=_idealiser_action(spec, basis, budget),
     )
     if first_bad is None:
         checked, counter = codeword_count(spec) - 1, None
@@ -369,15 +383,33 @@ def _theorem_range_flag(spec):
     return not (1 <= spec.k <= m // 2 and spec.skl >= 2)
 
 
+def _idealiser_action(spec, basis, budget):
+    """The left idealiser Il acting on the index coordinates of the code
+    (quotient.subspace_action), for rank_scan's orbit cut: rank(g w) =
+    rank(w) for a unit g, and Il of an MRD code is a field (Lunardon,
+    Trombetti and Zhou 2017; rank_scan checks it).  Empty when the nuclear
+    systems raise, and rank_scan then scans F_p^* orbits.  basis holds the
+    right multiplications R_w of the spanning words (rank_family)."""
+    alg = spec.qctx.algebra
+    # R_w 1 = w, and 1 is the first coordinate vector
+    span = [R[:, 0] for R in basis]
+    try:
+        il = cached_nuclei(spec, alg, span, budget=budget).il
+    except (ValueError, BudgetExceeded):
+        return []
+    return subspace_action(alg, span, il)
+
+
 def nuclear_params(spec, budget=DEFAULT_BUDGET):
     """Left/right idealiser, centraliser and centre orders of the code: the
     kernels of quotient.subspace_nuclei on R_F and the spanning words (C
     and Z after normalising by a unit codeword, searched for within budget
-    ranks when no spanning word is one)."""
+    ranks when no spanning word is one), computed once per spec and budget
+    and shared with verify_mrd."""
     alg = spec.qctx.algebra
     span = [alg.to_vec(w) for w in _spanning_words(spec)]
     try:
-        kernels = subspace_nuclei(alg, span, budget=budget)
+        kernels = cached_nuclei(spec, alg, span, budget=budget)
     except ValueError:
         raise ValueError("no invertible codeword found; cannot normalise") from None
     il, ir, c, z = (alg.p ** len(basis) for basis in kernels)
@@ -468,7 +500,7 @@ def newness_mrd(p, e, n, s, k):
         NewnessEntry(
             "TZ",
             "new",
-            f"Trombetti-Zhou centre order q^{s} != q requires s = 1 (s = {s})",
+            f"Trombetti-Zhou centraliser order q^{s} != q requires s = 1 (s = {s})",
         )
     )
     any_match_s, any_full_s = _agtg_like_match(n * e, t * e, e, k * s * e, e)

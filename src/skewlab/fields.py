@@ -159,10 +159,11 @@ class GFCtx:
         self._mul_cache = {} if small else None
         self._inv_cache = {} if p**dim <= 65536 else None
         # sums are cheap to compute, so memoise them only for tiny fields
-        # (at most 4096 entries each), where the call overhead dominates
+        # (at most 4096 entries each), where the call overhead dominates;
+        # in characteristic 2, a - b = a + b and the two share one memo
         tiny = p**dim <= 64
         self._add_cache = {} if tiny else None
-        self._sub_cache = {} if tiny else None
+        self._sub_cache = self._add_cache if p == 2 else {} if tiny else None
         # the modulus lives in F_p[y], over the prime field (this field
         # itself when dim = 1, whose products never reduce)
         self.prime_field = self if dim == 1 else GFCtx(p, 1)

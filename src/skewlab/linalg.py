@@ -162,7 +162,8 @@ def np_rref(M, p):
         other = np.nonzero(R[:, c])[0]
         other = other[other != r]
         if other.size:
-            R[other] = (R[other] - np.outer(R[other, c], R[r])) % p
+            # row r is zero left of c, so only columns c.. change
+            R[other, c:] = (R[other, c:] - np.outer(R[other, c], R[r, c:])) % p
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -229,10 +230,11 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
-def scan_size(p, n):
-    """Ranks a scan of an n-member basis computes: one per F_p^* orbit of
-    the nonzero indices."""
-    return (p**n - 1) // (p - 1)
+def scan_size(p, n, a=1):
+    """Representatives a scan of an n-member basis ranks when a field of
+    order p^a acts on it (a = 1: F_p): one per F_(p^a)^* orbit of the
+    nonzero indices, (p^n - 1) / (p^a - 1)."""
+    return (p**n - 1) // (p**a - 1)
 
 
 def _small_dtype(bound):
@@ -291,50 +293,42 @@ def batch_rank(mats, p):
     return ranks
 
 
-def _orbit_chunks(basis, p):
+def _orbit_chunks(basis, p, stride=1):
     """(indices, members) of an F_p-linear family in chunks of bounded size,
-    one member per F_p^* orbit: the smallest index of each orbit has leading
-    digit 1, so only the indices in [p^k, 2 p^k), k = 0..n-1, in increasing
-    order."""
+    one member per orbit of a field of order p^stride acting on the digit
+    blocks of length stride (see rank_scan): the indices in [p^k, 2 p^k),
+    k = 0, stride, 2 stride, ... < n, in increasing order.  With stride 1
+    the orbits are those of F_p^*, whose smallest index has leading digit
+    1."""
     chunk = max(1, SCAN_CHUNK_ENTRIES // basis[0].size)
-    for k in range(basis.shape[0]):
+    for k in range(0, basis.shape[0], stride):
         for lo in range(p**k, 2 * p**k, chunk):
             idx = np.arange(lo, min(lo + chunk, 2 * p**k), dtype=np.int64)
             yield idx, family_members(basis, idx, p)
 
 
-def rank_scan(basis, p, threshold, unit=1, budget=DEFAULT_BUDGET, check=None):
-    """First member of an F_p-linear family of matrices whose rank is below
-    threshold, in index order, and the minimum rank up to that member.
-
-    The member with index i is sum_j digit_j(i) basis[j] (see
-    family_members); its rank is its F_p-rank divided by unit, and a
-    remainder raises.  Scaling a member by c in F_p^* keeps its rank, so
-    only one member per orbit is ranked (see _orbit_chunks): the first
-    deficient index and the minimum rank up to it are those of a scan of
-    every index.  check(index, matrix, rank) is called on every
-    SPOT_CHECK_EVERY-th ranked member and a False result raises.
-
-    Returns (first deficient index or None, minimum rank).  A family whose
-    scan would compute more than budget ranks is refused up front.
-    """
-    basis = np.asarray(basis)
-    total = scan_size(p, basis.shape[0])
-    if total > budget:
-        raise BudgetExceeded(f"{total} ranks exceed the scan budget {budget}")
+def _scan(basis, p, threshold, unit, check, stride, limit, origin=None):
+    """The rank-scan loop: rank the members _orbit_chunks yields until one
+    ranks below threshold.  Returns (its index or None, minimum rank up to
+    it, members ranked).  A chunk that would take the members ranked past
+    limit raises BudgetExceeded.  origin(i) is the index check sees for
+    member i (i itself when None)."""
     min_rank = None
     scanned = 0
-    for idx, mats in _orbit_chunks(basis, p):
+    for idx, mats in _orbit_chunks(basis, p, stride):
+        if scanned + len(idx) > limit:
+            raise BudgetExceeded(f"ranks past the scan budget ({limit} were left)")
         ranks, rem = np.divmod(batch_rank(mats, p), unit)
         if rem.any():
             raise RuntimeError("an F_p-rank is not a multiple of the rank unit")
         if check is not None:
             first = -scanned % SPOT_CHECK_EVERY
             for pos in range(first, len(idx), SPOT_CHECK_EVERY):
-                if not check(int(idx[pos]), mats[pos], int(ranks[pos])):
+                at = int(idx[pos]) if origin is None else origin(int(idx[pos]))
+                if not check(at, mats[pos], int(ranks[pos])):
                     raise RuntimeError(
                         f"rank scan disagrees with the direct computation "
-                        f"at index {int(idx[pos])}"
+                        f"at index {at}"
                     )
         scanned += len(idx)
         bad = np.flatnonzero(ranks < threshold)
@@ -342,8 +336,124 @@ def rank_scan(basis, p, threshold, unit=1, budget=DEFAULT_BUDGET, check=None):
         low = int(ranks[:stop].min())
         min_rank = low if min_rank is None else min(min_rank, low)
         if bad.size:
-            return int(idx[bad[0]]), min_rank
-    return None, min_rank
+            return int(idx[bad[0]]), min_rank, scanned
+    return None, min_rank, scanned
+
+
+def _field_basis(field, n, p):
+    """beta_0 = I, then the matrices of field that enlarge the F_p-span so
+    far: an F_p-basis, starting with the identity, of the span of I and
+    field (n x n matrices)."""
+    rows = [np.eye(n, dtype=np.int64).reshape(-1)]
+    for M in field:
+        cand = np.asarray(M, dtype=np.int64).reshape(-1) % p
+        if np_rank(rows + [cand], p) > len(rows):
+            rows.append(cand)
+    return np.array(rows).reshape(-1, n, n)
+
+
+def _closed_under_products(beta, p):
+    """True iff every product beta_i beta_j lies in the F_p-span of beta."""
+    flat = beta.reshape(len(beta), -1)
+    return all(
+        np_rank(np.vstack([flat, (x @ y % p).reshape(1, -1)]), p) == len(beta)
+        for x in beta
+        for y in beta
+    )
+
+
+def _orbit_basis(beta, p):
+    """Rows beta_i c_j, in the order i + a j, of the reordered index basis
+    (coordinates over the old one): c_j is the first unit vector outside
+    the span of the rows so far, so the c_j are a basis of F_p^n over the
+    field spanned by beta (a = len(beta))."""
+    n = beta.shape[1]
+    rows = np.zeros((0, n), dtype=np.int64)
+    for k in range(n):
+        e_k = np.eye(n, dtype=np.int64)[k]
+        if np_rank(np.vstack([rows, e_k]), p) > len(rows):
+            rows = np.vstack([rows, beta[:, :, k]])
+    return rows
+
+
+def rank_scan(
+    basis, p, threshold, unit=1, budget=DEFAULT_BUDGET, check=None, field=()
+):
+    """First member of an F_p-linear family of matrices whose rank is below
+    threshold, in index order, and the minimum rank up to that member.
+
+    The member with index i is sum_j digit_j(i) basis[j] (see
+    family_members); its rank is its F_p-rank divided by unit, and a
+    remainder raises.  Scaling a member by c in F_p^* keeps its rank, so
+    only one member per orbit is ranked.
+
+    field may give larger groups of scalings: n x n matrices A acting on
+    the digit vectors x (columns) with rank(member(A x)) <= rank(member(x)),
+    such as a left idealiser acting on the span of the basis.  Let
+    beta_0 = I, ..., beta_(a-1) be an F_p-basis of the span of I and field.
+    The field check asks that this span be closed under products and that
+    no nonzero member of it be singular ((p^a - 1)/(p - 1) ranks of n x n
+    matrices).  Then it is a finite division ring, so a field of order
+    p^a, and ranks are constant on its orbits (A^-1 is in it too).  The
+    index basis is reordered as beta_i c_j, c_j a basis over that field,
+    and one member per F_(p^a)^* orbit is ranked: the indices in
+    [p^k, 2 p^k) with a | k.  The field is used only when the check and
+    the representatives together rank fewer members than the F_p^* scan;
+    otherwise, and when the check fails, a = 1, which is the same loop
+    over the unchanged basis.
+
+    If no representative is deficient the answer is (None, the minimum
+    rank), as ranks are constant on orbits.  If one is, the F_p^* scan is
+    run again in index order for the first deficient index and the minimum
+    rank up to it, so the result is always that of a scan of every index.
+
+    check(index, matrix, rank) is called on every SPOT_CHECK_EVERY-th
+    ranked member, with the member's index in the unchanged basis, and a
+    False result raises.
+
+    budget counts every rank the scan computes.  The field check and the
+    representatives are counted up front, and a scan over budget is
+    refused before any rank; the rerun is counted as it goes and raises
+    BudgetExceeded when it would pass the budget.
+    """
+    basis = np.asarray(basis)
+    n = basis.shape[0]
+    beta = _field_basis(field, n, p)
+    a = len(beta)
+    checking = scan_size(p, a) if a > 1 else 0
+    if checking + scan_size(p, n, a) >= scan_size(p, n):  # the field saves no rank
+        a, checking = 1, 0
+    _within_budget(checking + scan_size(p, n, a), budget)
+    ranked = 0
+    members, origin = basis, None
+    if a > 1:
+        singular, _, ranked = _scan(beta, p, n, 1, None, 1, checking)
+        if singular is not None or not _closed_under_products(beta, p):
+            a = 1
+            _within_budget(ranked + scan_size(p, n), budget)
+        else:
+            order = _orbit_basis(beta, p)
+            weights = p ** np.arange(n, dtype=np.int64)
+
+            def origin(i):
+                return int((((i // weights) % p) @ order % p) @ weights)
+
+            # member j + a j' of the new basis is beta_j c_j', origin(p^(j + a j'))
+            members = family_members(basis, [origin(p**j) for j in range(n)], p)
+    first, min_rank, scanned = _scan(
+        members, p, threshold, unit, check, a, budget - ranked, origin
+    )
+    if first is None or a == 1:
+        return first, min_rank
+    first, min_rank, _ = _scan(
+        basis, p, threshold, unit, check, 1, budget - ranked - scanned
+    )
+    return first, min_rank
+
+
+def _within_budget(total, budget):
+    if total > budget:
+        raise BudgetExceeded(f"{total} ranks exceed the scan budget {budget}")
 
 
 def first_invertible(basis, p, budget=DEFAULT_BUDGET):

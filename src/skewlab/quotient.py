@@ -167,6 +167,37 @@ def subspace_nuclei(amb, span, scalars=(), budget=linalg.DEFAULT_BUDGET):
     return SubspaceNuclei(il, ir, c, z)
 
 
+def cached_nuclei(owner, amb, span, scalars=(), budget=linalg.DEFAULT_BUDGET):
+    """subspace_nuclei(amb, span, scalars, budget), computed once per owner
+    (a code spec or an algebra) and budget, so a scan and the nuclear
+    report share it.  A ValueError or BudgetExceeded it raised is kept and
+    raised again."""
+    memo = owner.__dict__.setdefault("_nuclei", {})
+    if budget not in memo:
+        try:
+            memo[budget] = subspace_nuclei(amb, span, scalars, budget)
+        except (ValueError, linalg.BudgetExceeded) as exc:
+            memo[budget] = exc
+    if isinstance(memo[budget], Exception):
+        raise memo[budget]
+    return memo[budget]
+
+
+def subspace_action(amb, span, elems):
+    """Matrices A_g of v -> g v on the F_p-span S of span, in the
+    coordinates of span (column j of A_g is the coordinate vector of g
+    s_j), one per g in elems (vectors of amb with gS <= S, such as the rows
+    of Il).  Empty when span is dependent or some g s_j leaves S."""
+    p = amb.p
+    span_t = np.array(span, dtype=np.int64).T % p
+    n = span_t.shape[1]
+    images = [amb.left_mult_matrix(g) @ span_t % p for g in elems]
+    R, pivots = linalg.np_rref(np.hstack([span_t, *images]), p)
+    if pivots != list(range(n)):
+        return []
+    return [R[:, n * (i + 1) : n * (i + 2)] for i in range(len(elems))]
+
+
 # --------------------------------------------------------------- R_F ------
 
 

@@ -27,7 +27,14 @@ from .fields import (
     norm_to_fixed,
 )
 from .polyring import Poly, ext_gcd
-from .quotient import FiniteAlgebra, QuotElem, subspace_nuclei, unvec, vec
+from .quotient import (
+    FiniteAlgebra,
+    QuotElem,
+    cached_nuclei,
+    subspace_action,
+    unvec,
+    vec,
+)
 from .skewpoly import CentralPoly, SkewPoly, right_mod
 
 
@@ -330,17 +337,29 @@ def zero_divisor_scan(alg, budget=linalg.DEFAULT_BUDGET):
 
     a has a zero divisor b exactly when its left multiplication L_a is
     singular, and a -> L_a is F_p-linear, so linalg.rank_scan finds the
-    first a in enumeration order with rank(L_a) < dim (one rank per F_p^*
-    orbit; budget counts those ranks).  The witness b is the first nonzero
-    vector of ker L_a in enumeration order, so (a, b) is the first zero
-    pair of the pairwise enumeration, and pairs_checked is the number of
-    pairs that enumeration tries up to and including it.  Every
-    SPOT_CHECK_EVERY-th L_a is checked against the direct product a*a, and
-    the witness product is checked to be zero.
+    first a in enumeration order with rank(L_a) < dim.  L_(l a) = L_l L_a
+    for l in the left nucleus N_l, so the scan ranks one L_a per N_l^*
+    orbit when N_l passes rank_scan's field check, and one per F_p^* orbit
+    otherwise or when the nuclei systems raise.  N_l comes from the
+    computation nuclei reports, made once per algebra and budget.  A
+    singular representative sends the scan back to F_p^* orbits in index
+    order for the first a; budget counts the ranks computed (see
+    rank_scan).  The witness b is the first nonzero vector of ker L_a in
+    enumeration order, so (a, b) is the first zero pair of the pairwise
+    enumeration, and pairs_checked is the number of pairs that enumeration
+    tries up to and including it.  Every SPOT_CHECK_EVERY-th L_a ranked is
+    checked against the direct product a*a, with a decoded from its index,
+    and the witness product is checked to be zero.
     """
     p, dim, order = alg.p, alg.dim, alg.order
     # digit j of an index is coordinate dim-1-j (the first is most significant)
     basis = np.stack(alg.left_mult_matrices()[::-1])
+    try:
+        nl = _spread_nuclei(alg, budget).il
+    except (ValueError, linalg.BudgetExceeded):
+        field = []
+    else:
+        field = subspace_action(MatrixAlgebra(p, dim), basis.reshape(dim, -1), nl)
 
     def check(idx, L_a, _rank):
         a = alg.elem_from_index(idx)
@@ -348,7 +367,9 @@ def zero_divisor_scan(alg, budget=linalg.DEFAULT_BUDGET):
         direct = np.array(alg.to_vec(alg.mul(a, a)), dtype=np.int64) % p
         return np.array_equal(direct, (L_a @ vec) % p)
 
-    a_idx, _ = linalg.rank_scan(basis, p, dim, budget=budget, check=check)
+    a_idx, _ = linalg.rank_scan(
+        basis, p, dim, budget=budget, check=check, field=field
+    )
     if a_idx is None:
         return ZeroDivisorReport(False, None, (order - 1) ** 2)
     L_a = linalg.family_members(basis, [a_idx], p)[0]
@@ -415,14 +436,22 @@ def nuclei(alg, budget=linalg.DEFAULT_BUDGET):
     every L_a), and the centre is its intersection with N_l, all from
     quotient.subspace_nuclei.  Normalising by an invertible L_a (searched
     for within budget ranks when no basis element gives one) puts the
-    identity in the spread set, unital or not.
+    identity in the spread set, unital or not.  The systems are solved once
+    per algebra and budget, and zero_divisor_scan scans the orbits of N_l.
     """
-    spread = [M.reshape(-1) for M in alg.left_mult_matrices()]
-    scalars = [S.reshape(-1) for S in alg.scalar_mats]
     try:
-        kernels = subspace_nuclei(
-            MatrixAlgebra(alg.p, alg.dim), spread, scalars, budget
-        )
+        kernels = _spread_nuclei(alg, budget)
     except ValueError:
         raise ValueError("spread set contains no invertible element") from None
     return NucleiReport(*(alg.p ** len(basis) for basis in kernels))
+
+
+def _spread_nuclei(alg, budget):
+    """quotient.subspace_nuclei of the spread set {L_a} in M_dim(F_p),
+    once per algebra and budget: nuclei reports its sizes and
+    zero_divisor_scan scans the orbits of its N_l."""
+    spread = [M.reshape(-1) for M in alg.left_mult_matrices()]
+    scalars = [S.reshape(-1) for S in alg.scalar_mats]
+    return cached_nuclei(
+        alg, MatrixAlgebra(alg.p, alg.dim), spread, scalars, budget
+    )

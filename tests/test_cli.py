@@ -1,6 +1,7 @@
 """CLI: subcommands, report shapes, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -407,3 +408,36 @@ def test_verify_semifield_budget(capsys, tmp_path):
         capsys, "verify", "--spec", write_spec(tmp_path, spec), "--budget", "10"
     )
     assert code == 3 and "budget" in err
+
+
+# D_(4,1,2): 8 spanning words over F_3 and Il of order 9, so a scan ranks the
+# 4 nonzero F_3^*-orbits of Il (the field check) and (3^8 - 1)/8 = 820
+# representatives, where the F_3^* scan ranks (3^8 - 1)/2 = 3280
+ORBIT_RANKS_D412 = 4 + 820
+
+
+def test_budget_between_the_orbit_and_the_fp_scan_certifies_d412(capsys, tmp_path):
+    path = write_spec(tmp_path, D412)
+    golden = (Path(__file__).parent / "golden" / "verify_d412.json").read_text()
+    code, out, _ = run_cli(
+        capsys, "verify", "--spec", path, "--budget", str(ORBIT_RANKS_D412)
+    )
+    assert code == 0 and out == golden
+    code, out, err = run_cli(
+        capsys, "verify", "--spec", path, "--budget", str(ORBIT_RANKS_D412 - 1)
+    )
+    assert code == 3 and not out
+    assert f"{ORBIT_RANKS_D412} ranks exceed the scan budget" in err
+
+
+def test_an_invalid_spec_whose_rerun_passes_the_budget_exits_3(capsys, tmp_path):
+    # gamma = 1: a representative is deficient, and finding the first
+    # counterexample (index 810) in index order takes the F_3^* scan past
+    # the ranks the representatives left
+    path = write_spec(tmp_path, {**D412, "gamma": "1"})
+    code, out, err = run_cli(
+        capsys, "verify", "--spec", path, "--budget", str(ORBIT_RANKS_D412)
+    )
+    assert code == 3 and not out and "budget" in err
+    code, out, _ = run_cli(capsys, "verify", "--spec", path)
+    assert code == 0 and json.loads(out)["mrd"]["checked"] == 810

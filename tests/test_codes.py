@@ -437,7 +437,7 @@ def test_newness_quotes_the_computed_idealiser_orders(name):
             quoted += 1
         # the Trombetti-Zhou comparison quotes the centraliser C (the
         # paper's q^s), against the centre q of a TZ code
-        for exp in re.findall(r"centre order q\^(\d+) != q", entry.reason):
+        for exp in re.findall(r"centraliser order q\^(\d+) != q", entry.reason):
             assert (got.c, got.z) == (ctx.q ** int(exp), ctx.q)
             quoted += 1
     assert quoted >= 2

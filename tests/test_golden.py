@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from skewlab import cli
+from skewlab import cli, linalg
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -92,6 +92,13 @@ CASES = {
         {**SF, "family": "D", "field": F81, "F": [1, 0, 1], "gamma": "2*w^3+w^2"},
         0,
     ),
+    # order 3^16, nuclei (81, 81, 9, 3): 538,084 ranks, one per N_l^* orbit
+    "semifield_star_d_3e16": (
+        [],
+        {**SF, "family": "D", "field": {"kind": "finite", "p": 3, "e": 1, "n": 8},
+         "F": [1, 0, 1], "gamma": "w"},
+        0,
+    ),
     "semifield_star_d_q3_n2_s2": (
         [],
         {**SF, "family": "D", "field": F9, "F": [1, 0, 1], "gamma": "w+1"},
@@ -156,3 +163,70 @@ def test_report_matches_golden_bytes(name, tmp_path, capsys):
 
 def test_every_golden_file_has_a_case():
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
+
+
+# the exhaustive scans of every golden code and semifield but the slow
+# order-3^16 one: those that rank one member per orbit of a field larger
+# than F_p (Il or N_l of order 4, 9 or 81), and those that rank one per
+# F_p^* orbit (the field is F_p, or the nuclear systems raise)
+ORBIT_SCANNED = [
+    "semifield_star_d_3e8",
+    "semifield_star_d_3e8_invalid",
+    "semifield_star_s_prime_3e8",
+    "verify_d412",
+    "verify_d412_gamma1",
+    "verify_d_s2_k1",
+    "verify_s_unit_off_spanning_words",
+]
+FP_SCANNED = [
+    "semifield_star_d_q3_n2_s2",
+    "semifield_star_d_q5_n2_s2",
+    "verify_s412_rho_sigma",
+    "verify_s_no_unit",
+]
+
+
+@pytest.mark.parametrize("name", ORBIT_SCANNED + FP_SCANNED)
+def test_orbit_scan_agrees_with_the_fp_scan(name, tmp_path, capsys, monkeypatch):
+    # every scan the case runs is repeated with no field acting: the first
+    # deficient index (the verdict) and the minimum rank must agree
+    rank_scan, batch_rank = linalg.rank_scan, linalg.batch_rank
+    ranked = []
+    scans = []
+
+    def counted(mats, p):
+        ranked.append(len(mats))
+        return batch_rank(mats, p)
+
+    def both(basis, p, threshold, unit=1, budget=linalg.DEFAULT_BUDGET,
+             check=None, field=()):
+        ranked.clear()
+        got = rank_scan(basis, p, threshold, unit, budget, check, field)
+        orbit_ranks = sum(ranked)
+        plain = rank_scan(basis, p, threshold, unit, budget, check)
+        # the F_p^* scan ranks a different number of members than a scan
+        # of larger orbits (fewer; more with the rerun)
+        scans.append((2 * orbit_ranks != sum(ranked), got, plain))
+        return got
+
+    monkeypatch.setattr(linalg, "rank_scan", both)
+    monkeypatch.setattr(linalg, "batch_rank", counted)
+    code, out = run_case(name, tmp_path, capsys)
+    assert code == CASES[name][2]
+    assert out == (GOLDEN / f"{name}.json").read_text()
+    assert len(scans) == 1
+    orbit, got, plain = scans[0]
+    assert got == plain
+    assert orbit == (name in ORBIT_SCANNED)
+
+
+@pytest.mark.parametrize("name", ORBIT_SCANNED)
+def test_jobs_do_not_change_orbit_scanned_reports(name, tmp_path, capsys):
+    _, spec, code = CASES[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(spec))
+    outs = []
+    for jobs in ("1", "2"):
+        assert cli.main(["verify", "--spec", str(path), "--jobs", jobs]) == code
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == (GOLDEN / f"{name}.json").read_text()

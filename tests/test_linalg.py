@@ -5,6 +5,8 @@ import pytest
 
 from skewlab import linalg
 
+from helpers import finite_ctx
+
 
 @pytest.mark.parametrize("p", [2, 3, 5, 13, 251])
 def test_batch_rank_equals_np_rank(p):
@@ -74,3 +76,156 @@ def test_first_invertible_is_the_first_full_rank_index(monkeypatch):
             (i for i, m in enumerate(members, 1) if linalg.np_rank(m, 5) == 3), None
         )
         assert linalg.first_invertible(basis, 5) == want
+
+
+# ------------------------------------------------- orbits of a larger field --
+
+
+def _orbit_indices(basis, p, *stride):
+    return [int(i) for idx, _ in linalg._orbit_chunks(basis, p, *stride) for i in idx]
+
+
+@pytest.mark.parametrize("p, n", [(2, 5), (3, 4), (5, 3)])
+def test_orbit_chunks_with_stride_one_are_the_fp_scan(monkeypatch, p, n):
+    # leading digit 1: the indices in [p^k, 2 p^k), k = 0..n-1, in order
+    monkeypatch.setattr(linalg, "SCAN_CHUNK_ENTRIES", 3 * 4)
+    basis = np.zeros((n, 2, 2), dtype=np.int64)
+    want = [i for k in range(n) for i in range(p**k, 2 * p**k)]
+    assert _orbit_indices(basis, p) == _orbit_indices(basis, p, 1) == want
+    assert len(want) == linalg.scan_size(p, n) == linalg.scan_size(p, n, 1)
+
+
+@pytest.mark.parametrize("p, n, a", [(2, 4, 2), (2, 6, 3), (3, 4, 2), (5, 4, 2)])
+def test_orbit_chunks_with_stride_a_give_one_index_per_orbit(monkeypatch, p, n, a):
+    monkeypatch.setattr(linalg, "SCAN_CHUNK_ENTRIES", 5 * 4)
+    got = _orbit_indices(np.zeros((n, 2, 2), dtype=np.int64), p, a)
+    assert len(got) == linalg.scan_size(p, n, a) == (p**n - 1) // (p**a - 1)
+    assert got == [i for k in range(0, n, a) for i in range(p**k, 2 * p**k)]
+
+
+def _counting_ranks(monkeypatch):
+    ranked = []
+    batch_rank = linalg.batch_rank
+
+    def counted(mats, p):
+        ranked.append(len(mats))
+        return batch_rank(mats, p)
+
+    monkeypatch.setattr(linalg, "batch_rank", counted)
+    return ranked
+
+
+def _scan_of_every_index(basis, p, threshold):
+    """(first index ranked below threshold or None, minimum rank up to it)
+    from the rank of every nonzero member, in index order."""
+    n = len(basis)
+    ranks = linalg.batch_rank(linalg.family_members(basis, np.arange(1, p**n), p), p)
+    bad = next((i for i, r in enumerate(ranks, 1) if r < threshold), None)
+    return bad, int(min(ranks[: bad if bad else len(ranks)]))
+
+
+def _linearised_family(p, m, a):
+    """Members y -> x1 y + x2 y^(p^a) on F_(p^m), for (x1, x2) in F_(p^m)^2
+    (digits: the F_p-coordinates of x1, then of x2), and the subfield
+    F_(p^a) acting by (x1, x2) -> (c x1, c x2): each such map is
+    F_(p^a)-linear, member(c x) = c member(x), and its F_p-rank is m or
+    m - a."""
+    ctx = finite_ctx(p, m)
+    frob = np.array([ctx.frobenius(b, a).coeffs for b in ctx.basis]).T
+    mults = [ctx.mult_matrix(b) for b in ctx.basis]
+    basis = np.array(mults + [M @ frob % p for M in mults])
+    zero = np.zeros((m, m), dtype=np.int64)
+    field = [
+        np.block([[ctx.mult_matrix(c), zero], [zero, ctx.mult_matrix(c)]])
+        for c in ctx.fixed_basis(a)
+    ]
+    return basis, field
+
+
+@pytest.mark.parametrize("p, m, a", [(2, 4, 2), (2, 6, 2), (2, 6, 3), (3, 4, 2)])
+def test_orbit_scan_matches_a_scan_of_every_index(monkeypatch, p, m, a):
+    basis, field = _linearised_family(p, m, a)
+    n = 2 * m
+    for threshold in (m - a, m - a + 1, m):
+        want = _scan_of_every_index(basis, p, threshold)
+        ranked = _counting_ranks(monkeypatch)
+        got = linalg.rank_scan(basis, p, threshold, field=field)
+        assert got == want
+        if got[0] is None:
+            # the field check, then one member per F_(p^a)^* orbit
+            assert sum(ranked) == linalg.scan_size(p, a) + linalg.scan_size(p, n, a)
+        assert got == linalg.rank_scan(basis, p, threshold)
+        monkeypatch.undo()
+    # both verdicts occur: ranks are m and m - a
+    assert linalg.rank_scan(basis, p, m - a, field=field) == (None, m - a)
+    assert linalg.rank_scan(basis, p, m - a + 1, field=field)[0] is not None
+
+
+def test_spot_checks_see_indices_of_the_unchanged_basis(monkeypatch):
+    # decoding a checked index with the caller's basis gives the ranked member
+    monkeypatch.setattr(linalg, "SPOT_CHECK_EVERY", 5)
+    p = 3
+    basis, field = _linearised_family(p, 4, 2)
+    seen = []
+
+    def check(idx, mat, rank):
+        seen.append(idx)
+        member = linalg.family_members(basis, [idx], p)[0]
+        return np.array_equal(member % p, mat % p) and rank == linalg.np_rank(mat, p)
+
+    assert linalg.rank_scan(basis, p, 2, check=check, field=field) == (None, 2)
+    assert len(seen) == -(-linalg.scan_size(p, 8, 2) // 5)
+
+
+def test_a_nucleus_that_is_not_a_field_falls_back_to_fp_orbits(monkeypatch):
+    # M_2(F_3) acting on the left of the 2 x 4 matrices [X1 | X2] (all of
+    # them, the unit matrices as basis): rank(G X) <= rank(X), but singular
+    # G exist, so the scan is that of F_3^* orbits
+    p = 3
+    units = np.eye(8, dtype=np.int64).reshape(8, 2, 4)
+    eye4 = np.eye(4, dtype=np.int64)
+    field = [np.kron(g.reshape(2, 2), eye4) for g in eye4]
+    assert linalg.rank_scan(units, p, 2, field=field) == (1, 1)
+    assert _scan_of_every_index(units, p, 2) == (1, 1)
+    ranked = _counting_ranks(monkeypatch)
+    assert linalg.rank_scan(units, p, 1, field=field) == (None, 1)
+    # the field check stops at its first singular member; then every F_3^*
+    # orbit is ranked
+    plain = linalg.scan_size(p, 8)
+    assert plain < sum(ranked) < plain + linalg.scan_size(p, 4)
+
+
+def test_a_span_not_closed_under_products_falls_back(monkeypatch):
+    # C, the companion matrix of y^3 + y + 1 over F_2, has no eigenvalue, so
+    # every nonzero a I + b C is invertible; but C^2 is not in their span
+    C = np.array([[0, 0, 1], [1, 0, 1], [0, 1, 0]])
+    field = [np.kron(np.eye(2, dtype=np.int64), C)]
+    basis = np.eye(6, dtype=np.int64).reshape(6, 2, 3)
+    ranked = _counting_ranks(monkeypatch)
+    assert linalg.rank_scan(basis, 2, 1, field=field) == (None, 1)
+    assert sum(ranked) == linalg.scan_size(2, 2) + linalg.scan_size(2, 6)
+
+
+def test_the_rerun_is_counted_against_the_budget(monkeypatch):
+    # members L_(x0 + x1) for (x0, x1) in F_4^2, F_4 acting on both: the
+    # only deficient orbit is F_4^* (1, 1).  The field check (3 ranks) and
+    # the representatives (indices 1 and 4..7) fit a budget of 8; the
+    # deficient representative 5 sends the scan back to the F_2^* orbits,
+    # whose first deficient index is 5 after 7 more ranks
+    ctx = finite_ctx(2, 2)
+    mults = [ctx.mult_matrix(b) for b in ctx.basis]
+    basis = np.array(mults * 2)
+    zero = np.zeros((2, 2), dtype=np.int64)
+    field = [np.block([[c, zero], [zero, c]]) for c in mults]
+    ranked = _counting_ranks(monkeypatch)
+    assert linalg.rank_scan(basis, 2, 2, field=field) == (5, 0)
+    assert ranked == [1, 2, 1, 4, 1, 2, 4]
+    up_front = linalg.scan_size(2, 2) + linalg.scan_size(2, 4, 2)
+    assert up_front == 8
+    with pytest.raises(linalg.BudgetExceeded, match="budget"):
+        linalg.rank_scan(basis, 2, 2, budget=up_front, field=field)
+    with pytest.raises(linalg.BudgetExceeded, match="budget"):
+        linalg.rank_scan(basis, 2, 2, budget=14, field=field)
+    assert linalg.rank_scan(basis, 2, 2, budget=15, field=field) == (5, 0)
+    with pytest.raises(linalg.BudgetExceeded, match="8 ranks exceed the scan budget 7"):
+        linalg.rank_scan(basis, 2, 2, budget=up_front - 1, field=field)
