@@ -81,13 +81,11 @@ def cmd_bound(args):
     if not f.constant_coeff:
         raise FieldError("constant coefficient must be nonzero")
     rep = bound(f)
-    norm = None
-    if rep.ell is not None and f.degree == rep.F.s * rep.ell:
-        res = norm_identity_check(f, rep)
-        norm = {
-            "holds": res.holds,
-            "irreducibility_checked": res.irreducibility_checked,
-        }
+    res = norm_identity_check(f, rep)
+    norm = None if res is None else {
+        "holds": res.holds,
+        "irreducibility_checked": res.irreducibility_checked,
+    }
     report = {
         "command": "bound",
         "field": args.field,

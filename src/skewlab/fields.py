@@ -10,6 +10,9 @@ elements are reduced fractions.  Contexts are immutable after construction
 and all operations are pure.
 """
 
+import re
+from contextlib import contextmanager
+
 from .linalg import np_kernel
 from .modpoly import digits
 from .polyring import (
@@ -31,10 +34,9 @@ class FieldError(ValueError):
 class LiteralError(ValueError):
     """Raised on malformed element or polynomial literals; carries a position."""
 
-    def __init__(self, message, pos=None):
-        if pos is not None:
-            message = f"{message} (at position {pos})"
-        super().__init__(message)
+    def __init__(self, reason, pos):
+        super().__init__(f"{reason} (at position {pos})")
+        self.reason = reason
         self.pos = pos
 
 
@@ -682,85 +684,6 @@ def finite_elem_to_literal(a):
     return poly_to_literal(a.coeffs, "w")
 
 
-def finite_elem_from_literal(ctx, text):
-    """Parse a w-polynomial literal into a finite field element."""
-    s = text.replace(" ", "")
-    if not s:
-        raise LiteralError("empty element literal")
-    if s.startswith("(") and _matching_paren(s, 0) == len(s) - 1:
-        s = s[1:-1]
-    acc = ctx.zero
-    for sign, term, pos in _signed_terms(s):
-        val = _parse_w_term(ctx, term, pos)
-        acc = acc + val if sign > 0 else acc - val
-    return acc
-
-
-def _signed_terms(s):
-    """Split into (sign, term, start_pos) at top-level +/-, respecting parens."""
-    out = []
-    depth = 0
-    start = 0
-    sign = 1
-    if s and s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        start = 1
-    cur_start = start
-    i = start
-    while i < len(s):
-        c = s[i]
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-            if depth < 0:
-                raise LiteralError("unbalanced parenthesis", i)
-        elif c in "+-" and depth == 0:
-            if i == cur_start:
-                raise LiteralError("empty term", i)
-            out.append((sign, s[cur_start:i], cur_start))
-            sign = -1 if c == "-" else 1
-            cur_start = i + 1
-        i += 1
-    if depth != 0:
-        raise LiteralError("unbalanced parenthesis", len(s) - 1)
-    if cur_start >= len(s):
-        raise LiteralError("trailing operator", len(s) - 1)
-    out.append((sign, s[cur_start:], cur_start))
-    return out
-
-
-def _parse_w_term(ctx, term, pos):
-    if "*" in term:
-        coef_s, _, rest = term.partition("*")
-        if not coef_s.isdigit():
-            raise LiteralError(f"bad coefficient {coef_s!r}", pos)
-        coef = int(coef_s)
-    else:
-        coef, rest = 1, term
-        if rest.isdigit():
-            return ctx.from_int(int(rest))
-    if rest == "w":
-        k = 1
-    elif rest.startswith("w^") and rest[2:].isdigit():
-        k = int(rest[2:])
-    else:
-        raise LiteralError(f"bad term {term!r}", pos)
-    return ctx.from_int(coef) * ctx.gen**k
-
-
-def _matching_paren(s, i):
-    depth = 0
-    for j in range(i, len(s)):
-        if s[j] == "(":
-            depth += 1
-        elif s[j] == ")":
-            depth -= 1
-            if depth == 0:
-                return j
-    return -1
-
-
 def funcfield_elem_to_literal(a):
     """Canonical literal: "num" or "(num)/(den)" with descending t-powers."""
     num = poly_to_literal(a.num.coeffs, "t")
@@ -792,86 +715,6 @@ def poly_to_literal(coeffs, var):
     return "+".join(terms) if terms else "0"
 
 
-def funcfield_elem_from_literal(ctx, text):
-    """Parse a fraction literal like "(t^2+1)/(t^2+t+1)" or "t^2+w*t"."""
-    s = text.replace(" ", "")
-    if not s:
-        raise LiteralError("empty element literal")
-    num_s, den_s = _split_fraction(s)
-    num = _parse_tpoly(ctx, num_s)
-    if den_s is None:
-        return num
-    den = _parse_tpoly(ctx, den_s)
-    if not den:
-        raise LiteralError("zero denominator in literal")
-    return num / den
-
-
-def _split_fraction(s):
-    depth = 0
-    for i, c in enumerate(s):
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        elif c == "/" and depth == 0:
-            return s[:i], s[i + 1 :]
-    return s, None
-
-
-def _strip_outer(s):
-    while s.startswith("(") and _matching_paren(s, 0) == len(s) - 1:
-        s = s[1:-1]
-    return s
-
-
-def _parse_tpoly(ctx, s):
-    s = _strip_outer(s)
-    acc = ctx.zero
-    for sign, term, pos in _signed_terms(s):
-        val = _parse_t_term(ctx, term, pos)
-        acc = acc + val if sign > 0 else acc - val
-    return acc
-
-
-def _parse_t_term(ctx, term, pos):
-    cf = ctx.coeff_field
-    coef_s = None
-    tpart = None
-    depth = 0
-    for i, c in enumerate(term):
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        elif c == "*" and depth == 0:
-            coef_s, tpart = term[:i], term[i + 1 :]
-            break
-    if tpart is None:
-        if term == "t" or (term.startswith("t^") and term[2:].isdigit()):
-            coef_s, tpart = None, term
-        else:
-            coef_s, tpart = term, None
-    if tpart is not None:
-        if tpart == "t":
-            k = 1
-        elif tpart.startswith("t^") and tpart[2:].isdigit():
-            k = int(tpart[2:])
-        else:
-            raise LiteralError(f"bad term {term!r}", pos)
-    else:
-        k = 0
-    if coef_s is None:
-        coef = ctx.one
-    else:
-        coef_s = _strip_outer(coef_s)
-        if coef_s.isdigit():
-            coef = ctx.rat.constant(cf.from_int(int(coef_s)))
-        else:
-            coef = ctx.rat.constant(finite_elem_from_literal(cf, coef_s))
-    return coef * ctx.t**k if k else coef
-
-
 def elem_to_literal(a):
     """Literal of a field element, or of an integer (an F_p coordinate)."""
     if isinstance(a, FFElem):
@@ -881,10 +724,151 @@ def elem_to_literal(a):
     return funcfield_elem_to_literal(a)
 
 
+def parse_poly(text, var, coef, zero, mono):
+    """Parse the one literal grammar, sum_k c_k var^k, into zero + sum of
+    mono(c_k, k).
+
+    Spaces and every enclosing pair of parentheses are dropped, and the
+    literal splits at its top-level + and -.  A term splits at its last
+    top-level * when var or var^k follows it; otherwise the whole term is
+    its coefficient.  coef reads a coefficient literal (enclosing
+    parentheses dropped; "1" before a bare var^k).  A coefficient with var
+    outside parentheses is an error.  Error positions count the characters
+    of text without its spaces.
+    """
+    s, off = _strip(text)
+    with _shifted(off):
+        if not s:
+            raise LiteralError("empty literal", 0)
+        acc = zero
+        for sign, term, pos in _signed_terms(s):
+            star = max((i for i, ch in _top_level(term) if ch == "*"), default=-1)
+            k = _power(term[star + 1 :], var)
+            if k is None:
+                head, k = term, 0
+            else:
+                head = term[:star] if star >= 0 else "1"
+            if any(ch == var for _, ch in _top_level(head)):
+                raise LiteralError(f"bad term {term!r}", pos)
+            lit, skip = _strip(head)
+            with _shifted(pos + skip):
+                m = mono(coef(lit), k)
+            acc = acc + m if sign > 0 else acc - m
+    return acc
+
+
+def finite_elem_from_literal(ctx, text):
+    """Parse a w-polynomial literal with integer coefficients."""
+
+    def coef(s):
+        if not s.isdecimal():
+            raise LiteralError(f"bad coefficient {s!r}", 0)
+        return ctx.from_int(int(s))
+
+    return parse_poly(text, "w", coef, ctx.zero, lambda c, k: c * ctx.gen**k)
+
+
+def funcfield_elem_from_literal(ctx, text):
+    """Parse a fraction literal like "(t^2+1)/(t^2+t+1)" or "t^2+w*t": t-
+    polynomials with w-literal coefficients, split at the top-level /."""
+
+    def tpoly(s):
+        return parse_poly(
+            s,
+            "t",
+            lambda c: ctx.rat.constant(finite_elem_from_literal(ctx.coeff_field, c)),
+            ctx.zero,
+            lambda c, k: c * ctx.t**k,
+        )
+
+    s, off = _strip(text)
+    with _shifted(off):
+        slash = next((i for i, ch in _top_level(s) if ch == "/"), len(s))
+        num = tpoly(s[:slash])
+        if slash == len(s):
+            return num
+        with _shifted(slash + 1):
+            den = tpoly(s[slash + 1 :])
+            if not den:
+                raise LiteralError("zero denominator", 0)
+    return num / den
+
+
 def elem_from_literal(ctx, text):
     if isinstance(ctx, FiniteFieldCtx):
         return finite_elem_from_literal(ctx, text)
     return funcfield_elem_from_literal(ctx, text)
+
+
+def _strip(text):
+    """text without spaces and enclosing parentheses, and the number of
+    parentheses taken off its front."""
+    s = text.replace(" ", "")
+    off = 0
+    while s.startswith("(") and _matching_paren(s, 0) == len(s) - 1:
+        s, off = s[1:-1], off + 1
+    return s, off
+
+
+@contextmanager
+def _shifted(offset):
+    """Move the position of a LiteralError raised inside by offset."""
+    try:
+        yield
+    except LiteralError as exc:
+        raise LiteralError(exc.reason, exc.pos + offset) from None
+
+
+def _signed_terms(s):
+    """(sign, term, start) for the terms of s between its top-level + and -."""
+    out, sign, start = [], 1, 0
+    for i, ch in _top_level(s):
+        if ch not in "+-":
+            continue
+        if i > 0:
+            if i == start:
+                raise LiteralError("empty term", i)
+            out.append((sign, s[start:i], start))
+        sign, start = (-1 if ch == "-" else 1), i + 1
+    if start >= len(s):
+        raise LiteralError("trailing operator", len(s) - 1)
+    out.append((sign, s[start:], start))
+    return out
+
+
+def _top_level(s):
+    """(index, character) for each character of s outside parentheses;
+    LiteralError if the parentheses do not balance."""
+    depth = 0
+    for i, ch in enumerate(s):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise LiteralError("unbalanced parenthesis", i)
+        elif depth == 0:
+            yield i, ch
+    if depth:
+        raise LiteralError("unbalanced parenthesis", len(s) - 1)
+
+
+def _power(s, var):
+    """k if s is var or var^k, else None."""
+    m = re.fullmatch(var + r"(?:\^(\d+))?", s)
+    return None if m is None else int(m[1] or 1)
+
+
+def _matching_paren(s, i):
+    depth = 0
+    for j in range(i, len(s)):
+        if s[j] == "(":
+            depth += 1
+        elif s[j] == ")":
+            depth -= 1
+            if depth == 0:
+                return j
+    return -1
 
 
 # -------------------------------------------------------------- field spec -

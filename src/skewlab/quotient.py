@@ -126,13 +126,20 @@ def subspace_nuclei(amb, span, scalars=(), budget=linalg.DEFAULT_BUDGET):
     object with p, dim, left_mult_matrix(v) and right_mult_matrix(v)).
 
     Il = {g : gS <= S} and Ir = {g : Sg <= S} are taken on S itself.  C and
-    Z are taken on the normalised S' = u^-1 S, u the first spanning vector
-    whose left multiplication L_u is invertible, else the first unit in
+    Z are taken on the normalised S' = u^-1 S, u the first unit of
     linalg.first_invertible's scan of S (at most budget ranks; ValueError
-    if S holds no unit).  C is the
-    centraliser of S' and of the scalars (vectors of amb), and Z = C cap
-    Il(S').  Every set is the kernel of a linear system; v lies in S iff
-    Q v = 0 for the complement rows Q, and in S' iff Q L_u v = 0.
+    if S holds no unit).  C is the centraliser of S' and of the scalars
+    (vectors of amb), and Z = C cap Il(S').  Every set is the kernel of a
+    linear system; v lies in S iff Q v = 0 for the complement rows Q, and
+    in S' iff Q L_u v = 0.
+
+    C and Z do not depend on the unit (amb is associative: R_F or a matrix
+    algebra).  For units u, v of S let w = v^-1 u.
+    Then w^-1 = u^-1 v lies in u^-1 S, and w is a polynomial in w^-1, so
+    u^-1 S and v^-1 S = w u^-1 S generate the same subalgebra and have the
+    same centraliser C.  Each g in C commutes with w, so g lies in
+    Il(v^-1 S) = w Il(u^-1 S) w^-1 exactly when g lies in Il(u^-1 S): Z is
+    the same too.
     """
     p, dim = amb.p, amb.dim
     span = np.array(span, dtype=np.int64) % p
@@ -144,18 +151,12 @@ def subspace_nuclei(amb, span, scalars=(), budget=linalg.DEFAULT_BUDGET):
     mults = np.array([amb.left_mult_matrix(v) for v in span]) % p
     il = kernel([Q @ amb.right_mult_matrix(v) for v in span])
     ir = kernel([Q @ L for L in mults])
-    # [L_u | span^T] reduces to [I | L_u^-1 span^T] iff L_u is invertible
-    for L_u in mults:
-        R, pivots = linalg.np_rref(np.hstack([L_u, span.T]), p)
-        if pivots == list(range(dim)):
-            break
-    else:
-        index = linalg.first_invertible(mults, p, budget)
-        if index is None:
-            raise ValueError("the subspace holds no unit; cannot normalise")
-        L_u = linalg.family_members(mults, [index], p)[0] % p
-        R = linalg.np_rref(np.hstack([L_u, span.T]), p)[0]
-    normalised = R[:, dim:].T
+    index = linalg.first_invertible(mults, p, budget)
+    if index is None:
+        raise ValueError("the subspace holds no unit; cannot normalise")
+    L_u = linalg.family_members(mults, [index], p)[0] % p
+    # [L_u | span^T] reduces to [I | L_u^-1 span^T] as L_u is invertible
+    normalised = linalg.np_rref(np.hstack([L_u, span.T]), p)[0][:, dim:].T
     c = kernel(
         [amb.right_mult_matrix(v) - amb.left_mult_matrix(v)
          for v in [*normalised, *scalars]]

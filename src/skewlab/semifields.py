@@ -434,9 +434,9 @@ def nuclei(alg, budget=linalg.DEFAULT_BUDGET):
     M_dim(F_p), N_r is the centraliser of the normalised spread set and the
     base field scalars ((ab)z = a(bz) for all a, b says R_z commutes with
     every L_a), and the centre is its intersection with N_l, all from
-    quotient.subspace_nuclei.  Normalising by an invertible L_a (searched
-    for within budget ranks when no basis element gives one) puts the
-    identity in the spread set, unital or not.  The systems are solved once
+    quotient.subspace_nuclei.  Normalising by the first invertible L_a of a
+    scan of the spread set (within budget ranks) puts the identity in the
+    spread set, unital or not.  The systems are solved once
     per algebra and budget, and zero_divisor_scan scans the orbits of N_l.
     """
     try:

@@ -9,8 +9,8 @@ from . import linalg
 from .fields import (
     FieldError,
     FiniteFieldCtx,
-    LiteralError,
     elem_from_literal,
+    parse_poly,
     poly_to_literal,
 )
 from .polyring import NEG_INF, Poly, exact_power, irreducible_over
@@ -502,23 +502,20 @@ class NormIdentityResult:
 def norm_identity_check(f, rep):
     """Check N_{L/K}(f_0) = (-1)^(s*ell*(n-1)) * F_0^ell exactly.
 
-    Over finite contexts the irreducibility precondition is verified; over
-    function fields it is reported unchecked and the identity still evaluated.
+    The identity holds for irreducible f.  None means it makes no claim:
+    ell is undefined, deg f != s*ell, or f is reducible over a finite
+    context.  Over function fields irreducibility is not decided; the
+    result says so and the identity is still evaluated.
     """
     from .fields import AutMap, norm_to_fixed
 
     ctx = f.ctx
-    if rep.ell is None:
-        raise ValueError("bound report carries no ell; f may be reducible")
     s = rep.F.s
-    if f.degree != s * rep.ell:
-        raise ValueError("deg f != s*ell; norm identity needs an irreducible f")
-    if isinstance(ctx, FiniteFieldCtx):
-        checked = True
-        if not is_irreducible(f):
-            raise ValueError("norm identity requires an irreducible f")
-    else:
-        checked = False
+    if rep.ell is None or f.degree != s * rep.ell:
+        return None
+    checked = isinstance(ctx, FiniteFieldCtx)
+    if checked and not is_irreducible(f):
+        return None
     n = ctx.n
     sigma = AutMap.sigma_power(ctx, 1)
     lhs = norm_to_fixed(f.constant_coeff, sigma)
@@ -538,59 +535,14 @@ def skew_to_literal(f):
 
 
 def skew_from_literal(ctx, text):
-    """Parse the x-polynomial literal grammar (terms c*x^i joined by +)."""
-    from .fields import _signed_terms, _strip_outer
-
-    s = text.replace(" ", "")
-    if not s:
-        raise LiteralError("empty polynomial literal")
-    acc = SkewPoly.zero(ctx)
-    for sign, term, pos in _signed_terms(s):
-        coef_s, k = _split_x_part(term, pos)
-        if coef_s is None:
-            coef = ctx.one
-        else:
-            coef_s = _strip_outer(coef_s)
-            coef = elem_from_literal(ctx, coef_s)
-        mono = SkewPoly.monomial(ctx, coef, k)
-        acc = acc + mono if sign > 0 else acc - mono
-    return acc
-
-
-def _split_x_part(term, pos):
-    """Return (coefficient literal or None, power of x) for one term."""
-    depth = 0
-    for i, ch in enumerate(term):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "*" and depth == 0:
-            rest = term[i + 1 :]
-            if rest == "x":
-                return term[:i], 1
-            if rest.startswith("x^") and rest[2:].isdigit():
-                return term[:i], int(rest[2:])
-    if term == "x":
-        return None, 1
-    if term.startswith("x^") and term[2:].isdigit():
-        return None, int(term[2:])
-    if "x" in _outside_parens(term):
-        raise LiteralError(f"bad term {term!r}", pos)
-    return term, 0
-
-
-def _outside_parens(s):
-    out = []
-    depth = 0
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0:
-            out.append(ch)
-    return "".join(out)
+    """Parse an x-polynomial literal: terms c*x^k with any field literal c."""
+    return parse_poly(
+        text,
+        "x",
+        lambda c: elem_from_literal(ctx, c),
+        SkewPoly.zero(ctx),
+        lambda c, k: SkewPoly.monomial(ctx, c, k),
+    )
 
 
 def central_to_literal(cp):

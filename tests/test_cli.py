@@ -441,3 +441,58 @@ def test_an_invalid_spec_whose_rerun_passes_the_budget_exits_3(capsys, tmp_path)
     assert code == 3 and not out and "budget" in err
     code, out, _ = run_cli(capsys, "verify", "--spec", path)
     assert code == 0 and json.loads(out)["mrd"]["checked"] == 810
+
+
+@pytest.mark.parametrize("poly", ["x^2+1", "x^7+w*x+1", "x^8+w*x+1"])
+def test_bound_of_a_reducible_poly_reports_no_norm_identity(capsys, poly):
+    # the norm identity needs an irreducible f; for a reducible one the
+    # bound is still reported, with "norm_identity": null
+    code, out, err = run_cli(
+        capsys, "bound", "--field", "finite:p=2,e=1,n=3", "--poly", poly
+    )
+    assert code == 0 and not err
+    report = json.loads(out)
+    assert report["norm_identity"] is None
+    if poly == "x^2+1":
+        assert (report["F"], report["ell"], report["m"]) == ("y^2+1", 1, 3)
+
+
+FF8_D = {
+    "family": "D",
+    "field": {"kind": "funcfield", "r": 3},
+    "F": ["(t^6+t^4+t^2+1)/(t^6+t^5+t^3+t+1)", "1"],
+    "k": 1,
+    "gamma": "t+1",
+    "f": "x^2+(t^2+1)/(t^2+t+1)",
+}
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({**D412, "gamma": "w^^2"}, "bad term 'w^^2' (at position 0)"),
+        ({**D412, "family": "S", "eta": "1++w"}, "empty term (at position 2)"),
+        ({**D412, "F": ["w^", 1]}, "bad term 'w^' (at position 0)"),
+        ({**FF8_D, "F": ["(t^6+t^4+t^2+1)/(t^6+)", "1"]},
+         "trailing operator (at position 20)"),
+        ({**FF8_D, "f": "x^2+(t^2+1)/(t^2+t+1"}, "unbalanced parenthesis"),
+        ({**FF8_D, "gamma": "t+1/0"}, "zero denominator (at position 4)"),
+    ],
+)
+def test_malformed_spec_literal_is_a_usage_error_naming_a_position(
+    capsys, tmp_path, spec, message
+):
+    code, out, err = run_cli(
+        capsys, "verify", "--spec", write_spec(tmp_path, spec),
+        "--mode", "sampled", "--samples", "1", "--seed", "3",
+    )
+    assert code == 2 and not out
+    assert err.startswith("error: ") and message in err and "position" in err
+    assert "Traceback" not in err
+
+
+def test_gamma_in_enclosing_parentheses_gives_the_d412_report(capsys, tmp_path):
+    golden = (Path(__file__).parent / "golden" / "verify_d412.json").read_text()
+    spec = write_spec(tmp_path, {**D412, "gamma": "((w))"})
+    code, out, _ = run_cli(capsys, "verify", "--spec", spec)
+    assert code == 0 and out == golden
