@@ -158,7 +158,6 @@ def cmd_verify(args):
 
 def _verify_semifield(args, spec_dict):
     """Semifield-spec verification: zero-divisor scan, nuclei, newness."""
-    from .fields import AutMap, is_square_in_base, norm_to_fixed
     from .semifields import (
         StarDSpec,
         StarSPrimeSpec,
@@ -184,8 +183,7 @@ def _verify_semifield(args, spec_dict):
         valid = True
     else:
         star = StarDSpec(qctx, code_spec.gamma, enforce_norm=False)
-        ngam = norm_to_fixed(code_spec.gamma, AutMap.sigma_power(ctx, 1))
-        valid = not is_square_in_base(ngam)
+        valid = not ctx.is_square_in_K(ctx.norm(code_spec.gamma))
     alg = algebra_for_star(star)
     scan = zero_divisor_scan(alg, budget=_budget(args))
     unital = has_two_sided_unit(alg)

@@ -22,7 +22,6 @@ from .fields import (
     FiniteFieldCtx,
     elem_from_literal,
     field_from_spec,
-    is_square_in_base,
     norm_to_fixed,
     spec_int,
     spec_list,
@@ -57,29 +56,16 @@ class SCodeSpec:
         self.eta = eta
         self.rho = rho
         self.skl = qctx.s * qctx.ell * k
-        ctx = qctx.ctx
-        if isinstance(ctx, FiniteFieldCtx):
-            self._kprime_exp = math.gcd(rho.exp, ctx.e)
-        else:
-            self._kprime_exp = None  # K' = K: rho is a sigma power
+        # K' = Fix(<sigma, rho>)
+        self.kprime = rho.join(AutMap.sigma_power(qctx.ctx, 1))
 
     def norm_L_to_Kprime(self, a):
-        ctx = self.qctx.ctx
-        if isinstance(ctx, FiniteFieldCtx):
-            return norm_to_fixed(a, AutMap.frobenius_power(ctx, self._kprime_exp))
-        return norm_to_fixed(a, AutMap.sigma_power(ctx, 1))
+        return norm_to_fixed(a, self.kprime)
 
     def norm_K_to_Kprime(self, c):
-        ctx = self.qctx.ctx
-        if isinstance(ctx, FiniteFieldCtx):
-            eprime = self._kprime_exp
-            acc = c
-            cur = c
-            for _ in range(ctx.e // eprime - 1):
-                cur = ctx.frobenius(cur, eprime)
-                acc = acc * cur
-            return acc
-        return c
+        """N_{K/K'}(c): the generator of <sigma, rho> restricted to K
+        generates Gal(K/K'), of order |<sigma, rho>| / n."""
+        return norm_to_fixed(c, self.kprime, self.kprime.order() // self.qctx.ctx.n)
 
 
 class DCodeSpec:
@@ -99,7 +85,7 @@ class DCodeSpec:
         self.skl = qctx.s * qctx.ell * k
         ctx = qctx.ctx
         self._lp_basis = (
-            ctx.fixed_basis(ctx._sig * self.t)
+            ctx.fixed_basis(ctx.sig * self.t)
             if isinstance(ctx, FiniteFieldCtx)
             else None
         )
@@ -133,9 +119,8 @@ def validate_d(spec):
     if spec.in_Lprime(spec.gamma):
         return False
     sign = ctx.minus_one if spec.skl % 2 else ctx.one
-    ngam = norm_to_fixed(spec.gamma, AutMap.sigma_power(ctx, 1))
-    value = sign * qctx.F.F0 ** (spec.k * qctx.ell) * ngam
-    return not is_square_in_base(value, ctx)
+    value = sign * qctx.F.F0 ** (spec.k * qctx.ell) * ctx.norm(spec.gamma)
+    return not ctx.is_square_in_K(value)
 
 
 def validate(spec):

@@ -9,7 +9,7 @@ checkable identity around these examples is verified exactly here.
 
 from math import comb
 
-from .fields import AutMap, FunctionFieldCtx, is_square_in_base, norm_to_fixed
+from .fields import FunctionFieldCtx
 from .skewpoly import SkewPoly, bound, left_divides, right_divides
 
 
@@ -158,11 +158,11 @@ def verify_gamma_example(inst, gamma=None):
         return False
     if ctx.theta(ratio) != gamma / (ctx.t * inst.f0):
         return False
-    ngam = norm_to_fixed(gamma, AutMap.sigma_power(ctx, 1))
+    ngam = ctx.norm(gamma)
     expected = (ctx.one + ctx.t) ** ctx.n / ctx.t**inst.r
     if ngam != expected:
         return False
-    return not is_square_in_base(ngam, ctx)
+    return not ctx.is_square_in_K(ngam)
 
 
 def verify_sff_rewrite(inst):

@@ -5,11 +5,15 @@ and the rational function fields L = F_{2^r}(t) with sigma = theta o tau
 (theta: t -> 1/t, tau the coefficient Frobenius), whose fixed field is
 K = F_2(s_ff) for s_ff = (t^2+1)/t.
 
+Both families are Towers: each supplies its cyclic automorphism group
+(aut, aut_order, the exponent sig of sigma) and a square test in K, and
+sigma, K-membership and the norm N_{L/K} are defined once on Tower.
 Finite elements are coordinate vectors over the prime field; function field
 elements are reduced fractions.  Contexts are immutable after construction
 and all operations are pure.
 """
 
+import math
 import re
 from contextlib import contextmanager
 
@@ -309,20 +313,49 @@ def canonical_irreducible(fp, d):
     raise ValueError(f"no irreducible of degree {d} over F_{p}")
 
 
-class FiniteFieldCtx(GFCtx):
+class Tower:
+    """The interface both field families share: L with sigma of order n and
+    its fixed field K.
+
+    A family supplies aut(a, k), the k-th power of a generator of a cyclic
+    group of automorphisms of L (Frobenius over a finite field, sigma over
+    F_(2^r)(t)); aut_order, that group's order; sig, the exponent with
+    sigma = aut^sig; and is_square_in_K.  Everything else about sigma and
+    the norm N_{L/K} is defined here, once.
+    """
+
+    def sigma(self, a):
+        return self.aut(a, self.sig)
+
+    def sigma_pow(self, a, i):
+        return self.aut(a, self.sig * i)
+
+    def is_in_K(self, a):
+        return self.sigma(a) == a
+
+    def norm(self, a):
+        """N_{L/K}(a) = a sigma(a) ... sigma^(n-1)(a)."""
+        return norm_to_fixed(a, AutMap.sigma_power(self, 1))
+
+    def _check_in_K(self, a):
+        if not self.is_in_K(a):
+            raise FieldError("element does not lie in the base field K")
+
+
+class FiniteFieldCtx(GFCtx, Tower):
     """Cyclic tower F_q <= F_{q^n} with sigma(a) = a^(q^j), gcd(j, n) = 1.
 
     L is realised as F_p[w]/(modulus) of degree e*n over the prime field;
-    K is the sigma-fixed subfield of order q = p^e.
+    K is the sigma-fixed subfield of order q = p^e.  The tower's cyclic
+    group is Gal(L/F_p), generated by a -> a^p, and sigma = Frob^(e*j).
     """
 
     kind = "finite"
+    aut = GFCtx.frobenius
 
     def __init__(self, p, e, n, sigma_exp=1, modulus=None):
         if e < 1 or n < 1:
             raise FieldError("e and n must be positive")
-        import math
-
         if math.gcd(sigma_exp, n) != 1:
             raise FieldError("sigma exponent must be coprime to n")
         if modulus is not None and e != 1:
@@ -332,7 +365,8 @@ class FiniteFieldCtx(GFCtx):
         self.n = n
         self.q = p**e
         self.sigma_exp = sigma_exp
-        self._sig = (e * sigma_exp) % self.dim if self.dim > 1 else 0
+        self.aut_order = self.dim
+        self.sig = (e * sigma_exp) % self.dim if self.dim > 1 else 0
         # sigma must have order exactly n on L: check on the field generator
         w = self.gen
         if self.sigma_pow(w, n) != w:
@@ -341,33 +375,28 @@ class FiniteFieldCtx(GFCtx):
             if n % d == 0 and self.sigma_pow(w, d) == w:
                 raise FieldError("sigma has order smaller than n")
         # fixed field of sigma = K, checked as an F_p-dimension count
-        self.k_basis = self.fixed_basis(self._sig)
+        self.k_basis = self.fixed_basis(self.sig)
         if len(self.k_basis) != e:
             raise FieldError("fixed field of sigma does not have order q")
 
     def describe(self):
         return f"F_{self.p}^{self.e * self.n} tower(q={self.q}, n={self.n})"
 
-    def _aut_matrix(self, frob_exp):
-        """Matrix (columns = basis images) of a -> a^(p^frob_exp) over F_p."""
-        cols = [self.frobenius(b, frob_exp).coeffs for b in self.basis]
-        return np.array(cols, dtype=np.int64).T
-
     def fixed_basis(self, frob_exp):
         """F_p-basis of Fix(a -> a^(p^frob_exp)): the echelon rows of the
-        kernel of that map minus the identity."""
-        mat = self._aut_matrix(frob_exp) - np.eye(self.dim, dtype=np.int64)
+        kernel of that map (columns = basis images) minus the identity."""
+        cols = [self.frobenius(b, frob_exp).coeffs for b in self.basis]
+        mat = np.array(cols, dtype=np.int64).T - np.eye(self.dim, dtype=np.int64)
         ker = np_kernel(mat % self.p, self.p)
         return [FFElem(self, tuple(int(c) for c in row)) for row in ker]
 
-    def sigma(self, a):
-        return self.frobenius(a, self._sig)
-
-    def sigma_pow(self, a, i):
-        return self.frobenius(a, (self._sig * i) % self.dim)
-
-    def is_in_K(self, a):
-        return self.sigma(a) == a
+    def is_square_in_K(self, a):
+        """Euler's criterion in K of odd order; in even order every element
+        is a square."""
+        self._check_in_K(a)
+        if not a or self.q % 2 == 0:
+            return True
+        return a ** ((self.q - 1) // 2) == self.one
 
     def mult_matrix(self, a):
         """F_p-matrix of left multiplication by a on L."""
@@ -377,21 +406,23 @@ class FiniteFieldCtx(GFCtx):
 # ------------------------------------------------------- function field ----
 
 
-class FunctionFieldCtx:
+class FunctionFieldCtx(Tower):
     """L = F_{2^r}(t) with sigma = theta o tau, of order n = 2r; r odd >= 3.
 
     K = Fix(L, sigma) = F_2(s_ff) with s_ff = (t^2+1)/t.  Elements are
     reduced FracElems over GF(2^r)[t].  A coordinate field K0 = F_2(s)
-    (an abstract copy of K) backs the L-over-K linear algebra.
+    (an abstract copy of K) backs the L-over-K linear algebra.  The
+    tower's cyclic group is <sigma> itself.
     """
 
     kind = "funcfield"
+    sig = 1
 
     def __init__(self, r):
         if r < 3 or r % 2 == 0:
             raise FieldError("r must be an odd integer >= 3")
         self.r = r
-        self.n = 2 * r
+        self.n = self.aut_order = 2 * r
         self.p = 2
         self.coeff_field = GFCtx(2, r)
         self.rat = RatFuncCtx(self.coeff_field, "t")
@@ -432,18 +463,35 @@ class FunctionFieldCtx:
             rden = rden.shift(dn - dd)
         return FracElem(self.rat, rnum, rden)
 
-    def sigma(self, a):
-        return self.theta(self.tau(a))
-
-    def sigma_pow(self, a, i):
+    def aut(self, a, i):
+        """sigma^i(a) = theta^i(tau^i(a)): tau and theta commute."""
         i %= self.n
         out = self.tau(a, i % self.r)
         if i % 2:
             out = self.theta(out)
         return out
 
-    def is_in_K(self, a):
-        return self.sigma(a) == a
+    def is_square_in_K(self, a):
+        """An element of K is a square in K iff it is a square in L, iff
+        its reduced numerator and denominator carry only even powers of t;
+        the square root is built from coefficient roots and checked by
+        squaring."""
+        self._check_in_K(a)
+        if not a:
+            return True
+        cf = self.coeff_field
+
+        def root_of(poly):
+            if any(poly.coeffs[1::2]):
+                return None
+            return Poly(cf, (cf.sqrt(c) for c in poly.coeffs[::2]))
+
+        rn = root_of(a.num)
+        rd = root_of(a.den)
+        if rn is None or rd is None:
+            return False
+        candidate = FracElem(self.rat, rn, rd)
+        return candidate * candidate == a
 
     def elem(self, num_coeffs, den_coeffs=(1,)):
         cf = self.coeff_field
@@ -556,18 +604,14 @@ class FunctionFieldCtx:
 
 
 class AutMap:
-    """An automorphism of L: a Frobenius power a -> a^(p^exp) in the finite
-    case, a power of sigma in the function field case."""
+    """The automorphism ctx.aut(., exp) of L: a Frobenius power a -> a^(p^exp)
+    over a finite field, a power of sigma over F_(2^r)(t)."""
 
     __slots__ = ("ctx", "exp")
 
     def __init__(self, ctx, exp):
-        if isinstance(ctx, FiniteFieldCtx):
-            exp %= ctx.dim if ctx.dim > 0 else 1
-        else:
-            exp %= ctx.n
         self.ctx = ctx
-        self.exp = exp
+        self.exp = exp % ctx.aut_order
 
     @classmethod
     def identity(cls, ctx):
@@ -581,31 +625,30 @@ class AutMap:
 
     @classmethod
     def sigma_power(cls, ctx, k):
-        if isinstance(ctx, FiniteFieldCtx):
-            return cls(ctx, ctx._sig * k)
-        return cls(ctx, k)
+        return cls(ctx, ctx.sig * k)
 
     def apply(self, a):
         if a.ctx is not self.ctx and getattr(a, "ctx", None) is not getattr(
             self.ctx, "rat", None
         ):
             raise FieldError("element does not belong to this automorphism's field")
-        if isinstance(self.ctx, FiniteFieldCtx):
-            return self.ctx.frobenius(a, self.exp)
-        return self.ctx.sigma_pow(a, self.exp)
+        return self.ctx.aut(a, self.exp)
 
     def order(self):
-        import math
-
-        if isinstance(self.ctx, FiniteFieldCtx):
-            d = self.ctx.dim
-            return d // math.gcd(self.exp, d) if self.exp else 1
-        return self.ctx.n // math.gcd(self.exp, self.ctx.n) if self.exp else 1
+        n = self.ctx.aut_order
+        return n // math.gcd(self.exp, n)
 
     def compose(self, other):
         if self.ctx is not other.ctx:
             raise FieldError("automorphism context mismatch")
         return AutMap(self.ctx, self.exp + other.exp)
+
+    def join(self, other):
+        """The generator of <self, other>, whose fixed field is
+        Fix(self) cap Fix(other)."""
+        if self.ctx is not other.ctx:
+            raise FieldError("automorphism context mismatch")
+        return AutMap(self.ctx, math.gcd(self.exp, other.exp, self.ctx.aut_order))
 
     def inverse(self):
         return AutMap(self.ctx, -self.exp)
@@ -614,66 +657,14 @@ class AutMap:
         return self.exp == 0
 
 
-def apply_aut(phi, a):
-    """Image of a under the automorphism phi."""
-    return phi.apply(a)
-
-
-def in_fixed_field(a, sub):
-    """True iff a is fixed by sub."""
-    return sub.apply(a) == a
-
-
-def norm_to_fixed(a, sub):
-    """Product of a over the orbit of <sub>: prod_i a^(sub^i)."""
-    ord_ = sub.order()
-    acc = a
-    cur = a
-    for _ in range(ord_ - 1):
+def norm_to_fixed(a, sub, terms=None):
+    """Product of a over the orbit of <sub>: prod_{i < terms} a^(sub^i),
+    with terms = sub.order() (the whole orbit) by default."""
+    acc = cur = a
+    for _ in range((sub.order() if terms is None else terms) - 1):
         cur = sub.apply(cur)
         acc = acc * cur
     return acc
-
-
-def is_square_in_base(a, ctx=None):
-    """True iff a (an element of the base field K) is a square in K.
-
-    Finite case of odd order: Euler's criterion; even order: every element
-    is a square.  Function field case: an element of K = F_2(s_ff) is a
-    square in K iff it is a square in L, iff the reduced numerator and
-    denominator carry only even powers of t; the square root is built from
-    coefficient roots and verified by squaring.
-    """
-    if isinstance(a, FFElem):
-        ctx = a.ctx
-        if not isinstance(ctx, FiniteFieldCtx):
-            raise FieldError("element has no tower structure")
-        if not ctx.is_in_K(a):
-            raise FieldError("element does not lie in the base field K")
-        if not a:
-            return True
-        if ctx.q % 2 == 0:
-            return True
-        return a ** ((ctx.q - 1) // 2) == ctx.one
-    if ctx is None:
-        raise FieldError("function field elements need the context argument")
-    if not ctx.is_in_K(a):
-        raise FieldError("element does not lie in the base field K")
-    if not a:
-        return True
-    cf = ctx.coeff_field
-
-    def root_of(poly):
-        if any(poly.coeffs[i] for i in range(1, len(poly.coeffs), 2)):
-            return None
-        return Poly(cf, (cf.sqrt(c) for c in poly.coeffs[::2]))
-
-    rn = root_of(a.num)
-    rd = root_of(a.den)
-    if rn is None or rd is None:
-        return False
-    candidate = FracElem(ctx.rat, rn, rd)
-    return candidate * candidate == a
 
 
 # ---------------------------------------------------------------- literals -

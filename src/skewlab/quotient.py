@@ -23,14 +23,7 @@ from itertools import islice
 import numpy as np
 
 from . import linalg
-from .fields import (
-    AutMap,
-    FieldError,
-    FiniteFieldCtx,
-    FunctionFieldCtx,
-    GFCtx,
-    norm_to_fixed,
-)
+from .fields import FieldError, FiniteFieldCtx, FunctionFieldCtx, GFCtx
 from .modpoly import digits
 from .polyring import Poly, prime_divisors
 from .skewpoly import (
@@ -257,29 +250,33 @@ class QuotCtx:
 
     def _find_divisor(self, budget):
         """First monic degree-s right divisor of F(x^n), in lexicographic
-        coefficient order; the norm identity on the constant coefficient is
-        a necessary condition and is used as a cheap filter.  Trying more
-        than budget candidates raises BudgetExceeded."""
+        coefficient order with the constant coefficient most significant.
+        The norm identity on the constant coefficient is a necessary
+        condition, tested once per constant: one that fails it skips its
+        whole block of order^(s-1) candidates.  Reaching the candidate of
+        index budget raises BudgetExceeded."""
         ctx = self.ctx
         s = self.s
-        sigma = AutMap.sigma_power(ctx, 1)
-        exponent = s * (ctx.n - 1)
-        sign = ctx.minus_one if exponent % 2 else ctx.one
+        sign = ctx.minus_one if s * (ctx.n - 1) % 2 else ctx.one
         target = sign * self.F.F0
         order = ctx.order
-        for idx in range(order**s):
-            if idx == budget:
-                raise linalg.BudgetExceeded(
-                    f"no right divisor f within the budget {budget} of candidates"
-                )
-            coeffs = [ctx.elem_from_index(d) for d in digits(idx, order, s)]
-            if not coeffs[0]:
+        block = order ** (s - 1)
+        over = linalg.BudgetExceeded(
+            f"no right divisor f within the budget {budget} of candidates"
+        )
+        for hi in range(1, order):
+            c0 = ctx.elem_from_index(hi)
+            if ctx.norm(c0) != target:
                 continue
-            if norm_to_fixed(coeffs[0], sigma) != target:
-                continue
-            f = SkewPoly(ctx, coeffs + [ctx.one])
-            if right_divides(f, self.F_skew):
-                return f
+            for lo in range(block):
+                if hi * block + lo >= budget:
+                    raise over
+                coeffs = [ctx.elem_from_index(d) for d in digits(lo, order, s - 1)]
+                f = SkewPoly(ctx, [c0] + coeffs + [ctx.one])
+                if right_divides(f, self.F_skew):
+                    return f
+        if budget < order**s:
+            raise over
         raise RuntimeError("no monic degree-s right divisor found")
 
     # ------------------------------------------------------------- basics --

@@ -13,19 +13,12 @@ quotient.subspace_nuclei solves as linear systems (never order^3
 associativity loops).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .fields import (
-    AutMap,
-    FieldError,
-    FiniteFieldCtx,
-    is_square_in_base,
-    norm_to_fixed,
-)
+from .fields import AutMap, FieldError, FiniteFieldCtx, norm_to_fixed
 from .polyring import Poly, ext_gcd
 from .quotient import (
     FiniteAlgebra,
@@ -60,36 +53,31 @@ class StarSSpec:
         self.eta = eta
         self.rho = rho
         self.f0 = qctx.f.constant_coeff
-        if isinstance(ctx, FiniteFieldCtx):
-            kprime_exp = math.gcd(rho.exp, ctx.e)
-            nrm = norm_to_fixed(
-                eta * self.f0, AutMap.frobenius_power(ctx, kprime_exp)
-            )
-        else:
-            if rho.exp % ctx.n:
-                raise FieldError(
-                    "function-field star_S is only supported for rho = id"
-                )
-            nrm = norm_to_fixed(eta * self.f0, AutMap.sigma_power(ctx, 1))
-        if nrm == ctx.one:
+        if not isinstance(ctx, FiniteFieldCtx) and not rho.is_identity():
+            raise FieldError("function-field star_S is only supported for rho = id")
+        # K' = Fix(<sigma, rho>)
+        self.kprime = rho.join(AutMap.sigma_power(ctx, 1))
+        c = eta * self.f0
+        if norm_to_fixed(c, self.kprime) == ctx.one:
             raise ValueError("N(eta*f0) = 1: tau_eta is not invertible")
-        if isinstance(ctx, FiniteFieldCtx):
-            eye = np.eye(ctx.dim, dtype=np.int64)
-            m_t = (
-                eye
-                - ctx.mult_matrix(eta * self.f0) @ ctx._aut_matrix(rho.exp)
-            ) % ctx.p
-            self._tau_inv = linalg.np_inv(m_t, ctx.p)
-        else:
-            self._tau_inv_scalar = (ctx.one - eta * self.f0).inverse()
+        # tau_eta = 1 - c rho, and (c rho)^i(a) = c_i rho^i(a) with
+        # c_i = c rho(c) ... rho^(i-1)(c), so (c rho)^r = N_rho(c) for
+        # r = rho.order() and tau_eta^-1 = (1 - N_rho(c))^-1 sum_{i<r} (c rho)^i.
+        # N_rho(c) != 1 because N_{L/K'}(c) = N_{Fix(rho)/K'}(N_rho(c)) != 1.
+        terms, c_i = [], ctx.one
+        for i in range(rho.order()):
+            rho_i = AutMap(ctx, rho.exp * i)
+            terms.append((c_i, rho_i))
+            c_i = c_i * rho_i.apply(c)
+        scale = (ctx.one - c_i).inverse()  # c_r = N_rho(c)
+        self._tau_inv = [(scale * b, rho_i) for b, rho_i in terms]
 
     def decode_a0(self, c0):
         """tau_eta^{-1}: recover a_0 from the stored constant term."""
-        ctx = self.qctx.ctx
-        if isinstance(ctx, FiniteFieldCtx):
-            vec = (self._tau_inv @ np.array(c0.coeffs, dtype=np.int64)) % ctx.p
-            return ctx.elem(tuple(int(v) for v in vec))
-        return c0 * self._tau_inv_scalar
+        acc = self.qctx.ctx.zero
+        for c_i, rho_i in self._tau_inv:
+            acc = acc + c_i * rho_i.apply(c0)
+        return acc
 
     def lift(self, a):
         """phi_S(a) = a + eta a_0^rho f, an element of the k=1 S-code."""
@@ -138,7 +126,26 @@ class StarSPrimeSpec(StarSSpec):
 # ------------------------------------------------------------- star_D ------
 
 
-class StarDSpec:
+class LprimeSplit:
+    """c = c' + gamma c'' with c', c'' in L' = Fix(sigma^t), n = 2t, for a
+    gamma outside L': the constant-term split of star_D and the pairs of
+    Hughes-Kleinfeld."""
+
+    def __init__(self, ctx, gamma):
+        self.ctx = ctx
+        self.gamma = gamma
+        self.t = ctx.n // 2
+        self._split_den = (gamma - ctx.sigma_pow(gamma, self.t)).inverse()
+
+    def in_subfield(self, a):
+        return self.ctx.sigma_pow(a, self.t) == a
+
+    def split(self, c):
+        c1 = (c - self.ctx.sigma_pow(c, self.t)) * self._split_den
+        return c - self.gamma * c1, c1
+
+
+class StarDSpec(LprimeSplit):
     """star_D: split a_0 = a_0' + gamma a_0'' over L', subtract
     (gamma/f0) a_0'' f, multiply; unital with unit 1.
 
@@ -152,26 +159,17 @@ class StarDSpec:
         if ctx.n % 2:
             raise ValueError("star_D needs even n")
         self.qctx = qctx
-        self.gamma = gamma
-        self.t = ctx.n // 2
+        t = ctx.n // 2
         self.f0 = qctx.f.constant_coeff
         ratio = gamma / self.f0
-        if ctx.sigma_pow(ratio, self.t) == ratio:
+        if ctx.sigma_pow(ratio, t) == ratio:
             raise ValueError("gamma/f0 lies in L'")
-        ngam = norm_to_fixed(gamma, AutMap.sigma_power(ctx, 1))
-        if is_square_in_base(ngam, ctx) and enforce_norm:
+        if ctx.is_square_in_K(ctx.norm(gamma)) and enforce_norm:
             raise ValueError("N(gamma) is a square in K")
-        if ctx.sigma_pow(gamma, self.t) == gamma:
+        if ctx.sigma_pow(gamma, t) == gamma:
             raise ValueError("gamma lies in L'")
-        self._split_den = (gamma - ctx.sigma_pow(gamma, self.t)).inverse()
+        super().__init__(ctx, gamma)
         self.unit = AlgebraElem(qctx, SkewPoly.one(ctx))
-
-    def split(self, c):
-        """c = a' + gamma a'' with a', a'' in L'."""
-        ctx = self.qctx.ctx
-        app = (c - ctx.sigma_pow(c, self.t)) * self._split_den
-        ap = c - self.gamma * app
-        return ap, app
 
     def lift(self, a):
         _, app = self.split(a.rep.constant_coeff)
@@ -187,30 +185,18 @@ class StarDSpec:
 # ------------------------------------------------------ Hughes-Kleinfeld ---
 
 
-class HKParams:
+class HKParams(LprimeSplit):
     """q, t, sigma exponent j, and gamma with gamma^(q^j + 1) = u + v*gamma,
     u, v in F_{q^t}; multiplication on pairs over F_{q^t}."""
 
     def __init__(self, ctx, gamma):
         if not isinstance(ctx, FiniteFieldCtx) or ctx.n % 2:
             raise ValueError("Hughes-Kleinfeld needs a finite field with even n")
-        self.ctx = ctx
-        self.t = ctx.n // 2
-        self.gamma = gamma
-        if ctx.sigma_pow(gamma, self.t) == gamma:
+        if ctx.sigma_pow(gamma, ctx.n // 2) == gamma:
             raise ValueError("gamma must lie outside F_{q^t}")
-        self._split_den = (gamma - ctx.sigma_pow(gamma, self.t)).inverse()
+        super().__init__(ctx, gamma)
         power = ctx.sigma_pow(gamma, 1) * gamma  # gamma^(q^j + 1)
         self.u, self.v = self.split(power)
-
-    def split(self, c):
-        ctx = self.ctx
-        c1 = (c - ctx.sigma_pow(c, self.t)) * self._split_den
-        c0 = c - self.gamma * c1
-        return c0, c1
-
-    def in_subfield(self, a):
-        return self.ctx.sigma_pow(a, self.t) == a
 
 
 def hk_mul(c, d, params):
@@ -242,7 +228,7 @@ def algebra_for_star(spec):
     # K' (= Fix(rho) cap K) for star_S/star_S', K for star_D; each acts on
     # every coefficient slot
     if isinstance(spec, StarSSpec):
-        scalars = ctx.fixed_basis(math.gcd(spec.rho.exp, ctx.e))
+        scalars = ctx.fixed_basis(spec.kprime.exp)
     else:
         scalars = ctx.k_basis
     eye = np.eye(df, dtype=np.int64)
@@ -261,7 +247,7 @@ def algebra_for_star(spec):
 def algebra_for_hk(params):
     """F_{q^t} + F_{q^t} under hk_mul as a FiniteAlgebra."""
     ctx = params.ctx
-    sub = ctx.fixed_basis(ctx._sig * params.t)
+    sub = ctx.fixed_basis(ctx.sig * params.t)
     half = len(sub)
     basis_mat = np.array([b.coeffs for b in sub], dtype=np.int64).T
 

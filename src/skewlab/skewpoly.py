@@ -504,22 +504,19 @@ def norm_identity_check(f, rep):
 
     The identity holds for irreducible f.  None means it makes no claim:
     ell is undefined, deg f != s*ell, or f is reducible over a finite
-    context.  Over function fields irreducibility is not decided; the
+    context.  rep is bound(f), so irreducibility is read off it without a
+    second bound.  Over function fields irreducibility is not decided; the
     result says so and the identity is still evaluated.
     """
-    from .fields import AutMap, norm_to_fixed
-
     ctx = f.ctx
     s = rep.F.s
     if rep.ell is None or f.degree != s * rep.ell:
         return None
     checked = isinstance(ctx, FiniteFieldCtx)
-    if checked and not is_irreducible(f):
+    if checked and not (s == f.degree and central_is_irreducible(rep.F)):
         return None
-    n = ctx.n
-    sigma = AutMap.sigma_power(ctx, 1)
-    lhs = norm_to_fixed(f.constant_coeff, sigma)
-    exponent = s * rep.ell * (n - 1)
+    lhs = ctx.norm(f.constant_coeff)
+    exponent = s * rep.ell * (ctx.n - 1)
     sign = ctx.minus_one if exponent % 2 else ctx.one
     rhs = sign * rep.F.F0**rep.ell
     return NormIdentityResult(lhs == rhs, checked)

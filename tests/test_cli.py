@@ -24,6 +24,26 @@ def test_bound_finite(capsys):
     assert report["norm_identity"]["holds"]
 
 
+def test_bound_computes_the_bound_once(capsys, monkeypatch):
+    # the norm identity reads irreducibility off the report cmd_bound has
+    from skewlab import skewpoly
+
+    calls = []
+    bound = skewpoly.bound
+
+    def counted(f):
+        calls.append(f)
+        return bound(f)
+
+    monkeypatch.setattr(skewpoly, "bound", counted)
+    monkeypatch.setattr(cli, "bound", counted)
+    code, out, _ = run_cli(
+        capsys, "bound", "--field", "finite:p=3,e=1,n=4", "--poly", "x^2+w*x+w^3"
+    )
+    assert code == 0 and json.loads(out)["norm_identity"]["irreducibility_checked"]
+    assert len(calls) == 1
+
+
 def test_bound_funcfield(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -2,6 +2,7 @@
 centralisers, and the newness arithmetic."""
 
 import itertools
+import math
 import random
 import re
 
@@ -712,3 +713,21 @@ def test_nuclear_params_when_no_spanning_word_is_a_unit():
     # the search for a unit codeword is counted against the budget
     with pytest.raises(BudgetExceeded):
         nuclear_params(spec, budget=1)
+
+
+@pytest.mark.parametrize("p,e,n,sigma_exp", [(2, 2, 3, 2), (2, 3, 2, 1), (3, 2, 2, 1)])
+def test_norm_k_to_kprime_is_the_frobenius_orbit_product(p, e, n, sigma_exp):
+    # N_{K/K'}(c) = prod_{i < e/e'} c^(p^(e' i)), e' = gcd(h, e), for every
+    # c in K and every rho = Frob^h
+    from skewlab.fields import FiniteFieldCtx
+
+    ctx = FiniteFieldCtx(p, e, n, sigma_exp)
+    q = QuotCtx(ctx, y_minus_one(ctx))
+    for h in range(ctx.dim):
+        spec = SCodeSpec(q, 1, ctx.one, AutMap.frobenius_power(ctx, h))
+        ep = math.gcd(h, e)
+        for c in base_field_elems(ctx):
+            expected = ctx.one
+            for i in range(e // ep):
+                expected = expected * c ** (p ** (ep * i))
+            assert spec.norm_K_to_Kprime(c) == expected

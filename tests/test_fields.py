@@ -1,6 +1,7 @@
 """Field contexts: arithmetic, automorphisms, norms, squares, literals."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -11,7 +12,6 @@ from skewlab.fields import (
     FiniteFieldCtx,
     FunctionFieldCtx,
     LiteralError,
-    apply_aut,
     elem_from_literal,
     elem_to_literal,
     field_from_inline,
@@ -20,8 +20,6 @@ from skewlab.fields import (
     finite_elem_to_literal,
     funcfield_elem_from_literal,
     funcfield_elem_to_literal,
-    in_fixed_field,
-    is_square_in_base,
     norm_to_fixed,
 )
 
@@ -82,8 +80,8 @@ def test_apply_aut_is_homomorphism():
     rho = AutMap.frobenius_power(ctx, 1)
     for _ in range(30):
         a, b = ctx.random_elem(rng), ctx.random_elem(rng)
-        assert apply_aut(rho, a + b) == apply_aut(rho, a) + apply_aut(rho, b)
-        assert apply_aut(rho, a * b) == apply_aut(rho, a) * apply_aut(rho, b)
+        assert rho.apply(a + b) == rho.apply(a) + rho.apply(b)
+        assert rho.apply(a * b) == rho.apply(a) * rho.apply(b)
 
 
 def test_norm_orbit_product_f8():
@@ -107,11 +105,11 @@ def test_norm_multiplicative():
 
 def test_is_square_finite():
     ctx = finite_ctx(3, 2)
-    assert not is_square_in_base(ctx.from_int(2))
-    assert is_square_in_base(ctx.one)
-    assert is_square_in_base(ctx.zero)
+    assert not ctx.is_square_in_K(ctx.from_int(2))
+    assert ctx.is_square_in_K(ctx.one)
+    assert ctx.is_square_in_K(ctx.zero)
     with pytest.raises(FieldError):
-        is_square_in_base(ctx.gen)  # not in K
+        ctx.is_square_in_K(ctx.gen)  # not in K
 
 
 def test_funcfield_sigma_and_fixed_elements():
@@ -120,10 +118,10 @@ def test_funcfield_sigma_and_fixed_elements():
     assert funcfield_elem_to_literal(ff.sigma(ff.t)) == "(1)/(t)"
     f0 = ff.elem((1, 0, 1), (1, 1, 1))
     assert ff.sigma(f0) == f0
-    assert in_fixed_field(ff.s_ff, sigma)
-    assert not in_fixed_field(ff.t, sigma)
+    assert sigma.apply(ff.s_ff) == ff.s_ff
+    assert sigma.apply(ff.t) != ff.t
     c8 = finite_ctx(2, 3)
-    assert not in_fixed_field(c8.gen, AutMap.sigma_power(c8, 1))
+    assert AutMap.sigma_power(c8, 1).apply(c8.gen) != c8.gen
 
 
 def test_funcfield_norm_of_one_plus_t():
@@ -133,7 +131,7 @@ def test_funcfield_norm_of_one_plus_t():
         gamma = ff.one + ff.t
         expected = (ff.one + ff.t) ** (2 * r) / ff.t**r
         assert norm_to_fixed(gamma, sigma) == expected
-        assert not is_square_in_base(expected, ff)
+        assert not ff.is_square_in_K(expected)
 
 
 def test_funcfield_squares_detected():
@@ -145,7 +143,7 @@ def test_funcfield_squares_detected():
         if not b:
             continue
         a = norm_to_fixed(b, sigma)
-        assert is_square_in_base(a * a, ff)
+        assert ff.is_square_in_K(a * a)
 
 
 def test_funcfield_sigma_squared_is_tau_squared():
@@ -287,4 +285,41 @@ def test_fixed_basis_matches_definition(p, e, n, sigma_exp):
             for c in itertools.product(range(p), repeat=len(basis))
         }
         assert len(span) == p ** len(basis) and span == fixed
-    assert ctx.k_basis == ctx.fixed_basis(ctx._sig) and len(ctx.k_basis) == e
+    assert ctx.k_basis == ctx.fixed_basis(ctx.sig) and len(ctx.k_basis) == e
+
+
+@pytest.mark.parametrize(
+    "p,e,n,sigma_exp", [(2, 2, 3, 2), (2, 2, 2, 1), (3, 2, 2, 1), (2, 1, 6, 5)]
+)
+def test_join_fixes_the_intersection(p, e, n, sigma_exp):
+    # Fix(rho.join(sigma)) = Fix(rho) cap K, counted by fixed_basis dimension
+    ctx = FiniteFieldCtx(p, e, n, sigma_exp)
+    sigma = AutMap.sigma_power(ctx, 1)
+    elems = [ctx.elem_from_index(i) for i in range(ctx.order)]
+    for h in range(ctx.dim):
+        rho = AutMap.frobenius_power(ctx, h)
+        both = sum(1 for a in elems if rho.apply(a) == a and ctx.is_in_K(a))
+        assert p ** len(ctx.fixed_basis(rho.join(sigma).exp)) == both
+        assert rho.join(sigma).exp == math.gcd(h, e)
+
+
+def test_join_with_sigma_over_funcfield_is_sigma():
+    ff = FunctionFieldCtx(3)
+    sigma = AutMap.sigma_power(ff, 1)
+    for k in range(ff.n):
+        assert AutMap.sigma_power(ff, k).join(sigma).exp == 1
+
+
+def test_tower_interface_of_both_families():
+    # sigma = aut^sig inside a cyclic group of order aut_order, and the norm
+    # is the orbit product of sigma
+    rng = random.Random(11)
+    for ctx in (FiniteFieldCtx(2, 2, 3, 2), FunctionFieldCtx(3)):
+        a = random_elem(ctx, rng)
+        assert ctx.sigma(a) == ctx.aut(a, ctx.sig)
+        assert ctx.aut(a, ctx.aut_order) == a
+        assert ctx.sigma_pow(a, ctx.n) == a
+        expected = a
+        for i in range(1, ctx.n):
+            expected = expected * ctx.sigma_pow(a, i)
+        assert ctx.norm(a) == expected and ctx.is_in_K(expected)

@@ -31,7 +31,9 @@ from skewlab.skewpoly import (
     CentralPoly,
     SkewPoly,
     bound,
+    right_divides,
     right_mod,
+    skew_to_literal,
 )
 
 from helpers import (
@@ -481,3 +483,50 @@ def test_certificate_points_lie_outside_gf_2_r(r):
             assert embed[(a * b).coeffs] == embed[a.coeffs] * embed[b.coeffs]
             assert embed[(a + b).coeffs] == embed[a.coeffs] + embed[b.coeffs]
     assert embed[cf.one.coeffs] == E.one
+
+
+def test_divisor_search_skips_whole_norm_blocks():
+    # F_81 with F = y^2 + 1: the norm filter, tested once per constant
+    # coefficient, finds the first right divisor of the unfiltered search,
+    # and the budget counts the skipped candidates as tried
+    ctx = finite_ctx(3, 4)
+    F = CentralPoly.from_coeffs(ctx, [ctx.one, ctx.zero, ctx.one])
+    q = QuotCtx(ctx, F)
+    index = next(
+        i
+        for i in range(ctx.order**2)
+        if right_divides(
+            SkewPoly(ctx, [ctx.elem_from_index(i // ctx.order),
+                           ctx.elem_from_index(i % ctx.order), ctx.one]),
+            q.F_skew,
+        )
+    )
+    f = SkewPoly(ctx, [ctx.elem_from_index(index // ctx.order),
+                       ctx.elem_from_index(index % ctx.order), ctx.one])
+    assert q.f == f and index > ctx.order
+    for budget in range(1, index + 2):
+        if budget <= index:
+            with pytest.raises(BudgetExceeded):
+                q._find_divisor(budget)
+        else:
+            assert q._find_divisor(budget) == f
+
+
+def test_divisor_search_tests_one_norm_per_constant(monkeypatch):
+    # the order-3^16 star_D spec: f = x^2 + w^6, whose constant is the
+    # third nonzero element in index order, so three norms are computed
+    calls = []
+    norm = FiniteFieldCtx.norm
+
+    def counted(ctx, a):
+        calls.append(a)
+        return norm(ctx, a)
+
+    monkeypatch.setattr(FiniteFieldCtx, "norm", counted)
+    spec = code_spec_from_dict(
+        {"family": "D", "field": {"kind": "finite", "p": 3, "e": 1, "n": 8},
+         "F": [1, 0, 1], "k": 1, "gamma": "w"}
+    )
+    assert skew_to_literal(spec.qctx.f) == "x^2+w^6"
+    ctx = spec.qctx.ctx
+    assert calls == [ctx.elem_from_index(i) for i in (1, 2, 3)]

@@ -1,5 +1,6 @@
 """Star products, zero-divisor scans, nuclei, Hughes-Kleinfeld."""
 
+import math
 import random
 
 import numpy as np
@@ -590,3 +591,48 @@ def test_nuclei_search_the_spread_set_for_an_invertible_element():
     zero = FiniteAlgebra(3, 2, to_vec, from_vec, lambda a, b: (ctx.zero, ctx.zero))
     with pytest.raises(ValueError, match="spread set contains no invertible element"):
         nuclei(zero)
+
+
+@pytest.mark.parametrize("p,e,n", [(3, 1, 4), (2, 2, 2)])
+def test_decode_a0_inverts_tau_eta(p, e, n):
+    # tau_eta(a) = a - eta f0 rho(a) undone by the closed form, for every c
+    # in L and every rho = Frob^h whose N_{L/K'}(eta f0) != 1, with
+    # K' = Fix(Frob^gcd(h, e)); the other etas are refused
+    from skewlab.fields import FiniteFieldCtx, norm_to_fixed
+
+    ctx = FiniteFieldCtx(p, e, n)
+    q = QuotCtx(ctx, y_minus_one(ctx))
+    f0 = q.f.constant_coeff
+    elems = [ctx.elem_from_index(i) for i in range(ctx.order)]
+    for h in range(ctx.dim):
+        rho = AutMap.frobenius_power(ctx, h)
+        kprime = AutMap.frobenius_power(ctx, math.gcd(h, e))
+        inverted = 0
+        for eta in elems[1:9]:
+            if norm_to_fixed(eta * f0, kprime) == ctx.one:
+                with pytest.raises(ValueError):
+                    StarSSpec(q, eta, rho)
+                continue
+            spec = StarSSpec(q, eta, rho)
+            for c in elems:
+                a0 = spec.decode_a0(c)
+                assert a0 - eta * f0 * rho.apply(a0) == c
+            inverted += 1
+        # over K' = F_2 every nonzero norm is 1, so no eta qualifies
+        assert inverted or p ** math.gcd(h, e) == 2
+
+
+def test_decode_a0_inverts_tau_eta_over_f8t():
+    from skewlab.fields import FunctionFieldCtx
+    from skewlab.skewpoly import bound
+
+    ff = FunctionFieldCtx(3)
+    x = SkewPoly.x(ff)
+    f = x * x + SkewPoly.constant(ff, ff.elem((1, 0, 1), (1, 1, 1)))
+    q = QuotCtx(ff, bound(f).F, f=f, irreducible_certified=True)
+    eta = ff.t
+    spec = StarSSpec(q, eta, AutMap.identity(ff))
+    rng = random.Random(31)
+    for _ in range(20):
+        c = ff.random_elem(rng)
+        assert spec.decode_a0(c) * (ff.one - eta * q.f.constant_coeff) == c
