@@ -36,6 +36,7 @@ from .quotient import (
     full_rank_certified,
     rank,
     subspace_action,
+    subspace_nuclei,
 )
 from .skewpoly import CentralPoly, SkewPoly
 
@@ -379,7 +380,7 @@ def _idealiser_action(spec, basis, budget):
     # R_w 1 = w, and 1 is the first coordinate vector
     span = [R[:, 0] for R in basis]
     try:
-        il = cached_nuclei(spec, alg, span, budget=budget).il
+        il = cached_nuclei(spec, budget, lambda b: subspace_nuclei(alg, span, b)).il
     except (ValueError, BudgetExceeded):
         return []
     return subspace_action(alg, span, il)
@@ -394,7 +395,7 @@ def nuclear_params(spec, budget=DEFAULT_BUDGET):
     alg = spec.qctx.algebra
     span = [alg.to_vec(w) for w in _spanning_words(spec)]
     try:
-        kernels = cached_nuclei(spec, alg, span, budget=budget)
+        kernels = cached_nuclei(spec, budget, lambda b: subspace_nuclei(alg, span, b))
     except ValueError:
         raise ValueError("no invertible codeword found; cannot normalise") from None
     il, ir, c, z = (alg.p ** len(basis) for basis in kernels)

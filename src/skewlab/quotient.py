@@ -12,9 +12,10 @@ This module also owns the F_p-coordinate layer every exact scan works in:
 vec/unvec (residues as F_p vectors), the residue classes (QuotElem and its
 mod-f subclasses), FiniteAlgebra, an F_p-bilinear product given by its
 structure constants, and subspace_nuclei, the idealiser, centraliser and
-centre systems of a subspace of such an algebra (the nuclear parameters of
-a code and the nuclei of a semifield).  R_F itself is a FiniteAlgebra
-(QuotCtx.algebra).
+centre systems of a subspace of such an algebra, which give the nuclear
+parameters of a code.  R_F itself is a FiniteAlgebra (QuotCtx.algebra).
+The nuclei of a semifield come from their definitions instead, as kernels
+of systems on its structure constants (semifields.nuclei).
 """
 
 from collections import namedtuple
@@ -57,21 +58,19 @@ def unvec(ctx, v, slots):
 
 class FiniteAlgebra:
     """A finite algebra in F_p coordinates: to_vec/from_vec map elements to
-    and from vectors of length dim, mul is F_p-bilinear, and scalar_mats
-    are the matrices of the base field scalars (for the nuclei systems).
+    and from vectors of length dim, and mul is F_p-bilinear.
 
     Every multiplication matrix is a contraction of the structure constants
     T, e_a e_b = sum_k T[a, b, k] e_k, which are built on first use.
     """
 
-    def __init__(self, p, dim, to_vec, from_vec, mul, unit=None, scalar_mats=None):
+    def __init__(self, p, dim, to_vec, from_vec, mul, unit=None):
         self.p = p
         self.dim = dim
         self.to_vec = to_vec
         self.from_vec = from_vec
         self.mul = mul
         self.unit = unit
-        self.scalar_mats = scalar_mats or []
         self._T = None
 
     @property
@@ -113,7 +112,7 @@ class FiniteAlgebra:
 SubspaceNuclei = namedtuple("SubspaceNuclei", "il ir c z")
 
 
-def subspace_nuclei(amb, span, scalars=(), budget=linalg.DEFAULT_BUDGET):
+def subspace_nuclei(amb, span, budget=linalg.DEFAULT_BUDGET):
     """Left/right idealisers, centraliser and centre of the F_p-subspace S
     spanned by the coordinate vectors span inside the algebra amb (any
     object with p, dim, left_mult_matrix(v) and right_mult_matrix(v)).
@@ -121,13 +120,12 @@ def subspace_nuclei(amb, span, scalars=(), budget=linalg.DEFAULT_BUDGET):
     Il = {g : gS <= S} and Ir = {g : Sg <= S} are taken on S itself.  C and
     Z are taken on the normalised S' = u^-1 S, u the first unit of
     linalg.first_invertible's scan of S (at most budget ranks; ValueError
-    if S holds no unit).  C is the centraliser of S' and of the scalars
-    (vectors of amb), and Z = C cap Il(S').  Every set is the kernel of a
-    linear system; v lies in S iff Q v = 0 for the complement rows Q, and
-    in S' iff Q L_u v = 0.
+    if S holds no unit).  C is the centraliser of S', and Z = C cap Il(S').
+    Every set is the kernel of a linear system; v lies in S iff Q v = 0 for
+    the complement rows Q, and in S' iff Q L_u v = 0.
 
-    C and Z do not depend on the unit (amb is associative: R_F or a matrix
-    algebra).  For units u, v of S let w = v^-1 u.
+    C and Z do not depend on the unit (amb is associative, such as R_F).
+    For units u, v of S let w = v^-1 u.
     Then w^-1 = u^-1 v lies in u^-1 S, and w is a polynomial in w^-1, so
     u^-1 S and v^-1 S = w u^-1 S generate the same subalgebra and have the
     same centraliser C.  Each g in C commutes with w, so g lies in
@@ -151,8 +149,7 @@ def subspace_nuclei(amb, span, scalars=(), budget=linalg.DEFAULT_BUDGET):
     # [L_u | span^T] reduces to [I | L_u^-1 span^T] as L_u is invertible
     normalised = linalg.np_rref(np.hstack([L_u, span.T]), p)[0][:, dim:].T
     c = kernel(
-        [amb.right_mult_matrix(v) - amb.left_mult_matrix(v)
-         for v in [*normalised, *scalars]]
+        [amb.right_mult_matrix(v) - amb.left_mult_matrix(v) for v in normalised]
     )
     # Z in the coordinates of the C basis: the rows of Il(S') times C^T
     Q_u = Q @ L_u % p
@@ -161,15 +158,15 @@ def subspace_nuclei(amb, span, scalars=(), budget=linalg.DEFAULT_BUDGET):
     return SubspaceNuclei(il, ir, c, z)
 
 
-def cached_nuclei(owner, amb, span, scalars=(), budget=linalg.DEFAULT_BUDGET):
-    """subspace_nuclei(amb, span, scalars, budget), computed once per owner
-    (a code spec or an algebra) and budget, so a scan and the nuclear
-    report share it.  A ValueError or BudgetExceeded it raised is kept and
-    raised again."""
+def cached_nuclei(owner, budget, solve):
+    """solve(budget), the nuclear systems of owner (a code spec or an
+    algebra), computed once per owner and budget, so a scan and the nuclear
+    report share them.  A ValueError or BudgetExceeded it raised is kept
+    and raised again."""
     memo = owner.__dict__.setdefault("_nuclei", {})
     if budget not in memo:
         try:
-            memo[budget] = subspace_nuclei(amb, span, scalars, budget)
+            memo[budget] = solve(budget)
         except (ValueError, linalg.BudgetExceeded) as exc:
             memo[budget] = exc
     if isinstance(memo[budget], Exception):

@@ -6,11 +6,11 @@ the s = 1 case of star_D has the Hughes-Kleinfeld closed form.
 
 Zero-divisor scans and nuclei work through the prime-field coordinate
 picture: every product here is F_p-bilinear, so left multiplications are
-matrices, a zero divisor is a singular left multiplication found by the
-batched rank scan in linalg, and the nuclei are the idealisers, centraliser
-and centre of the spread set {L_a} inside M_dim(F_p), which
-quotient.subspace_nuclei solves as linear systems (never order^3
-associativity loops).
+matrices and a zero divisor is a singular left multiplication found by the
+batched rank scan in linalg.  The nuclei come from their definitions in a
+unital isotope (the algebra itself when it has a unit): each is the kernel
+of a system linear in z, dim unknowns and dim^3 rows contracted from the
+structure constants (never order^3 associativity loops).
 """
 
 from dataclasses import dataclass
@@ -20,14 +20,7 @@ import numpy as np
 from . import linalg
 from .fields import AutMap, FieldError, FiniteFieldCtx, norm_to_fixed
 from .polyring import Poly, ext_gcd
-from .quotient import (
-    FiniteAlgebra,
-    QuotElem,
-    cached_nuclei,
-    subspace_action,
-    unvec,
-    vec,
-)
+from .quotient import FiniteAlgebra, QuotElem, cached_nuclei, unvec, vec
 from .skewpoly import CentralPoly, SkewPoly, right_mod
 
 
@@ -53,8 +46,6 @@ class StarSSpec:
         self.eta = eta
         self.rho = rho
         self.f0 = qctx.f.constant_coeff
-        if not isinstance(ctx, FiniteFieldCtx) and not rho.is_identity():
-            raise FieldError("function-field star_S is only supported for rho = id")
         # K' = Fix(<sigma, rho>)
         self.kprime = rho.join(AutMap.sigma_power(ctx, 1))
         c = eta * self.f0
@@ -223,24 +214,13 @@ def algebra_for_star(spec):
     if not isinstance(ctx, FiniteFieldCtx):
         raise FieldError("coordinate scans need a finite context")
     df = qctx.f.degree
-    unit = getattr(spec, "unit", None)
-    # scalar multiplications by the base field of the algebra:
-    # K' (= Fix(rho) cap K) for star_S/star_S', K for star_D; each acts on
-    # every coefficient slot
-    if isinstance(spec, StarSSpec):
-        scalars = ctx.fixed_basis(spec.kprime.exp)
-    else:
-        scalars = ctx.k_basis
-    eye = np.eye(df, dtype=np.int64)
-    mats = [np.kron(eye, ctx.mult_matrix(sc)) % ctx.p for sc in scalars]
     return FiniteAlgebra(
         ctx.p,
         df * ctx.dim,
         lambda a: vec(a.rep, df),
         lambda v: AlgebraElem(qctx, unvec(ctx, v, df)),
         spec.mul,
-        unit,
-        mats,
+        getattr(spec, "unit", None),
     )
 
 
@@ -267,17 +247,7 @@ def algebra_for_hk(params):
         return hk_mul(a, b, params)
 
     unit = (ctx.one, ctx.zero)
-    mats = []
-    for sc in ctx.k_basis:
-        # scalar action on each F_{q^t} component, in sub coordinates
-        comp = np.zeros((half, half), dtype=np.int64)
-        for j, b in enumerate(sub):
-            comp[:, j] = sub_coords(sc * b)
-        big = np.zeros((2 * half, 2 * half), dtype=np.int64)
-        big[:half, :half] = comp
-        big[half:, half:] = comp
-        mats.append(big)
-    return FiniteAlgebra(ctx.p, 2 * half, to_vec, from_vec, mul, unit, mats)
+    return FiniteAlgebra(ctx.p, 2 * half, to_vec, from_vec, mul, unit)
 
 
 def algebra_for_field(ctx):
@@ -292,9 +262,7 @@ def algebra_for_field(ctx):
     def mul(a, b):
         return a * b
 
-    return FiniteAlgebra(
-        ctx.p, ctx.dim, to_vec, from_vec, mul, ctx.one, [np.eye(ctx.dim, dtype=np.int64)]
-    )
+    return FiniteAlgebra(ctx.p, ctx.dim, to_vec, from_vec, mul, ctx.one)
 
 
 # ------------------------------------------------------------- scanning ----
@@ -326,8 +294,9 @@ def zero_divisor_scan(alg, budget=linalg.DEFAULT_BUDGET):
     first a in enumeration order with rank(L_a) < dim.  L_(l a) = L_l L_a
     for l in the left nucleus N_l, so the scan ranks one L_a per N_l^*
     orbit when N_l passes rank_scan's field check, and one per F_p^* orbit
-    otherwise or when the nuclei systems raise.  N_l comes from the
-    computation nuclei reports, made once per algebra and budget.  A
+    otherwise or when the nuclei systems raise.  N_l and its action on the
+    index digits come from the systems nuclei solves, once per algebra and
+    budget.  A
     singular representative sends the scan back to F_p^* orbits in index
     order for the first a; budget counts the ranks computed (see
     rank_scan).  The witness b is the first nonzero vector of ker L_a in
@@ -341,11 +310,9 @@ def zero_divisor_scan(alg, budget=linalg.DEFAULT_BUDGET):
     # digit j of an index is coordinate dim-1-j (the first is most significant)
     basis = np.stack(alg.left_mult_matrices()[::-1])
     try:
-        nl = _spread_nuclei(alg, budget).il
+        _, field = cached_nuclei(alg, budget, lambda b: _solve_nuclei(alg, b))
     except (ValueError, linalg.BudgetExceeded):
         field = []
-    else:
-        field = subspace_action(MatrixAlgebra(p, dim), basis.reshape(dim, -1), nl)
 
     def check(idx, L_a, _rank):
         a = alg.elem_from_index(idx)
@@ -386,58 +353,70 @@ class NucleiReport:
 
 
 def has_two_sided_unit(alg):
-    """True iff alg.unit is set and satisfies both unit laws on the basis."""
+    """True iff alg.unit is set and both of its multiplications are I."""
     if alg.unit is None:
         return False
-    for ei in alg.basis():
-        want = tuple(alg.to_vec(ei))
-        if tuple(alg.to_vec(alg.mul(alg.unit, ei))) != want:
-            return False
-        if tuple(alg.to_vec(alg.mul(ei, alg.unit))) != want:
-            return False
-    return True
-
-
-class MatrixAlgebra:
-    """M_d(F_p) in row-major coordinates: vec(X Y) = (X kron I) vec(Y) and
-    vec(Y X) = (I kron X^T) vec(Y)."""
-
-    def __init__(self, p, d):
-        self.p, self.d, self.dim = p, d, d * d
-        self._eye = np.eye(d, dtype=np.int64)
-
-    def left_mult_matrix(self, v):
-        return np.kron(np.reshape(v, (self.d, self.d)), self._eye)
-
-    def right_mult_matrix(self, v):
-        return np.kron(self._eye, np.reshape(v, (self.d, self.d)).T)
+    v = alg.to_vec(alg.unit)
+    mults = (alg.left_mult_matrix(v), alg.right_mult_matrix(v))
+    return all(np.array_equal(M, np.eye(alg.dim)) for M in mults)
 
 
 def nuclei(alg, budget=linalg.DEFAULT_BUDGET):
-    """Left/middle/right nuclei and centre sizes via the spread set {L_a}.
+    """Left/middle/right nuclei and centre sizes, from their definitions.
 
-    N_l and N_m are the left/right idealisers of the spread set inside
-    M_dim(F_p), N_r is the centraliser of the normalised spread set and the
-    base field scalars ((ab)z = a(bz) for all a, b says R_z commutes with
-    every L_a), and the centre is its intersection with N_l, all from
-    quotient.subspace_nuclei.  Normalising by the first invertible L_a of a
-    scan of the spread set (within budget ranks) puts the identity in the
-    spread set, unital or not.  The systems are solved once
+    N_l = {z : (za)b = z(ab)}, N_m = {z : (az)b = a(zb)},
+    N_r = {z : (ab)z = a(bz)} and Z = {z in all three : za = az}, each the
+    kernel of a system linear in z, solved in a unital isotope (alg itself
+    when it has a two-sided unit; see _unital_isotope): nuclei orders are
+    isotopy invariants of division algebras.  The systems are solved once
     per algebra and budget, and zero_divisor_scan scans the orbits of N_l.
     """
-    try:
-        kernels = _spread_nuclei(alg, budget)
-    except ValueError:
-        raise ValueError("spread set contains no invertible element") from None
+    kernels, _ = cached_nuclei(alg, budget, lambda b: _solve_nuclei(alg, b))
     return NucleiReport(*(alg.p ** len(basis) for basis in kernels))
 
 
-def _spread_nuclei(alg, budget):
-    """quotient.subspace_nuclei of the spread set {L_a} in M_dim(F_p),
-    once per algebra and budget: nuclei reports its sizes and
-    zero_divisor_scan scans the orbits of its N_l."""
-    spread = [M.reshape(-1) for M in alg.left_mult_matrices()]
-    scalars = [S.reshape(-1) for S in alg.scalar_mats]
-    return cached_nuclei(
-        alg, MatrixAlgebra(alg.p, alg.dim), spread, scalars, budget
-    )
+def _unital_isotope(alg, budget):
+    """(T, R_v, R_v^-1): T the structure constants of Kaplansky's isotope
+    a o b = R_v^-1(a) L_u^-1(b), whose unit is uv, with u and v the first
+    invertible left and right multiplications in linalg.first_invertible's
+    order, each searched within budget ranks.  u = v = 1 when alg has a
+    two-sided unit, so the isotope is alg itself."""
+    p, d = alg.p, alg.dim
+    eye = np.eye(d, dtype=np.int64)
+    T = alg.structure_constants()
+    if has_two_sided_unit(alg):
+        return T, eye, eye
+    found = []
+    for mults in (alg.left_mult_matrices(), [alg.right_mult_matrix(e) for e in eye]):
+        index = linalg.first_invertible(mults, p, budget)
+        if index is None:
+            raise ValueError("spread set contains no invertible element")
+        found.append(linalg.family_members(mults, [index], p)[0] % p)
+    L_u, R_v = found
+    R_inv = linalg.np_inv(R_v, p)
+    T = np.einsum("xa,yb,xyk->abk", R_inv, linalg.np_inv(L_u, p), T) % p
+    return T, R_v, R_inv
+
+
+def _solve_nuclei(alg, budget):
+    """The kernel bases of the N_l, N_m, N_r and Z systems of the unital
+    isotope, and N_l acting on index digits (digit j is coordinate dim-1-j):
+    l acts by R_v^-1 L_l' R_v, L_l' its left multiplication in the isotope,
+    as L_(R_v^-1 (l o R_v a)) = L_l' L_a."""
+    p, d = alg.p, alg.dim
+    T, R_v, R_inv = _unital_isotope(alg, budget)
+
+    def system(lhs, rhs):
+        return (np.einsum(lhs, T, T) - np.einsum(rhs, T, T)).reshape(d, -1).T
+
+    def kernel(*systems):
+        return linalg.np_kernel(np.vstack(systems) % p, p, ncols=d)
+
+    nl = system("lim,mjk->lijk", "ijm,lmk->lijk")  # (z e_i) e_j - z (e_i e_j)
+    nm = system("ilm,mjk->lijk", "ljm,imk->lijk")  # (e_i z) e_j - e_i (z e_j)
+    nr = system("ijm,mlk->lijk", "jlm,imk->lijk")  # (e_i e_j) z - e_i (e_j z)
+    comm = (T - T.transpose(1, 0, 2)).reshape(d, -1).T  # z e_i - e_i z
+    il = kernel(nl)
+    action = R_inv @ np.einsum("la,abk->lkb", il, T) @ R_v % p
+    kernels = (il, kernel(nm), kernel(nr), kernel(nl, nm, nr, comm))
+    return kernels, list(action[:, ::-1, ::-1])

@@ -1,5 +1,6 @@
 """Shared samplers and context factories for the test suite."""
 
+from skewlab import linalg
 from skewlab.fields import FiniteFieldCtx, FunctionFieldCtx
 from skewlab.skewpoly import CentralPoly, SkewPoly, is_irreducible
 
@@ -64,3 +65,30 @@ def irreducible_quadratic(ctx):
             if central_is_irreducible(F):
                 return F
     raise RuntimeError("no irreducible quadratic found")
+
+
+def record_rank_scans(monkeypatch):
+    """Repeat every linalg.rank_scan with no field acting.  Returns the list
+    each scan appends (orbit, result, F_p^* result) to; orbit is True when
+    the scan ranked a different number of members than the F_p^* scan
+    (fewer for a scan of larger orbits; more with its rerun)."""
+    rank_scan, batch_rank = linalg.rank_scan, linalg.batch_rank
+    ranked = []
+    scans = []
+
+    def counted(mats, p):
+        ranked.append(len(mats))
+        return batch_rank(mats, p)
+
+    def both(basis, p, threshold, unit=1, budget=linalg.DEFAULT_BUDGET,
+             check=None, field=()):
+        ranked.clear()
+        got = rank_scan(basis, p, threshold, unit, budget, check, field)
+        orbit_ranks = sum(ranked)
+        plain = rank_scan(basis, p, threshold, unit, budget, check)
+        scans.append((2 * orbit_ranks != sum(ranked), got, plain))
+        return got
+
+    monkeypatch.setattr(linalg, "rank_scan", both)
+    monkeypatch.setattr(linalg, "batch_rank", counted)
+    return scans

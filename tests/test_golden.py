@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from skewlab import cli, linalg
+from helpers import record_rank_scans
+from skewlab import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -85,6 +86,13 @@ CASES = {
     "semifield_star_s_prime_3e8": (
         [],
         {**SF, "family": "S", "field": F81, "F": [1, 0, 1], "eta": "w"},
+        0,
+    ),
+    # s = 1: no two-sided unit, so the nuclei come from a unital isotope
+    "semifield_star_s_prime_s1": (
+        [],
+        {**SF, "family": "S", "field": F81, "F": [-1, 1], "eta": "w",
+         "rho_exp": 1},
         0,
     ),
     "semifield_star_d_3e8_invalid": (
@@ -181,6 +189,7 @@ ORBIT_SCANNED = [
 FP_SCANNED = [
     "semifield_star_d_q3_n2_s2",
     "semifield_star_d_q5_n2_s2",
+    "semifield_star_s_prime_s1",
     "verify_s412_rho_sigma",
     "verify_s_no_unit",
 ]
@@ -190,27 +199,7 @@ FP_SCANNED = [
 def test_orbit_scan_agrees_with_the_fp_scan(name, tmp_path, capsys, monkeypatch):
     # every scan the case runs is repeated with no field acting: the first
     # deficient index (the verdict) and the minimum rank must agree
-    rank_scan, batch_rank = linalg.rank_scan, linalg.batch_rank
-    ranked = []
-    scans = []
-
-    def counted(mats, p):
-        ranked.append(len(mats))
-        return batch_rank(mats, p)
-
-    def both(basis, p, threshold, unit=1, budget=linalg.DEFAULT_BUDGET,
-             check=None, field=()):
-        ranked.clear()
-        got = rank_scan(basis, p, threshold, unit, budget, check, field)
-        orbit_ranks = sum(ranked)
-        plain = rank_scan(basis, p, threshold, unit, budget, check)
-        # the F_p^* scan ranks a different number of members than a scan
-        # of larger orbits (fewer; more with the rerun)
-        scans.append((2 * orbit_ranks != sum(ranked), got, plain))
-        return got
-
-    monkeypatch.setattr(linalg, "rank_scan", both)
-    monkeypatch.setattr(linalg, "batch_rank", counted)
+    scans = record_rank_scans(monkeypatch)
     code, out = run_case(name, tmp_path, capsys)
     assert code == CASES[name][2]
     assert out == (GOLDEN / f"{name}.json").read_text()

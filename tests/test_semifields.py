@@ -8,7 +8,7 @@ import pytest
 
 from skewlab.codes import DCodeSpec, SCodeSpec, _spanning_words, validate_d
 from skewlab.fields import AutMap
-from skewlab.quotient import QuotCtx, vec
+from skewlab.quotient import QuotCtx, subspace_nuclei, vec
 from skewlab import linalg
 from skewlab.semifields import (
     AlgebraElem,
@@ -24,9 +24,10 @@ from skewlab.semifields import (
     nuclei,
     zero_divisor_scan,
 )
+from skewlab.semifields import _solve_nuclei
 from skewlab.skewpoly import CentralPoly, SkewPoly
 
-from helpers import finite_ctx, irreducible_quadratic, y_minus_one
+from helpers import finite_ctx, irreducible_quadratic, record_rank_scans, y_minus_one
 
 
 def quot_x_minus_one():
@@ -460,47 +461,160 @@ def test_nuclei_match_associativity_definition_s2_instance():
     assert p ** ker.shape[0] == nuclei(alg).nr == 9
 
 
-def nuclei_by_definition(alg):
-    """(N_l, N_m, N_r, Z) sizes straight from the structure constants
-    C[i, j] = e_i e_j: N_l = {z : (za)b = z(ab)}, N_m = {z : (az)b = a(zb)},
-    N_r = {z : (ab)z = a(bz)} and Z = {z in all three : za = az}, each the
-    kernel of a system linear in z."""
-    p, d = alg.p, alg.dim
-    basis = [alg.from_vec(tuple(int(k == i) for k in range(d))) for i in range(d)]
-    C = np.array(
-        [[alg.to_vec(alg.mul(x, y)) for y in basis] for x in basis], dtype=np.int64
+class MatrixAlgebra:
+    """M_d(F_p) in row-major coordinates: vec(X Y) = (X kron I) vec(Y) and
+    vec(Y X) = (I kron X^T) vec(Y)."""
+
+    def __init__(self, p, d):
+        self.p, self.d, self.dim = p, d, d * d
+        self._eye = np.eye(d, dtype=np.int64)
+
+    def left_mult_matrix(self, v):
+        return np.kron(np.reshape(v, (self.d, self.d)), self._eye)
+
+    def right_mult_matrix(self, v):
+        return np.kron(self._eye, np.reshape(v, (self.d, self.d)).T)
+
+
+def nuclei_by_spread_set(alg):
+    """(N_l, N_m, N_r, Z) sizes by a route nuclei does not take: the left
+    and right idealisers, centraliser and centre of the spread set {L_a}
+    inside M_dim(F_p), by quotient.subspace_nuclei (which normalises the
+    spread set by its first invertible member, so no unit is needed)."""
+    spread = [M.reshape(-1) for M in alg.left_mult_matrices()]
+    kernels = subspace_nuclei(MatrixAlgebra(alg.p, alg.dim), spread)
+    return tuple(alg.p ** len(basis) for basis in kernels)
+
+
+def star_s_s2(rho_exp):
+    q = quot_s2()
+    return StarSSpec(q, q.ctx.gen, AutMap.sigma_power(q.ctx, rho_exp))
+
+
+def star_d_t_differs_from_s(p_, c0):
+    # (q, n, s) = (p_, 2, 2): t = 1 != s
+    ctx = finite_ctx(p_, 2)
+    F = CentralPoly.from_coeffs(ctx, [ctx.from_int(c0), ctx.zero, ctx.one])
+    return first_valid_gamma(QuotCtx(ctx, F))[0]
+
+
+def star_s_prime_s1(rho_exp):
+    q = quot_x_minus_one()
+    return StarSPrimeSpec(q, q.ctx.gen, AutMap.sigma_power(q.ctx, rho_exp))
+
+
+def hk_3e8():
+    ctx = finite_ctx(3, 4)
+    return HKParams(ctx, ctx.gen)
+
+
+def star_s_prime_s2():
+    q = quot_s2()
+    return StarSPrimeSpec(q, q.ctx.gen, AutMap.identity(q.ctx))
+
+
+def sheared_field():
+    """F_81 under a . b = phi(a) b, phi(a) = a + a_1 (a_1 the coefficient of
+    w): an isotope of the field with no unit whose right multiplications
+    do not normalise the field's scalars."""
+    from skewlab.semifields import FiniteAlgebra
+
+    ctx = finite_ctx(3, 4)
+    return FiniteAlgebra(
+        3, 4, lambda a: a.coeffs, lambda v: ctx.elem(tuple(int(c) for c in v)),
+        lambda a, b: (a + ctx.from_int(a.coeffs[1])) * b,
     )
 
-    def rows(lhs, rhs):
-        diff = np.einsum(lhs, C, C) - np.einsum(rhs, C, C)
-        return diff.reshape(d, d**3).T % p
 
-    def size(*blocks):
-        return p ** linalg.np_kernel(np.vstack(blocks) % p, p, ncols=d).shape[0]
+# unital: star_D, HK and star_S' (s = 2); no two-sided unit: star_S' at
+# s = 1, star_S and the sheared field, whose nuclei come from a unital
+# isotope
+ORACLE_CASES = {
+    "sheared_field": sheared_field,
+    "star_d_3e8": lambda: algebra_for_star(first_valid_gamma(quot_s2())[0]),
+    "hk_3e8": lambda: algebra_for_hk(hk_3e8()),
+    "star_s_prime_3e8": lambda: algebra_for_star(star_s_prime_s2()),
+    "star_s_prime_s1_rho_id": lambda: algebra_for_star(star_s_prime_s1(0)),
+    "star_s_prime_s1_rho_sigma": lambda: algebra_for_star(star_s_prime_s1(1)),
+    "star_s_s2_rho_id": lambda: algebra_for_star(star_s_s2(0)),
+    "star_s_s2_rho_sigma": lambda: algebra_for_star(star_s_s2(1)),
+    "star_s_s2_rho_sigma2": lambda: algebra_for_star(star_s_s2(2)),
+}
 
-    nl = rows("lim,mjk->lijk", "ijm,lmk->lijk")
-    nm = rows("ilm,mjk->lijk", "ljm,imk->lijk")
-    nr = rows("ijm,mlk->lijk", "jlm,imk->lijk")
-    comm = (C - C.transpose(1, 0, 2)).reshape(d, d * d).T
-    return size(nl), size(nm), size(nr), size(nl, nm, nr, comm)
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_nuclei_match_the_spread_set_oracle(name):
+    alg = ORACLE_CASES[name]()
+    unital = not name.startswith(("star_s_s2", "star_s_prime_s1", "sheared"))
+    assert has_two_sided_unit(alg) == unital
+    rep = nuclei(alg)
+    assert (rep.nl, rep.nm, rep.nr, rep.z) == nuclei_by_spread_set(alg)
 
 
-def test_nuclei_match_structure_constants_when_t_differs_from_s():
-    # (q, n, s) = (3, 2, 2) and (5, 2, 2) have t = 1 != s, so N_r = q^s
-    # differs from N_l = q^t; star_S' of order 3^8 (unit x) has N_r = 9
-    cases = []
-    for p_, c0 in ((3, 1), (5, 2)):
-        ctx = finite_ctx(p_, 2)
-        F = CentralPoly.from_coeffs(ctx, [ctx.from_int(c0), ctx.zero, ctx.one])
-        spec, _ = first_valid_gamma(QuotCtx(ctx, F))
-        cases.append((spec, p_**2))
-    q = quot_s2()
-    cases.append((StarSPrimeSpec(q, q.ctx.gen, AutMap.identity(q.ctx)), 9))
+def test_nuclei_match_the_spread_set_when_t_differs_from_s():
+    # N_r = q^s differs from N_l = q^t; star_S' of order 3^8 (unit x) has
+    # N_r = 9
+    cases = [(star_d_t_differs_from_s(3, 1), 9), (star_d_t_differs_from_s(5, 2), 25)]
+    cases.append((star_s_prime_s2(), 9))
     for spec, nr in cases:
         alg = algebra_for_star(spec)
+        assert has_two_sided_unit(alg)
         rep = nuclei(alg)
-        assert (rep.nl, rep.nm, rep.nr, rep.z) == nuclei_by_definition(alg)
+        assert (rep.nl, rep.nm, rep.nr, rep.z) == nuclei_by_spread_set(alg)
         assert rep.nr == nr
+
+
+@pytest.mark.parametrize("name", ["star_d_3e8", "star_s_s2_rho_id"])
+def test_nuclei_systems_have_dim_unknowns(name, monkeypatch):
+    # one unknown per coordinate of z, not dim^2 matrix entries
+    alg = ORACLE_CASES[name]()
+    np_kernel = linalg.np_kernel
+    widths = []
+
+    def recorded(M, p, ncols=None):
+        basis = np_kernel(M, p, ncols)
+        widths.append(basis.shape[1])
+        return basis
+
+    monkeypatch.setattr(linalg, "np_kernel", recorded)
+    nuclei(alg)
+    assert widths and max(widths) <= alg.dim
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_nl_action_multiplies_the_spread_set_on_the_left(name):
+    # each matrix A that zero_divisor_scan takes for N_l satisfies
+    # L_(a(A x)) = G L_(a(x)) for one G, a(x) the element with index digits x
+    alg = ORACLE_CASES[name]()
+    p, d = alg.p, alg.dim
+    basis = np.stack(alg.left_mult_matrices()[::-1])
+
+    def member(x):
+        return np.einsum("j,jab->ab", x % p, basis) % p
+
+    idx = linalg.first_invertible(basis, p)
+    x0 = np.array([(idx // p**j) % p for j in range(d)])
+    inv0 = linalg.np_inv(member(x0), p)
+    _, action = _solve_nuclei(alg, linalg.DEFAULT_BUDGET)
+    assert p ** len(action) == nuclei(alg).nl
+    for A in action:
+        G = member(A @ x0) @ inv0 % p
+        for j in range(d):
+            assert np.array_equal(member(A[:, j]), G @ basis[j] % p)
+
+
+def test_non_unital_zero_divisor_scan_scans_nl_orbits(monkeypatch):
+    # star_S has no unit; N_l of its isotope (order 81) acts on the index
+    # digits, and the orbit scan agrees with the F_p^* scan
+    alg = algebra_for_star(star_s_s2(0))
+    assert not has_two_sided_unit(alg)
+    assert nuclei(alg).nl == 81
+    scans = record_rank_scans(monkeypatch)
+    rep = zero_divisor_scan(alg)
+    assert not rep.found and rep.pairs_checked == (alg.order - 1) ** 2
+    assert len(scans) == 1
+    orbit, got, plain = scans[0]
+    assert orbit and got == plain
 
 
 def test_star_products_are_not_associative():
@@ -553,8 +667,15 @@ def test_star_s_funcfield_rho_identity():
         assert lifted[2] == eta * a0  # twist slot of the k=1 word
         if a and b:
             assert spec.mul(a, b)
-    with pytest.raises(Exception):
-        StarSSpec(q, eta, AutMap.sigma_power(ff, 1))  # rho != id unsupported
+    # rho != id: the closed-form tau_eta^-1 inverts tau_eta(a) = a - c rho(a)
+    c = eta * f0
+    for k in (1, 2, 3):
+        rho = AutMap.sigma_power(ff, k)
+        spec = StarSSpec(q, eta, rho)
+        for _ in range(20):
+            target = ff.random_elem(rng, max_deg=1)
+            a0 = spec.decode_a0(target)
+            assert a0 - c * rho.apply(a0) == target
 
 
 def test_nuclei_invariant_under_normalisation():
@@ -563,9 +684,7 @@ def test_nuclei_invariant_under_normalisation():
     q = quot_s2()
     spec, _ = first_valid_gamma(q)
     alg = algebra_for_star(spec)
-    stripped = FiniteAlgebra(
-        alg.p, alg.dim, alg.to_vec, alg.from_vec, alg.mul, None, alg.scalar_mats
-    )
+    stripped = FiniteAlgebra(alg.p, alg.dim, alg.to_vec, alg.from_vec, alg.mul)
     assert nuclei(alg).as_dict() == nuclei(stripped).as_dict()
 
 
