@@ -59,6 +59,12 @@ CASES = {
         {"family": "D", "field": F81, "F": [1, 0, 1], "k": 1, "gamma": "w"},
         0,
     ),
+    # s = 2, k = 2: the only golden that prints newness_mrd's s >= 2 table
+    "verify_d_s2_k2": (
+        ["--mode", "sampled", "--samples", "20", "--seed", "1"],
+        {"family": "D", "field": F81, "F": [1, 0, 1], "k": 2, "gamma": "w"},
+        0,
+    ),
     "verify_d412_gamma1": (
         [],
         {"family": "D", "field": F81, "F": [-1, 1], "k": 2, "gamma": "1"},
