@@ -84,21 +84,15 @@ class DCodeSpec:
         self.gamma = gamma
         self.t = qctx.ctx.n // 2
         self.skl = qctx.s * qctx.ell * k
-        ctx = qctx.ctx
-        self._lp_basis = (
-            ctx.fixed_basis(ctx.sig * self.t)
-            if isinstance(ctx, FiniteFieldCtx)
-            else None
-        )
-
-    def in_Lprime(self, a):
-        ctx = self.qctx.ctx
-        return ctx.sigma_pow(a, self.t) == a
+        self._lp_basis = None
 
     def lprime_basis(self):
-        """F_p-basis of L' = Fix(sigma^t) (finite contexts)."""
+        """F_p-basis of L' = Fix(sigma^t) (finite contexts), built on first use."""
         if self._lp_basis is None:
-            raise FieldError("L' enumeration needs a finite context")
+            ctx = self.qctx.ctx
+            if not isinstance(ctx, FiniteFieldCtx):
+                raise FieldError("L' enumeration needs a finite context")
+            self._lp_basis = ctx.fixed_basis(ctx.sig * self.t)
         return self._lp_basis
 
 
@@ -117,7 +111,7 @@ def validate_d(spec):
     """gamma in L \\ L' and (-1)^(s k l) F_0^(k l) N_{L/K}(gamma) not a square."""
     qctx = spec.qctx
     ctx = qctx.ctx
-    if spec.in_Lprime(spec.gamma):
+    if ctx.in_Lprime(spec.gamma):
         return False
     sign = ctx.minus_one if spec.skl % 2 else ctx.one
     value = sign * qctx.F.F0 ** (spec.k * qctx.ell) * ctx.norm(spec.gamma)
@@ -177,7 +171,7 @@ def d_codeword(spec, a0p, a0pp, mids):
     ctx = spec.qctx.ctx
     if len(mids) != spec.skl - 1:
         raise ValueError("D codeword needs skl-1 middle coefficients")
-    if not spec.in_Lprime(a0p) or not spec.in_Lprime(a0pp):
+    if not ctx.in_Lprime(a0p) or not ctx.in_Lprime(a0pp):
         raise ValueError("a_0' and a_0'' must lie in L'")
     out = [a0p] + list(mids) + [spec.gamma * a0pp]
     return QuotElem(spec.qctx, SkewPoly(ctx, out))
@@ -415,21 +409,49 @@ class NewnessEntry:
         return {"family": self.family, "verdict": self.verdict, "reason": self.reason}
 
 
-def _agtg_like_match(n_exp, target, e, k_times_se, z_mod):
-    """Frobenius exponents j (mod n_exp) with gcd(n_exp, j) = target and
-    gcd(n_exp, k_times_se - j) = target; any_full additionally requires the
-    centre constraint gcd(z_mod, j) = e."""
-    any_match = False
-    any_full = False
-    for j in range(n_exp):
-        if math.gcd(n_exp, j) != target:
-            continue
-        if math.gcd(n_exp, (k_times_se - j) % n_exp) != target:
-            continue
-        any_match = True
-        if math.gcd(z_mod, j) == e:
-            any_full = True
-    return any_match, any_full
+def _exponent_entry(family, name, var, n_exp, target, kse, z_mod, e, nuclei=False):
+    """Verdict on an AGTG-like family (AGTG, S-family), whose members twist
+    by a Frobenius exponent var mod n_exp.  A member with both idealisers
+    (nuclei=True: both nuclei of a semifield) of order q^(target/e) needs
+    gcd(n_exp, var) = gcd(n_exp, kse - var) = target, and one with centre q
+    also gcd(z_mod, var) = e.  The family is new when no exponent meets
+    both; each reason prints the numbers it tested."""
+    t = target // e
+    matching = [
+        j
+        for j in range(n_exp)
+        if math.gcd(n_exp, j) == target == math.gcd(n_exp, kse - j)
+    ]
+    if not matching:
+        reason = (
+            f"no {name} {var} has gcd({n_exp}, {var}) = gcd({n_exp}, {kse} - {var}) "
+            f"= {target}: both {'nuclei' if nuclei else 'idealisers'} q^{t} would "
+            f"force {2 * t} | {kse // e}"
+        )
+        return NewnessEntry(family, "new", reason)
+    if all(math.gcd(z_mod, j) != e for j in matching):
+        reason = (
+            f"every matching {name} {var} violates the centre constraint "
+            f"gcd({z_mod}, {var}) = {e}"
+        )
+        return NewnessEntry(family, "new", reason)
+    if nuclei:
+        return NewnessEntry(family, "undecided", "parameter tuple matches")
+    return NewnessEntry(
+        family,
+        "undecided",
+        f"an {family} parameter tuple matches; equivalence not decided at "
+        "parameter level",
+    )
+
+
+def _overall(hypotheses, listed, result, need, got):
+    """The overall verdict: new exactly when the result's hypotheses hold."""
+    if hypotheses:
+        reason = f"new against every listed {listed} family"
+        return NewnessEntry("overall", "new", reason)
+    reason = f"outside {result} hypotheses (need {need}; got {got})"
+    return NewnessEntry("overall", "undecided", reason)
 
 
 def newness_mrd(p, e, n, s, k):
@@ -438,106 +460,36 @@ def newness_mrd(p, e, n, s, k):
     if n % 2:
         raise ValueError("the D-family needs even n")
     t = n // 2
-    entries = []
     if s == 1:
-        entries.append(
+        return [
             NewnessEntry(
                 "TZ", "known", "s=1: D_{n,1,k} is exactly a Trombetti-Zhou code"
             )
-        )
-        return entries
-    hypotheses = 1 < k <= t and t >= 2 and s >= 3 and (s * k) % n != 0
-    entries.append(
+        ]
+    return [
         NewnessEntry(
             "Gabidulin-like",
             "new",
             f"left idealiser order q^{t} != q^{n * s} forced by families I/IV/V "
             "(and their adjoints/duals)",
-        )
-    )
-    any_match, any_full = _agtg_like_match(n * s * e, t * e, e, k * s * e, s * e)
-    if not any_match:
-        entries.append(
-            NewnessEntry(
-                "AGTG",
-                "new",
-                f"no twist exponent j has gcd({n*s*e}, j) = gcd({n*s*e}, "
-                f"{k*s*e} - j) = {t*e}: both idealisers q^{t} would force "
-                f"{n} | {s * k}",
-            )
-        )
-    elif not any_full:
-        entries.append(
-            NewnessEntry(
-                "AGTG",
-                "new",
-                f"every matching twist exponent j violates the centre "
-                f"constraint gcd({e}, j) = {e}",
-            )
-        )
-    else:
-        entries.append(
-            NewnessEntry(
-                "AGTG", "undecided", "an AGTG parameter tuple matches; equivalence "
-                "not decided at parameter level"
-            )
-        )
-    entries.append(
+        ),
+        _exponent_entry(
+            "AGTG", "twist exponent", "j", n * s * e, t * e, k * s * e, s * e, e
+        ),
         NewnessEntry(
             "TZ",
             "new",
             f"Trombetti-Zhou centraliser order q^{s} != q requires s = 1 (s = {s})",
-        )
-    )
-    any_match_s, any_full_s = _agtg_like_match(n * e, t * e, e, k * s * e, e)
-    if not any_match_s:
-        entries.append(
-            NewnessEntry(
-                "S-family",
-                "new",
-                f"no rho exponent h has gcd({n*e}, h) = gcd({n*e}, {k*s*e} - h) "
-                f"= {t*e}: both idealisers q^{t} would force {n} | {s * k}",
-            )
-        )
-    elif not any_full_s:
-        entries.append(
-            NewnessEntry(
-                "S-family",
-                "new",
-                f"every matching rho exponent h violates the centre constraint "
-                f"gcd({e}, h) = {e}",
-            )
-        )
-    else:
-        entries.append(
-            NewnessEntry(
-                "S-family", "undecided",
-                "an S-family parameter tuple matches; equivalence not decided "
-                "at parameter level",
-            )
-        )
-    if not hypotheses:
-        entries.append(
-            NewnessEntry(
-                "overall",
-                "undecided",
-                f"outside theorem hypotheses (need 1 < k <= t, t >= 2, s >= 3, "
-                f"n does not divide sk; got n={n}, t={t}, s={s}, k={k})",
-            )
-        )
-    else:
-        entries.append(
-            NewnessEntry("overall", "new", "new against every listed MRD family")
-        )
-    return entries
-
-
-def _v2(x):
-    v = 0
-    while x % 2 == 0:
-        x //= 2
-        v += 1
-    return v
+        ),
+        _exponent_entry("S-family", "rho exponent", "h", n * e, t * e, k * s * e, e, e),
+        _overall(
+            1 < k <= t and t >= 2 and s >= 3 and (s * k) % n != 0,
+            "MRD",
+            "theorem",
+            "1 < k <= t, t >= 2, s >= 3, n does not divide sk",
+            f"n={n}, t={t}, s={s}, k={k}",
+        ),
+    ]
 
 
 def newness_semifield(p, e, n, s):
@@ -546,109 +498,63 @@ def newness_semifield(p, e, n, s):
     if n % 2:
         raise ValueError("the D-family needs even n")
     t = n // 2
-    entries = []
     if s == 1:
-        entries.append(
+        return [
             NewnessEntry(
                 "HK",
                 "known",
                 "s=1 coincides exactly with the dual Hughes-Kleinfeld semifield",
             )
+        ]
+    if s % t:
+        gk = (
+            "new",
+            f"matching forces t | s via t | a and s = gcd(2a, st) (got t={t}, s={s})",
         )
-        return entries
-    hypotheses = p != 2 and s >= 2 and s % 2 == 0 and n >= 4 and s % n != 0
-    entries.append(
+    elif (s // t) % 2 == 0:
+        gk = (
+            "undecided",
+            f"n = {n} divides s = {s}: outside the proposition's hypotheses",
+        )
+    else:
+        gk = (
+            "new",
+            f"2-adic valuation clash: v2(s) = v2(t) = {(s & -s).bit_length() - 1} "
+            "but the gcd constraints force v2(s) = v2(a) + 1 > v2(t)",
+        )
+    if s != n:
+        bip = (
+            "new",
+            f"matching the biprojective family forces s = n (got s={s}, n={n})",
+        )
+    else:
+        bip = ("undecided", "parameter tuple matches")
+    return [
         NewnessEntry(
             "PZ",
             "new",
             f"all nuclei (q^{t}, q^{t}, q^{s}) strictly exceed the centre q; "
             "a Pott-Zhou semifield has a nucleus equal to its centre",
-        )
-    )
-    entries.append(
+        ),
         NewnessEntry(
             "rank-two",
             "new",
-            f"order q^{2*t*s} is never twice a nucleus order "
+            f"order q^{2 * t * s} is never twice a nucleus order "
             f"(q^{t}, q^{t}, q^{s}): would need s = 1 or t = 1",
-        )
-    )
-    any_match_s, any_full_s = _agtg_like_match(n * e, t * e, e, s * e, e)
-    if not any_match_s:
-        entries.append(
-            NewnessEntry(
-                "S-family",
-                "new",
-                f"no rho exponent h has gcd({n*e}, h) = gcd({n*e}, {s*e} - h) = "
-                f"{t*e}: both nuclei q^{t} would force {n} | {s}",
-            )
-        )
-    elif not any_full_s:
-        entries.append(
-            NewnessEntry(
-                "S-family",
-                "new",
-                "every matching rho exponent violates the centre constraint",
-            )
-        )
-    else:
-        entries.append(
-            NewnessEntry("S-family", "undecided", "parameter tuple matches")
-        )
-    if s != n:
-        entries.append(
-            NewnessEntry(
-                "biprojective-S",
-                "new",
-                f"matching the biprojective family forces s = n (got s={s}, n={n})",
-            )
-        )
-    else:
-        entries.append(
-            NewnessEntry("biprojective-S", "undecided", "parameter tuple matches")
-        )
-    if s % t:
-        entries.append(
-            NewnessEntry(
-                "GK-unified",
-                "new",
-                f"matching forces t | s via t | a and s = gcd(2a, st) "
-                f"(got t={t}, s={s})",
-            )
-        )
-    elif (s // t) % 2 == 0:
-        entries.append(
-            NewnessEntry(
-                "GK-unified",
-                "undecided",
-                f"n = {n} divides s = {s}: outside the proposition's hypotheses",
-            )
-        )
-    else:
-        entries.append(
-            NewnessEntry(
-                "GK-unified",
-                "new",
-                f"2-adic valuation clash: v2(s) = v2(t) = {_v2(s)} but the gcd "
-                f"constraints force v2(s) = v2(a) + 1 > v2(t)",
-            )
-        )
-    if not hypotheses:
-        entries.append(
-            NewnessEntry(
-                "overall",
-                "undecided",
-                f"outside proposition hypotheses (need q odd, s >= 2 even, "
-                f"n = 2t >= 4, n does not divide s; got q={p**e}, n={n}, s={s})",
-            )
-        )
-    else:
-        entries.append(
-            NewnessEntry(
-                "overall", "new", "new against every listed semifield family"
-            )
-        )
-    return entries
+        ),
+        _exponent_entry(
+            "S-family", "rho exponent", "h", n * e, t * e, s * e, e, e, nuclei=True
+        ),
+        NewnessEntry("biprojective-S", *bip),
+        NewnessEntry("GK-unified", *gk),
+        _overall(
+            p != 2 and s >= 2 and s % 2 == 0 and n >= 4 and s % n != 0,
+            "semifield",
+            "proposition",
+            "q odd, s >= 2 even, n = 2t >= 4, n does not divide s",
+            f"q={p**e}, n={n}, s={s}",
+        ),
+    ]
 
 
 def newness_report(p, e, n, s, k):

@@ -333,6 +333,10 @@ class Tower:
     def is_in_K(self, a):
         return self.sigma(a) == a
 
+    def in_Lprime(self, a):
+        """a in L' = Fix(sigma^(n/2)), the index-2 subfield when n is even."""
+        return self.sigma_pow(a, self.n // 2) == a
+
     def norm(self, a):
         """N_{L/K}(a) = a sigma(a) ... sigma^(n-1)(a)."""
         return norm_to_fixed(a, AutMap.sigma_power(self, 1))
@@ -761,7 +765,11 @@ def finite_elem_from_literal(ctx, text):
 
 def funcfield_elem_from_literal(ctx, text):
     """Parse a fraction literal like "(t^2+1)/(t^2+t+1)" or "t^2+w*t": t-
-    polynomials with w-literal coefficients, split at the top-level /."""
+    polynomials with w-literal coefficients, split at the first top-level /.
+
+    The split must agree with the usual precedence, so a numerator with a
+    top-level + or - after its first character, and a denominator with a
+    top-level +, -, * or /, are errors ("1/t+1", "t+1/t", "1/t*w")."""
 
     def tpoly(s):
         return parse_poly(
@@ -774,7 +782,11 @@ def funcfield_elem_from_literal(ctx, text):
 
     s, off = _strip(text)
     with _shifted(off):
-        slash = next((i for i, ch in _top_level(s) if ch == "/"), len(s))
+        ops = [(i, ch) for i, ch in _top_level(s) if ch in "+-*/"]
+        slash = next((i for i, ch in ops if ch == "/"), len(s))
+        for i, ch in ops:
+            if i > slash:
+                raise LiteralError(f"{ch!r} in a denominator needs parentheses", i)
         num = tpoly(s[:slash])
         if slash == len(s):
             return num
@@ -782,6 +794,10 @@ def funcfield_elem_from_literal(ctx, text):
             den = tpoly(s[slash + 1 :])
             if not den:
                 raise LiteralError("zero denominator", 0)
+        # checked after the denominator, so "t+1/0" (t + 1/0) reports the 0
+        for i, ch in ops:
+            if i > 0 and ch in "+-":
+                raise LiteralError(f"{ch!r} in a numerator needs parentheses", i)
     return num / den
 
 

@@ -128,9 +128,6 @@ class LprimeSplit:
         self.t = ctx.n // 2
         self._split_den = (gamma - ctx.sigma_pow(gamma, self.t)).inverse()
 
-    def in_subfield(self, a):
-        return self.ctx.sigma_pow(a, self.t) == a
-
     def split(self, c):
         c1 = (c - self.ctx.sigma_pow(c, self.t)) * self._split_den
         return c - self.gamma * c1, c1
@@ -150,14 +147,12 @@ class StarDSpec(LprimeSplit):
         if ctx.n % 2:
             raise ValueError("star_D needs even n")
         self.qctx = qctx
-        t = ctx.n // 2
         self.f0 = qctx.f.constant_coeff
-        ratio = gamma / self.f0
-        if ctx.sigma_pow(ratio, t) == ratio:
+        if ctx.in_Lprime(gamma / self.f0):
             raise ValueError("gamma/f0 lies in L'")
         if ctx.is_square_in_K(ctx.norm(gamma)) and enforce_norm:
             raise ValueError("N(gamma) is a square in K")
-        if ctx.sigma_pow(gamma, t) == gamma:
+        if ctx.in_Lprime(gamma):
             raise ValueError("gamma lies in L'")
         super().__init__(ctx, gamma)
         self.unit = AlgebraElem(qctx, SkewPoly.one(ctx))
@@ -183,7 +178,7 @@ class HKParams(LprimeSplit):
     def __init__(self, ctx, gamma):
         if not isinstance(ctx, FiniteFieldCtx) or ctx.n % 2:
             raise ValueError("Hughes-Kleinfeld needs a finite field with even n")
-        if ctx.sigma_pow(gamma, ctx.n // 2) == gamma:
+        if ctx.in_Lprime(gamma):
             raise ValueError("gamma must lie outside F_{q^t}")
         super().__init__(ctx, gamma)
         power = ctx.sigma_pow(gamma, 1) * gamma  # gamma^(q^j + 1)

@@ -105,15 +105,6 @@ class _Sum(dict):
 def eval_oracle(ctx, kind, lit):
     """The value of an accepted literal, read by Python's own precedence."""
     s = lit.replace(" ", "")
-    if kind == "elem" and not isinstance(ctx, FiniteFieldCtx):
-        # a function-field element literal is num/(den) at its first
-        # top-level /
-        depth = 0
-        for i, ch in enumerate(s):
-            depth += (ch == "(") - (ch == ")")
-            if ch == "/" and depth == 0:
-                s = f"({s[:i]})/({s[i + 1:]})"
-                break
     s = re.sub(
         r"([wtx])\^(\d+)",
         lambda m: "(" + "*".join([m.group(1)] * int(m.group(2))) + ")"
@@ -181,6 +172,11 @@ def test_named_new_forms(f, kind, lit, value):
         ("F8t", "elem", "1/0", "zero denominator", 2),
         ("F8t", "elem", "(t+1)/(t^^2)", "bad term 't^^2'", 7),
         ("F8t", "skew", "x^2+(t^2+1)/(t^2+)", "trailing operator", 16),
+        # a split at the first / that the usual precedence would not make
+        ("F8t", "elem", "1/t+1", "'+' in a denominator needs parentheses", 3),
+        ("F8t", "elem", "t+1/t", "'+' in a numerator needs parentheses", 1),
+        ("F8t", "elem", "1/t*w", "'*' in a denominator needs parentheses", 3),
+        ("F8t", "elem", "1/t/t", "'/' in a denominator needs parentheses", 3),
         # positions count the literal without its spaces
         ("F81", "elem", "w + w^^2", "bad term 'w^^2'", 2),
     ],
@@ -190,6 +186,13 @@ def test_errors_name_their_position(f, kind, lit, reason, pos):
         PARSE[kind](CTXS[f], lit)
     assert (info.value.reason, info.value.pos) == (reason, pos)
     assert str(info.value) == f"{reason} (at position {pos})"
+
+
+def test_a_fraction_coefficient_ends_at_the_next_plus():
+    ctx = CTXS["F8t"]
+    want = SkewPoly(ctx, [ctx.one / ctx.t + ctx.one, ctx.one])
+    assert skew_from_literal(ctx, "x+1/t+1") == want
+    assert eval_oracle(ctx, "skew", "x+1/t+1") == want
 
 
 def test_parse_poly_takes_any_variable_and_coefficient_rule():

@@ -238,7 +238,7 @@ def test_hk_params_and_mul():
     w = ctx.gen
     hk = HKParams(ctx, w)
     assert ctx.sigma_pow(w, 1) * w == hk.u + hk.v * w
-    assert hk.in_subfield(hk.u) and hk.in_subfield(hk.v)
+    assert ctx.in_Lprime(hk.u) and ctx.in_Lprime(hk.v)
     d = (ctx.elem_from_index(5), ctx.elem_from_index(11))
     assert hk_mul((ctx.one, ctx.zero), d, hk) == d
     assert hk_mul((ctx.zero, ctx.one), (ctx.zero, ctx.one), hk) == (hk.u, hk.v)
