@@ -8,11 +8,18 @@ K = F_2(s_ff) for s_ff = (t^2+1)/t.
 Both families are Towers: each supplies its cyclic automorphism group
 (aut, aut_order, the exponent sig of sigma) and a square test in K, and
 sigma, K-membership and the norm N_{L/K} are defined once on Tower.
-Finite elements are coordinate vectors over the prime field; function field
-elements are reduced fractions.  Contexts are immutable after construction
-and all operations are pure.
+A finite element (FFElem) carries its index i in elem_from_index order and
+its coordinate tuple over the prime field, stored once when it is made.  A
+field of order at most TABLE_LIMIT interns its elements on its first sum or
+product, never at construction.  Prime fields compute with ints mod p;
+larger fields with exp/log tables built at the same time (Zech logarithms
+for sums in odd characteristic, XOR in characteristic 2).  Above that order
+elements are made per operation and multiply coordinate tuples.  Function
+field elements are reduced fractions.  Contexts change only by building
+those tables, and all operations are pure.
 """
 
+import itertools
 import math
 import re
 from contextlib import contextmanager
@@ -47,86 +54,105 @@ class LiteralError(ValueError):
 # ------------------------------------------------------------ finite GF ----
 
 
+# fields of at most this order intern their elements and (above the prime
+# field) multiply, invert and apply Frobenius by exp/log tables; larger ones
+# multiply coordinate tuples (schoolbook, then fold)
+TABLE_LIMIT = 2**16
+
+
 class FFElem:
-    """Element of a finite field context: coordinate vector over F_p."""
+    """Element of a finite field context: its index i in elem_from_index
+    order and its coordinate tuple over F_p, both fixed when it is made.
 
-    __slots__ = ("ctx", "coeffs")
+    A field with tables hands out one interned element per index once they
+    are built; arithmetic then never builds a coordinate tuple.
+    """
 
-    def __init__(self, ctx, coeffs):
+    __slots__ = ("ctx", "i", "coeffs")
+
+    def __init__(self, ctx, i, coeffs):
         self.ctx = ctx
+        self.i = i
         self.coeffs = coeffs
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.i != 0
 
     def __eq__(self, other):
         return (
-            isinstance(other, FFElem)
-            and self.ctx is other.ctx
-            and self.coeffs == other.coeffs
+            isinstance(other, FFElem) and self.ctx is other.ctx and self.i == other.i
         )
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.i)
 
+    # log[0] is a sentinel whose sums index the zero tail of exp, so products
+    # and negations need no zero test
     def __add__(self, other):
         ctx = self.ctx
         if ctx is not other.ctx:
             raise FieldError("field context mismatch")
-        cache = ctx._add_cache
-        if cache is not None:
-            key = (self.coeffs, other.coeffs)
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
-        p = ctx.p
-        result = FFElem(
-            ctx, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
-        if cache is not None:
-            cache[key] = result
-        return result
+        log = ctx._log
+        if log is None:
+            return ctx._add(self, other, 1)
+        a, b = self.i, other.i
+        if ctx.p == 2:
+            return ctx._elems[a ^ b]
+        if not a or not b:
+            return self if a else other
+        la = log[a]
+        return ctx._exp[la + ctx._zech[log[b] - la]]
 
     def __sub__(self, other):
         ctx = self.ctx
         if ctx is not other.ctx:
             raise FieldError("field context mismatch")
-        cache = ctx._sub_cache
-        if cache is not None:
-            key = (self.coeffs, other.coeffs)
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
-        p = ctx.p
-        result = FFElem(
-            ctx, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
-        if cache is not None:
-            cache[key] = result
-        return result
+        log = ctx._log
+        if log is None:
+            return ctx._add(self, other, -1)
+        a, b = self.i, other.i
+        if ctx.p == 2:
+            return ctx._elems[a ^ b]
+        if not b:
+            return self
+        lb = log[b] + ctx._half  # the log of -b
+        if not a:
+            return ctx._exp[lb]
+        la = log[a]
+        return ctx._exp[la + ctx._zech[lb - la]]
 
     def __neg__(self):
-        p = self.ctx.p
-        return FFElem(self.ctx, tuple((-a) % p for a in self.coeffs))
+        ctx = self.ctx
+        if ctx.p == 2:
+            return self
+        log = ctx._log
+        if log is None:
+            return ctx._add(ctx.zero, self, -1)
+        return ctx._exp[log[self.i] + ctx._half]
 
     def __mul__(self, other):
         ctx = self.ctx
         if ctx is not other.ctx:
             raise FieldError("field context mismatch")
-        cache = ctx._mul_cache
-        if cache is not None:
-            hit = cache.get((self.coeffs, other.coeffs))
-            if hit is not None:
-                return hit
-        return ctx._mul(self, other)
+        log = ctx._log
+        if log is None:
+            return ctx._mul(self, other)
+        return ctx._exp[log[self.i] + log[other.i]]
 
     def __truediv__(self, other):
         return self * other.inverse()
 
     def inverse(self):
-        return self.ctx._inverse(self)
+        ctx = self.ctx
+        log = ctx._log
+        if log is None or not self.i:
+            return ctx._inverse(self)
+        return ctx._exp[ctx.order - 1 - log[self.i]]
 
     def __pow__(self, e):
+        log = self.ctx._log
+        if log is not None and self.i:
+            return self.ctx._exp[log[self.i] * e % (self.ctx.order - 1)]
         if e < 0:
             return self.inverse() ** (-e)
         result = self.ctx.one
@@ -143,51 +169,66 @@ class FFElem:
 
 
 class GFCtx:
-    """The plain finite field F_p[w]/(modulus), of degree dim over F_p."""
+    """The plain finite field F_p[w]/(modulus), of degree dim over F_p.
+
+    Element i of elem_from_index order has the base-p digits of i as its
+    coordinates, the constant coordinate most significant.  A field of
+    order at most TABLE_LIMIT interns its elements on its first sum,
+    difference or product, never at construction.  A prime field then
+    computes with ints mod p; any other field also builds exp/log tables of
+    a primitive element and, in odd characteristic, Zech logarithms
+    log(1 + g^d).  Frobenius uses the tables once they exist and basis
+    images before.  Above TABLE_LIMIT elements are made per operation and
+    multiply coordinate tuples.
+    """
 
     def __init__(self, p, dim, modulus=None):
         if prime_divisors(p) != [p]:
             raise FieldError(f"{p} is not prime")
         self.p = p
         self.dim = dim
-        self.zero = FFElem(self, (0,) * dim)
-        # the F_p-basis 1, w, ..., w^(dim-1): the coordinate unit vectors
-        self.basis = [
-            FFElem(self, (0,) * i + (1,) + (0,) * (dim - 1 - i)) for i in range(dim)
-        ]
-        self.one = self.basis[0]
-        self.minus_one = -self.one
-        self.gen = self.basis[1] if dim > 1 else self.one
+        self.order = p**dim
+        self._tabled = dim > 1 and self.order <= TABLE_LIMIT
+        # the tables (see _tabulate); None until built
+        self._log = self._exp = self._elems = self._zech = self._frob_log = None
+        self._half = (self.order - 1) // 2
         self._frob_cache = {}
-        # memoised products and inverses pay off in the fraction-field and
-        # scan loops; only worthwhile (and bounded) for small fields
-        small = p**dim <= 512
-        self._mul_cache = {} if small else None
-        self._inv_cache = {} if p**dim <= 65536 else None
-        # sums are cheap to compute, so memoise them only for tiny fields
-        # (at most 4096 entries each), where the call overhead dominates;
-        # in characteristic 2, a - b = a + b and the two share one memo
-        tiny = p**dim <= 64
-        self._add_cache = {} if tiny else None
-        self._sub_cache = self._add_cache if p == 2 else {} if tiny else None
+        self.zero = self._make(0)
+        # the F_p-basis 1, w, ..., w^(dim-1): the coordinate unit vectors
+        self.basis = [self._make(p ** (dim - 1 - i)) for i in range(dim)]
+        self.one = self.basis[0]
+        self.minus_one = self._make((p - 1) * self.one.i)
+        self.gen = self.basis[1] if dim > 1 else self.one
         # the modulus lives in F_p[y], over the prime field (this field
         # itself when dim = 1, whose products never reduce)
-        self.prime_field = self if dim == 1 else GFCtx(p, 1)
+        fp = self.prime_field = self if dim == 1 else GFCtx(p, 1)
         if modulus is None:
-            M = canonical_irreducible(self.prime_field, dim)
+            # every monic y + c is irreducible; y is the first candidate
+            M = Poly.gen(fp) if dim == 1 else canonical_irreducible(fp, dim)
         else:
             M = self._poly(modulus)
-            if M.degree != dim or M.lead != self.prime_field.one:
+            if M.degree != dim or M.lead != fp.one:
                 raise FieldError("modulus must be monic of the stated degree")
             if not irreducible_over(M, p):
                 raise FieldError("modulus is not irreducible")
         self._M = M
         self.modulus = _ints(M.coeffs)
         # y^k mod modulus for k in [dim, 2*dim-2], used to fold products
-        y = Poly.gen(self.prime_field)
+        y = Poly.gen(fp)
         self._red = [
             _ints(pow(y, k, M).coeffs, dim) for k in range(dim, 2 * dim - 1)
         ]
+
+    def _prime(self, v):
+        """The element v mod p of a prime field: interned, on first use, up
+        to TABLE_LIMIT."""
+        v %= self.p
+        elems = self._elems
+        if elems is None:
+            if self.p > TABLE_LIMIT:
+                return FFElem(self, v, (v,))
+            elems = self._elems = [FFElem(self, i, (i,)) for i in range(self.p)]
+        return elems[v]
 
     def _poly(self, coeffs):
         """The F_p[y] polynomial with integer coefficients coeffs."""
@@ -197,74 +238,172 @@ class GFCtx:
     def describe(self):
         return f"GF({self.p}^{self.dim})" if self.dim > 1 else f"GF({self.p})"
 
+    def _make(self, i):
+        """A new element of index i (no table is consulted)."""
+        return FFElem(self, i, tuple(digits(i, self.p, self.dim)))
+
+    def _from_coeffs(self, coeffs):
+        """The element with reduced coordinate tuple coeffs."""
+        i = 0
+        for c in coeffs:
+            i = i * self.p + c
+        elems = self._elems
+        return elems[i] if elems is not None else FFElem(self, i, coeffs)
+
     def elem(self, coeffs):
-        coeffs = tuple(c % self.p for c in coeffs)
+        coeffs = tuple(int(c) % self.p for c in coeffs)
         if len(coeffs) > self.dim:
             red = self._poly(coeffs) % self._M
-            return FFElem(self, _ints(red.coeffs, self.dim))
-        return FFElem(self, coeffs + (0,) * (self.dim - len(coeffs)))
+            return self._from_coeffs(_ints(red.coeffs, self.dim))
+        return self._from_coeffs(coeffs + (0,) * (self.dim - len(coeffs)))
 
     def from_int(self, v):
         return self.elem((v,))
 
+    # -- arithmetic without tables: the operators come here while _log is
+    # None, and a field that takes tables builds them and goes back
+
+    def _add(self, a, b, sign):
+        """a + sign * b."""
+        if self.dim == 1:
+            elems = self._elems
+            if elems is not None:
+                return elems[(a.i + sign * b.i) % self.p]
+            return self._prime(a.i + sign * b.i)
+        if self._tabled:
+            self._tabulate()
+            return a + b if sign > 0 else a - b
+        p = self.p
+        return self._from_coeffs(
+            tuple((x + sign * y) % p for x, y in zip(a.coeffs, b.coeffs))
+        )
+
     def _mul(self, a, b):
-        cache = self._mul_cache
-        if cache is not None:
-            key = (a.coeffs, b.coeffs)
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
+        if self.dim == 1:
+            elems = self._elems
+            if elems is not None:
+                return elems[a.i * b.i % self.p]
+            return self._prime(a.i * b.i)
+        if self._tabled:
+            self._tabulate()
+            return a * b
+        return self._from_coeffs(self._schoolbook(a.coeffs, b.coeffs))
+
+    def _schoolbook(self, x, y):
+        """The coordinates of the product of coordinate tuples x and y."""
         p, dim = self.p, self.dim
         out = [0] * (2 * dim - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    out[i + j] += x * y
+        for i, c in enumerate(x):
+            if c:
+                for j, d in enumerate(y):
+                    out[i + j] += c * d
         res = [c % p for c in out[:dim]]
         for k in range(dim, 2 * dim - 1):
             c = out[k] % p
             if c:
                 row = self._red[k - dim]
                 res = [(r + c * m) % p for r, m in zip(res, row)]
-        result = FFElem(self, tuple(res))
-        if cache is not None:
-            cache[key] = result
+        return tuple(res)
+
+    def _power(self, x, e):
+        """The coordinates of x^e (e >= 0) by schoolbook products."""
+        result = self.one.coeffs
+        while e:
+            if e & 1:
+                result = self._schoolbook(result, x)
+            x = self._schoolbook(x, x)
+            e >>= 1
         return result
 
     def _inverse(self, a):
-        cache = self._inv_cache
-        if cache is not None:
-            hit = cache.get(a.coeffs)
-            if hit is not None:
-                return hit
-        result = self._inverse_uncached(a)
-        if cache is not None:
-            cache[a.coeffs] = result
-        return result
-
-    def _inverse_uncached(self, a):
-        if not a:
+        if not a.i:
             raise ZeroDivisionError("zero has no inverse")
+        if self._tabled:
+            self._tabulate()
+            return a.inverse()
         if self.dim == 1:
-            return FFElem(self, (pow(a.coeffs[0], -1, self.p),))
+            return self._prime(pow(a.i, -1, self.p))
         _, inv, _ = ext_gcd(self._poly(a.coeffs), self._M)
-        return FFElem(self, _ints(inv.coeffs, self.dim))
+        return self._from_coeffs(_ints(inv.coeffs, self.dim))
+
+    # -- the tables ------------------------------------------------------
+
+    def _tabulate(self):
+        """Build the tables from the first primitive element g in index
+        order, in one pass over the multiplicative group: the coordinate
+        rows of g^m, ..., g^(2m-1) are those of g^0, ..., g^(m-1) times the
+        matrix of x -> x g^m, and that matrix squared is the one of
+        x -> x g^(2m).
+
+        log[i] is the discrete logarithm of element i, and exp[k] the
+        interned element g^k for k < 2(q-1).  log[0] = 2(q-1) is a sentinel:
+        every sum with it lies in the zero tail of exp.  zech[d] (odd
+        characteristic) is log(1 + g^d), doubled in length so that
+        differences of logs index it directly.
+        """
+        p, dim, q = self.p, self.dim, self.order
+        q1 = q - 1
+        g = self._primitive()
+        step = np.array(
+            [self._schoolbook(b.coeffs, g) for b in self.basis], dtype=np.int64
+        )
+        powers = np.zeros((1, dim), dtype=np.int64)
+        powers[0, 0] = 1
+        while len(powers) < q1:
+            powers = np.vstack([powers, powers @ step % p])
+            step = step @ step % p
+        weights = p ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+        exp_idx = powers[:q1] @ weights
+        log = np.full(q, 2 * q1, dtype=np.int64)
+        log[exp_idx] = np.arange(q1)
+        if np.count_nonzero(log[1:] == 2 * q1) or log[0] != 2 * q1:
+            raise RuntimeError(f"no primitive element found in {self.describe()}")
+        elems = [
+            FFElem(self, i, c)
+            for i, c in enumerate(itertools.product(range(p), repeat=dim))
+        ]
+        cycle = [elems[i] for i in exp_idx.tolist()]
+        self._exp = cycle + cycle + [elems[0]] * (2 * q1 + 1)
+        if p != 2:
+            # 1 + a adds 1 to the most significant digit of a's index
+            zech = log[(exp_idx + self.one.i) % q].tolist()
+            self._zech = zech + zech
+        self._frob_log = [pow(p, k, q1) for k in range(dim)]
+        self._elems = elems
+        self._log = log.tolist()
+
+    def _primitive(self):
+        """The coordinates of the first element in index order whose
+        (q-1)/r-th power is not 1 for any prime r dividing q-1."""
+        q1 = self.order - 1
+        exps = [q1 // r for r in prime_divisors(q1)]
+        one = self.one.coeffs
+        for i in range(1, self.order):
+            g = tuple(digits(i, self.p, self.dim))
+            if all(self._power(g, e) != one for e in exps):
+                return g
+        raise RuntimeError(f"{self.describe()} has no primitive element")
 
     def frobenius(self, a, k=1):
-        """a^(p^k), via cached basis-image tables."""
+        """a^(p^k): a table lookup, or a combination of the cached basis
+        images before the tables exist and in fields without them."""
         k %= self.dim
         if k == 0:
             return a
+        if self._log is not None:
+            if not a.i:
+                return a
+            return self._exp[self._log[a.i] * self._frob_log[k] % (self.order - 1)]
         imgs = self._frob_cache.get(k)
         if imgs is None:
-            imgs = [(b ** (self.p**k)).coeffs for b in self.basis]
+            imgs = [self._power(b.coeffs, self.p**k) for b in self.basis]
             self._frob_cache[k] = imgs
         p = self.p
         acc = [0] * self.dim
         for c, img in zip(a.coeffs, imgs):
             if c:
                 acc = [(r + c * m) % p for r, m in zip(acc, img)]
-        return FFElem(self, tuple(acc))
+        return self._from_coeffs(tuple(acc))
 
     def sqrt(self, a):
         """A square root in characteristic 2 (Frobenius is bijective)."""
@@ -272,13 +411,13 @@ class GFCtx:
             raise FieldError("sqrt shortcut only implemented in characteristic 2")
         return self.frobenius(a, self.dim - 1)
 
-    @property
-    def order(self):
-        return self.p**self.dim
-
     def elem_from_index(self, idx):
-        """Elements ordered by coordinate tuples lexicographically."""
-        return FFElem(self, tuple(digits(idx, self.p, self.dim)))
+        """Elements ordered by coordinate tuples lexicographically; idx must
+        lie in [0, order)."""
+        if not 0 <= idx < self.order:
+            raise ValueError(f"index {idx} outside [0, {self.order})")
+        elems = self._elems
+        return elems[idx] if elems is not None else self._make(idx)
 
     def combine(self, coords, basis):
         """sum_i coords[i] * basis[i] for integer coordinates."""
@@ -392,7 +531,7 @@ class FiniteFieldCtx(GFCtx, Tower):
         cols = [self.frobenius(b, frob_exp).coeffs for b in self.basis]
         mat = np.array(cols, dtype=np.int64).T - np.eye(self.dim, dtype=np.int64)
         ker = np_kernel(mat % self.p, self.p)
-        return [FFElem(self, tuple(int(c) for c in row)) for row in ker]
+        return [self.elem(row) for row in ker]
 
     def is_square_in_K(self, a):
         """Euler's criterion in K of odd order; in even order every element

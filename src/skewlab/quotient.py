@@ -390,10 +390,10 @@ class Specialisation:
         )
         powers = [root**i for i in range(cf.dim)]
         self.field = E
-        self.embed = {
-            c.coeffs: E.combine(c.coeffs, powers)
+        self.embed = [
+            E.combine(c.coeffs, powers)
             for c in map(cf.elem_from_index, range(cf.order))
-        }
+        ]
         maximal = [E.dim // q for q in prime_divisors(E.dim)]
         full = (z for z in scan() if all(E.frobenius(z, d) != z for d in maximal))
         self.points = [
@@ -411,7 +411,7 @@ class Specialisation:
 
     def _image(self, poly):
         """poly with its coefficients mapped into E."""
-        return Poly(self.field, (self.embed[c.coeffs] for c in poly.coeffs))
+        return Poly(self.field, (self.embed[c.i] for c in poly.coeffs))
 
     def _modulus_at(self, F_skew, z):
         values = [self.evaluate(c, z) for c in F_skew.coeffs]
@@ -659,24 +659,3 @@ def matrix_image(a):
 def matrix_rank(entries):
     """Row rank of a matrix over E(f) by Gaussian elimination."""
     return len(linalg.rref(entries)[1])
-
-
-def linearized_rank(a):
-    """Rank of the linearised map beta -> sum a_i beta^(q^i) on L, for the
-    classical F = y - 1, s = 1 identification; cross-check for rank()."""
-    qctx = a.qctx
-    ctx = qctx.ctx
-    if not isinstance(ctx, FiniteFieldCtx) or qctx.s != 1:
-        raise FieldError("linearised rank needs a finite context with s = 1")
-    cols = []
-    for basis in ctx.basis:
-        img = ctx.zero
-        for i, c in enumerate(a.rep.coeffs):
-            if c:
-                img = img + c * ctx.sigma_pow(basis, i)
-        cols.append(img.coeffs)
-    mat = np.array(cols, dtype=np.int64).T
-    fp_rank = linalg.np_rank(mat, ctx.p)
-    if fp_rank % ctx.e:
-        raise RuntimeError("linearised map rank is not a K-dimension")
-    return fp_rank // ctx.e

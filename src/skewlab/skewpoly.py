@@ -15,8 +15,6 @@ from .fields import (
 )
 from .polyring import NEG_INF, Poly, exact_power, irreducible_over
 
-import numpy as np
-
 
 class SkewPoly:
     """Skew polynomial: ascending coefficient tuple over the field context."""
@@ -435,39 +433,6 @@ def bound(f):
     if k is not None and ctx.n % k == 0:
         return BoundReport(F, k, ctx.n // k, sd)
     return BoundReport(F, None, None, sd)
-
-
-def bound_oracle(f):
-    """Independent brute-force bound: the smallest d such that the K-linear
-    system 'monic F of degree d with F(x^n) mod_r f = 0' is solvable.
-
-    Finite contexts only; this is the test-side guard for bound().
-    """
-    ctx = f.ctx
-    if not isinstance(ctx, FiniteFieldCtx):
-        raise FieldError("brute-force bound oracle requires a finite context")
-    if not f.is_monic() or f.degree < 1 or not f.constant_coeff:
-        raise ValueError("oracle needs a monic f with nonzero constant coefficient")
-    from .quotient import vec
-
-    h = f.degree
-    n = ctx.n
-    e = len(ctx.k_basis)
-    reds = power_reductions(f, n * h)
-    for d in range(1, h + 1):
-        cols = []
-        for i in range(d):
-            red = reds[n * i]
-            for b in ctx.k_basis:
-                cols.append(vec(red.scale_left(b), h))
-        rhs = [(-x) % ctx.p for x in vec(reds[n * d], h)]
-        mat = np.array(cols, dtype=np.int64).T
-        sol = linalg.np_solve(mat, rhs, ctx.p)
-        if sol is None:
-            continue
-        coeffs = [ctx.combine(sol[i * e : (i + 1) * e], ctx.k_basis) for i in range(d)]
-        return CentralPoly.from_coeffs(ctx, coeffs + [ctx.one])
-    raise RuntimeError("oracle found no bound up to deg f")
 
 
 def is_irreducible(f):

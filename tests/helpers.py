@@ -1,8 +1,11 @@
 """Shared samplers and context factories for the test suite."""
 
+import numpy as np
+
 from skewlab import linalg
-from skewlab.fields import FiniteFieldCtx, FunctionFieldCtx
-from skewlab.skewpoly import CentralPoly, SkewPoly, is_irreducible
+from skewlab.fields import FieldError, FiniteFieldCtx, FunctionFieldCtx
+from skewlab.quotient import vec
+from skewlab.skewpoly import CentralPoly, SkewPoly, is_irreducible, power_reductions
 
 
 def finite_ctx(p, n, e=1, sigma_exp=1):
@@ -92,3 +95,55 @@ def record_rank_scans(monkeypatch):
     monkeypatch.setattr(linalg, "rank_scan", both)
     monkeypatch.setattr(linalg, "batch_rank", counted)
     return scans
+
+
+def linearized_rank(a):
+    """Rank of the linearised map beta -> sum a_i beta^(q^i) on L, for the
+    classical F = y - 1, s = 1 identification; cross-check for rank()."""
+    qctx = a.qctx
+    ctx = qctx.ctx
+    if not isinstance(ctx, FiniteFieldCtx) or qctx.s != 1:
+        raise FieldError("linearised rank needs a finite context with s = 1")
+    cols = []
+    for basis in ctx.basis:
+        img = ctx.zero
+        for i, c in enumerate(a.rep.coeffs):
+            if c:
+                img = img + c * ctx.sigma_pow(basis, i)
+        cols.append(img.coeffs)
+    mat = np.array(cols, dtype=np.int64).T
+    fp_rank = linalg.np_rank(mat, ctx.p)
+    if fp_rank % ctx.e:
+        raise RuntimeError("linearised map rank is not a K-dimension")
+    return fp_rank // ctx.e
+
+
+def bound_oracle(f):
+    """Independent brute-force bound: the smallest d such that the K-linear
+    system 'monic F of degree d with F(x^n) mod_r f = 0' is solvable.
+
+    Finite contexts only; this is the test-side guard for bound().
+    """
+    ctx = f.ctx
+    if not isinstance(ctx, FiniteFieldCtx):
+        raise FieldError("brute-force bound oracle requires a finite context")
+    if not f.is_monic() or f.degree < 1 or not f.constant_coeff:
+        raise ValueError("oracle needs a monic f with nonzero constant coefficient")
+    h = f.degree
+    n = ctx.n
+    e = len(ctx.k_basis)
+    reds = power_reductions(f, n * h)
+    for d in range(1, h + 1):
+        cols = []
+        for i in range(d):
+            red = reds[n * i]
+            for b in ctx.k_basis:
+                cols.append(vec(red.scale_left(b), h))
+        rhs = [(-x) % ctx.p for x in vec(reds[n * d], h)]
+        mat = np.array(cols, dtype=np.int64).T
+        sol = linalg.np_solve(mat, rhs, ctx.p)
+        if sol is None:
+            continue
+        coeffs = [ctx.combine(sol[i * e : (i + 1) * e], ctx.k_basis) for i in range(d)]
+        return CentralPoly.from_coeffs(ctx, coeffs + [ctx.one])
+    raise RuntimeError("oracle found no bound up to deg f")

@@ -26,7 +26,6 @@ from skewlab.fields import AutMap, FunctionFieldCtx
 from skewlab.ffexamples import run_suite
 from skewlab.quotient import (
     QuotCtx,
-    linearized_rank,
     matrix_image,
     matrix_rank,
     rank,
@@ -43,7 +42,6 @@ from skewlab.semifields import (
 from skewlab.skewpoly import (
     SkewPoly,
     bound,
-    bound_oracle,
     central_is_irreducible,
     gcrd,
     left_divides,
@@ -54,8 +52,10 @@ from skewlab.skewpoly import (
 )
 
 from helpers import (
+    bound_oracle,
     finite_ctx,
     irreducible_quadratic,
+    linearized_rank,
     random_irreducible,
     random_skew,
     y_minus_one,

@@ -11,7 +11,9 @@ from skewlab.fields import (
     FieldError,
     FiniteFieldCtx,
     FunctionFieldCtx,
+    GFCtx,
     LiteralError,
+    TABLE_LIMIT,
     elem_from_literal,
     elem_to_literal,
     field_from_inline,
@@ -323,3 +325,161 @@ def test_tower_interface_of_both_families():
         for i in range(1, ctx.n):
             expected = expected * ctx.sigma_pow(a, i)
         assert ctx.norm(a) == expected and ctx.is_in_K(expected)
+
+
+# ----------------------------------------- arithmetic against an oracle ----
+#
+# The oracle is the coordinate-tuple arithmetic finite fields used before
+# they had tables: the schoolbook product reduced by the modulus, the
+# coordinatewise sum, and Frobenius as a p^k-th power of those products.
+
+
+def _oracle_mul(ctx, x, y):
+    p, dim, mod = ctx.p, ctx.dim, ctx.modulus
+    out = [0] * (2 * dim - 1)
+    for i, c in enumerate(x):
+        for j, d in enumerate(y):
+            out[i + j] = (out[i + j] + c * d) % p
+    # the modulus is monic: fold the top term down, highest degree first
+    for k in range(2 * dim - 2, dim - 1, -1):
+        c = out[k]
+        if c:
+            for j in range(dim + 1):
+                out[k - dim + j] = (out[k - dim + j] - c * mod[j]) % p
+    return tuple(out[:dim])
+
+
+def _oracle_pow(ctx, x, e):
+    result = (1,) + (0,) * (ctx.dim - 1)
+    for bit in bin(e)[2:]:
+        result = _oracle_mul(ctx, result, result)
+        if bit == "1":
+            result = _oracle_mul(ctx, result, x)
+    return result
+
+
+def _oracle_add(ctx, x, y, sign=1):
+    return tuple((a + sign * b) % ctx.p for a, b in zip(x, y))
+
+
+def _oracle_digits(ctx, i):
+    """Element i's coordinates: base-p digits, the constant most significant."""
+    out = []
+    for _ in range(ctx.dim):
+        i, d = divmod(i, ctx.p)
+        out.append(d)
+    return tuple(reversed(out))
+
+
+ORACLE_FIELDS = {
+    "F_5": lambda: GFCtx(5, 1),
+    "F_7919": lambda: GFCtx(7919, 1),
+    "F_81": lambda: FiniteFieldCtx(3, 1, 4),
+    "F_16_e2": lambda: FiniteFieldCtx(2, 2, 2),
+    "GF(2^6)": lambda: GFCtx(2, 6),
+    "GF(2^10)": lambda: GFCtx(2, 10),
+    "F_3^8": lambda: FiniteFieldCtx(3, 1, 8),
+    "GF(2^17)": lambda: GFCtx(2, 17),
+}
+
+
+def _oracle_pairs(ctx, rng):
+    """Every pair of a field of order <= 81, else sampled pairs that
+    include zero and one."""
+    if ctx.order <= 81:
+        elems = [ctx.elem_from_index(i) for i in range(ctx.order)]
+        return [(a, b) for a in elems for b in elems]
+    special = [ctx.zero, ctx.one, ctx.minus_one, ctx.gen]
+    pairs = [(a, b) for a in special for b in special]
+    samples = 400 if ctx.order > TABLE_LIMIT else 2000
+    pairs += [
+        (ctx.random_elem(rng), ctx.random_elem(rng)) for _ in range(samples)
+    ]
+    return pairs
+
+
+def _check_frobenius(ctx, elems):
+    for a in elems:
+        for k in range(ctx.dim + 1):
+            assert ctx.frobenius(a, k).coeffs == _oracle_pow(
+                ctx, a.coeffs, ctx.p**k
+            ), (a, k)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+def test_arithmetic_matches_the_tuple_oracle(name):
+    ctx = ORACLE_FIELDS[name]()
+    rng = random.Random(name)
+    probes = [ctx.zero, ctx.one, ctx.gen] + [ctx.random_elem(rng) for _ in range(6)]
+    # Frobenius before any product (basis images), then with the tables
+    _check_frobenius(ctx, probes)
+    for a, b in _oracle_pairs(ctx, rng):
+        x, y = a.coeffs, b.coeffs
+        assert (a * b).coeffs == _oracle_mul(ctx, x, y), (a, b)
+        assert (a + b).coeffs == _oracle_add(ctx, x, y), (a, b)
+        assert (a - b).coeffs == _oracle_add(ctx, x, y, -1), (a, b)
+        assert (a == b) == (x == y)
+        assert bool(a) == any(x)
+    _check_frobenius(ctx, probes)
+    for a in probes + [ctx.random_elem(rng) for _ in range(50)]:
+        x = a.coeffs
+        assert (-a).coeffs == _oracle_add(ctx, (0,) * ctx.dim, x, -1)
+        assert a ** 0 == ctx.one and a**1 == a
+        assert (a**5).coeffs == _oracle_pow(ctx, x, 5)
+        if not a:
+            with pytest.raises(ZeroDivisionError):
+                a.inverse()
+            continue
+        inv = a.inverse()
+        assert _oracle_mul(ctx, x, inv.coeffs) == ctx.one.coeffs
+        assert a ** -2 == inv * inv
+        # equal elements made two ways are equal and hash alike
+        twin = ctx.elem(x)
+        assert twin == a and hash(twin) == hash(a)
+
+
+@pytest.mark.parametrize("name", ["F_5", "F_81", "F_16_e2", "GF(2^6)"])
+def test_elem_from_index_order(name):
+    ctx = ORACLE_FIELDS[name]()
+    for when in ("before", "after"):
+        elems = [ctx.elem_from_index(i) for i in range(ctx.order)]
+        assert [a.coeffs for a in elems] == [
+            _oracle_digits(ctx, i) for i in range(ctx.order)
+        ], when
+        assert len(set(elems)) == ctx.order
+        assert all(a.i == i for i, a in enumerate(elems))
+        ctx.gen * ctx.gen  # builds the tables of a field that takes them
+
+
+@pytest.mark.parametrize("name", ["F_5", "F_81", "GF(2^6)", "GF(2^17)"])
+def test_elem_from_index_rejects_indices_out_of_range(name):
+    ctx = ORACLE_FIELDS[name]()
+    for _ in range(2):
+        for idx in (ctx.order, ctx.order + 5, -1, -ctx.order):
+            with pytest.raises(ValueError):
+                ctx.elem_from_index(idx)
+        ctx.gen * ctx.gen  # again with the tables built
+
+
+def _primes_up_to(n):
+    sieve = [True] * (n + 1)
+    for d in range(2, math.isqrt(n) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = [False] * len(sieve[d * d :: d])
+    return [d for d in range(2, n + 1) if sieve[d]]
+
+
+def test_construction_builds_no_table():
+    for p in _primes_up_to(6561):
+        fp = GFCtx(p, 1)
+        assert fp._log is None and fp._elems is None, p
+    fp.gen * fp.minus_one
+    assert fp._log is None and len(fp._elems) == fp.p  # interned, no logs
+    ctx = FiniteFieldCtx(3, 1, 8)
+    assert ctx._log is None and ctx._elems is None
+    ctx.gen * ctx.gen
+    assert len(ctx._elems) == ctx.order and len(ctx._log) == ctx.order
+    # above the limit no table is ever built
+    big = GFCtx(2, 17)
+    big.gen * big.gen
+    assert big._log is None and big._elems is None

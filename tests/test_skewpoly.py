@@ -13,7 +13,6 @@ from skewlab.skewpoly import (
     CentralPoly,
     SkewPoly,
     bound,
-    bound_oracle,
     central_is_irreducible,
     central_to_literal,
     companion_and_af,
@@ -33,7 +32,7 @@ from skewlab.skewpoly import (
     skew_to_literal,
 )
 
-from helpers import finite_ctx, random_irreducible, random_skew
+from helpers import bound_oracle, finite_ctx, random_irreducible, random_skew
 
 
 def test_defining_relation_f4():
