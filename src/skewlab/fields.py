@@ -32,6 +32,7 @@ from .polyring import (
     RatFuncCtx,
     ext_gcd,
     irreducible_over,
+    power,
     prime_divisors,
 )
 
@@ -155,14 +156,7 @@ class FFElem:
             return self.ctx._exp[log[self.i] * e % (self.ctx.order - 1)]
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.ctx.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, self.ctx.one)
 
     def __repr__(self):
         return f"FFElem({self.ctx.describe()}, {finite_elem_to_literal(self)!r})"
@@ -305,16 +299,6 @@ class GFCtx:
                 res = [(r + c * m) % p for r, m in zip(res, row)]
         return tuple(res)
 
-    def _power(self, x, e):
-        """The coordinates of x^e (e >= 0) by schoolbook products."""
-        result = self.one.coeffs
-        while e:
-            if e & 1:
-                result = self._schoolbook(result, x)
-            x = self._schoolbook(x, x)
-            e >>= 1
-        return result
-
     def _inverse(self, a):
         if not a.i:
             raise ZeroDivisionError("zero has no inverse")
@@ -380,7 +364,7 @@ class GFCtx:
         one = self.one.coeffs
         for i in range(1, self.order):
             g = tuple(digits(i, self.p, self.dim))
-            if all(self._power(g, e) != one for e in exps):
+            if all(power(g, e, one, self._schoolbook) != one for e in exps):
                 return g
         raise RuntimeError(f"{self.describe()} has no primitive element")
 
@@ -396,7 +380,8 @@ class GFCtx:
             return self._exp[self._log[a.i] * self._frob_log[k] % (self.order - 1)]
         imgs = self._frob_cache.get(k)
         if imgs is None:
-            imgs = [self._power(b.coeffs, self.p**k) for b in self.basis]
+            one, e = self.one.coeffs, self.p**k
+            imgs = [power(b.coeffs, e, one, self._schoolbook) for b in self.basis]
             self._frob_cache[k] = imgs
         p = self.p
         acc = [0] * self.dim

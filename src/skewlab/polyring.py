@@ -1,41 +1,61 @@
-"""Generic commutative polynomials and rational functions over a field.
+"""Generic dense polynomials and rational functions over a field.
 
 Coefficients can be any objects supporting field arithmetic through the
 Python operators (the field elements of :mod:`skewlab.fields`).  The owning
-field handle supplies `zero` and `one`.  Poly coefficients are ascending,
-trimmed; the zero polynomial has degree -inf.
+field handle `ctx` supplies `zero` and `one`.  Poly coefficients are
+ascending, trimmed; the zero polynomial has degree -inf.  Structural methods
+build type(self), so skewpoly.SkewPoly is a Poly with a twisted product and
+right division, and ext_gcd serves both.
 """
+
+import operator
 
 NEG_INF = float("-inf")
 
 
+def power(x, e, one, mul=operator.mul):
+    """x**e for an integer e >= 0, where mul(a, b) is the product (reduced,
+    or of coordinate tuples) and one the e = 0 result; left-to-right, so
+    powers of y multiply by y only."""
+    if e < 0:
+        raise ValueError("power needs a nonnegative exponent")
+    if not e:
+        return one
+    result = x
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, x)
+    return result
+
+
 class Poly:
-    """Dense univariate polynomial over a coefficient field."""
+    """Dense univariate polynomial over a coefficient field ctx."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("ctx", "coeffs")
 
-    def __init__(self, field, coeffs):
+    def __init__(self, ctx, coeffs):
         coeffs = list(coeffs)
         while coeffs and not coeffs[-1]:
             coeffs.pop()
-        self.field = field
+        self.ctx = ctx
         self.coeffs = tuple(coeffs)
 
     @classmethod
-    def zero(cls, field):
-        return cls(field, ())
+    def zero(cls, ctx):
+        return cls(ctx, ())
 
     @classmethod
-    def one(cls, field):
-        return cls(field, (field.one,))
+    def one(cls, ctx):
+        return cls(ctx, (ctx.one,))
 
     @classmethod
-    def gen(cls, field):
-        return cls(field, (field.zero, field.one))
+    def gen(cls, ctx):
+        return cls(ctx, (ctx.zero, ctx.one))
 
     @classmethod
-    def constant(cls, field, c):
-        return cls(field, (c,))
+    def constant(cls, ctx, c):
+        return cls(ctx, (c,))
 
     @property
     def degree(self):
@@ -53,7 +73,7 @@ class Poly:
     def __getitem__(self, i):
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return self.field.zero
+        return self.ctx.zero
 
     @property
     def lead(self):
@@ -61,35 +81,39 @@ class Poly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
+    def is_monic(self):
+        return bool(self.coeffs) and self.coeffs[-1] == self.ctx.one
+
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, (self[i] + other[i] for i in range(n)))
+        return type(self)(self.ctx, (self[i] + other[i] for i in range(n)))
 
     def __sub__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, (self[i] - other[i] for i in range(n)))
+        return type(self)(self.ctx, (self[i] - other[i] for i in range(n)))
 
     def __neg__(self):
-        return Poly(self.field, (-c for c in self.coeffs))
+        return type(self)(self.ctx, (-c for c in self.coeffs))
 
     def __mul__(self, other):
         if not self or not other:
-            return Poly.zero(self.field)
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return type(self).zero(self.ctx)
+        out = [self.ctx.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, x in enumerate(self.coeffs):
             if x:
                 for j, y in enumerate(other.coeffs):
                     out[i + j] = out[i + j] + x * y
-        return Poly(self.field, out)
+        return type(self)(self.ctx, out)
 
     def scale(self, c):
-        return Poly(self.field, (c * x for x in self.coeffs))
+        """c * self, each coefficient multiplied by c on the left."""
+        return type(self)(self.ctx, (c * x for x in self.coeffs))
 
     def shift(self, k):
-        """Multiply by the k-th power of the variable."""
+        """Multiply by the k-th power of the variable (on the right)."""
         if not self:
             return self
-        return Poly(self.field, (self.field.zero,) * k + self.coeffs)
+        return type(self)(self.ctx, (self.ctx.zero,) * k + self.coeffs)
 
     def __divmod__(self, other):
         if not other:
@@ -97,7 +121,7 @@ class Poly:
         rem = list(self.coeffs)
         db = other.degree
         inv_lead = other.lead.inverse()
-        q = [self.field.zero] * max(len(rem) - db, 0)
+        q = [self.ctx.zero] * max(len(rem) - db, 0)
         while len(rem) - 1 >= db and rem:
             if not rem[-1]:
                 rem.pop()
@@ -108,7 +132,7 @@ class Poly:
             for j, y in enumerate(other.coeffs):
                 rem[k + j] = rem[k + j] - c * y
             rem.pop()
-        return Poly(self.field, q), Poly(self.field, rem)
+        return type(self)(self.ctx, q), type(self)(self.ctx, rem)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -118,16 +142,15 @@ class Poly:
 
     def __pow__(self, e, mod=None):
         """self**e, or pow(self, e, mod) with every product reduced mod
-        `mod`; left-to-right, so powers of y multiply by y only."""
-        reduce = (lambda a: a) if mod is None else (lambda a: a % mod)
-        if not e:
-            return reduce(Poly.one(self.field))
-        result = base = reduce(self)
-        for bit in bin(e)[3:]:
-            result = reduce(result * result)
-            if bit == "1":
-                result = reduce(result * base)
-        return result
+        `mod` (commutative only: right reduction in a skew polynomial ring
+        does not commute with products)."""
+        if mod is None:
+            return power(self, e, type(self).one(self.ctx))
+        if type(self) is not Poly:
+            raise TypeError("pow with a modulus needs a commutative polynomial")
+        # 1 mod `mod` is 1 unless `mod` is a unit
+        one = Poly(self.ctx, (self.ctx.one,) if mod.degree > 0 else ())
+        return power(self % mod, e, one, lambda a, b: a * b % mod)
 
     def monic(self):
         if not self:
@@ -135,12 +158,14 @@ class Poly:
         return self.scale(self.lead.inverse())
 
     def gcd(self, other):
-        return Poly(self.field, _gcd_coeff_lists(self.coeffs, other.coeffs)).monic()
+        return Poly(self.ctx, _gcd_coeff_lists(self.coeffs, other.coeffs)).monic()
 
     def evaluate(self, x):
         """Horner evaluation; x may live in any extension of the field."""
+        if type(self) is not Poly:
+            raise TypeError("evaluation needs a commutative polynomial")
         if not self.coeffs:
-            return x - x if not isinstance(x, Poly) else Poly.zero(x.field)
+            return x - x if not isinstance(x, Poly) else type(x).zero(x.ctx)
         acc = None
         for c in reversed(self.coeffs):
             acc = c if acc is None else acc * x + c
@@ -148,7 +173,7 @@ class Poly:
 
     def reverse(self):
         """Coefficient reversal up to the true degree."""
-        return Poly(self.field, reversed(self.coeffs))
+        return type(self)(self.ctx, reversed(self.coeffs))
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
@@ -178,11 +203,12 @@ def _gcd_coeff_lists(a, b):
 
 
 def ext_gcd(a, b):
-    """(g, u, v) with g = u*a + v*b the monic gcd (commutative)."""
-    field = a.field
+    """(g, u, v) with g = u*a + v*b the monic gcd; quotients multiply on the
+    left, so for skew polynomials (right divmod) g is the monic gcrd."""
+    P, ctx = type(a), a.ctx
     r0, r1 = a, b
-    u0, u1 = Poly.one(field), Poly.zero(field)
-    v0, v1 = Poly.zero(field), Poly.one(field)
+    u0, u1 = P.one(ctx), P.zero(ctx)
+    v0, v1 = P.zero(ctx), P.one(ctx)
     while r1:
         q, r = divmod(r0, r1)
         r0, r1 = r1, r
@@ -211,12 +237,12 @@ def prime_divisors(n):
 
 def irreducible_over(f, q):
     """Rabin's test: f of degree d over a field of order q (its coefficients
-    may lie in a subfield of f.field of that order) is irreducible iff
+    may lie in a subfield of f.ctx of that order) is irreducible iff
     y^(q^d) = y mod f and gcd(y^(q^(d/r)) - y, f) = 1 for each prime r | d."""
     d = f.degree
     if d < 1:
         return False
-    y = Poly.gen(f.field)
+    y = Poly.gen(f.ctx)
     for r in prime_divisors(d):
         if (pow(y, q ** (d // r), f) - y).gcd(f).degree != 0:
             return False
@@ -235,7 +261,7 @@ def exact_power(base, target):
             return None
         cur = q
         k += 1
-    if cur != Poly.one(target.field):
+    if cur != Poly.one(target.ctx):
         return None
     return k
 
@@ -250,16 +276,16 @@ class FracElem:
             raise ZeroDivisionError("zero denominator")
         if reduce:
             if not num:
-                den = Poly.one(num.field)
+                den = Poly.one(num.ctx)
             elif den.degree == 0:
-                if den.lead != num.field.one:
+                if den.lead != num.ctx.one:
                     inv = den.lead.inverse()
                     num = num.scale(inv)
-                    den = Poly.one(num.field)
+                    den = Poly.one(num.ctx)
             else:
                 g = _gcd_coeff_lists(num.coeffs, den.coeffs)
                 if len(g) > 1:
-                    gp = Poly(num.field, g)
+                    gp = Poly(num.ctx, g)
                     num = num // gp
                     den = den // gp
                 lead_inv = den.lead.inverse()
@@ -319,13 +345,13 @@ class FracElem:
         if d2.degree > 0 and n1.degree > 0:
             g1 = _gcd_coeff_lists(n1.coeffs, d2.coeffs)
             if len(g1) > 1:
-                gp = Poly(n1.field, g1).monic()
+                gp = Poly(n1.ctx, g1).monic()
                 n1 = n1 // gp
                 d2 = d2 // gp
         if d1.degree > 0 and n2.degree > 0:
             g2 = _gcd_coeff_lists(n2.coeffs, d1.coeffs)
             if len(g2) > 1:
-                gp = Poly(n2.field, g2).monic()
+                gp = Poly(n2.ctx, g2).monic()
                 n2 = n2 // gp
                 d1 = d1 // gp
         return FracElem(self.ctx, n1 * n2, d1 * d2, reduce=False)
@@ -344,14 +370,7 @@ class FracElem:
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.ctx.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, self.ctx.one)
 
     def __repr__(self):
         return f"FracElem({self.num!r}/{self.den!r})"

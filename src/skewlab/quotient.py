@@ -26,7 +26,7 @@ import numpy as np
 from . import linalg
 from .fields import FieldError, FiniteFieldCtx, FunctionFieldCtx, GFCtx
 from .modpoly import digits
-from .polyring import Poly, prime_divisors
+from .polyring import Poly, power, prime_divisors
 from .skewpoly import (
     CentralPoly,
     SkewPoly,
@@ -561,16 +561,9 @@ class EigenElem(QuotElem):
     def inverse(self):
         if not self.rep:
             raise ZeroDivisionError("zero eigenring element")
-        q = self.qctx.ctx.q
-        e = q**self.qctx.s - 2
-        result = EigenElem(self.qctx, SkewPoly.one(self.qctx.ctx))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        ctx = self.qctx.ctx
+        one = EigenElem(self.qctx, SkewPoly.one(ctx))
+        return power(self, ctx.q**self.qctx.s - 2, one)
 
     def __truediv__(self, other):
         return self * other.inverse()

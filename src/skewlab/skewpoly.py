@@ -1,6 +1,7 @@
 """The skew polynomial ring L[x; sigma] with xa = sigma(a)x.
 
-Multiplication is schoolbook with the twist; left and right Euclidean
+SkewPoly is a polyring.Poly that overrides only the product (schoolbook
+with the twist) and the division (on the right).  Left and right Euclidean
 division, gcrd/lclm, two-sidedness, companion/semilinear matrices and the
 bound (minimal central multiple) of a polynomial all live here.
 """
@@ -13,28 +14,14 @@ from .fields import (
     parse_poly,
     poly_to_literal,
 )
-from .polyring import NEG_INF, Poly, exact_power, irreducible_over
+from .polyring import Poly, exact_power, ext_gcd, irreducible_over
 
 
-class SkewPoly:
-    """Skew polynomial: ascending coefficient tuple over the field context."""
+class SkewPoly(Poly):
+    """Skew polynomial: a Poly whose product twists by sigma and whose
+    division (divmod, %, //, gcd) is on the right."""
 
-    __slots__ = ("ctx", "coeffs")
-
-    def __init__(self, ctx, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        self.ctx = ctx
-        self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def zero(cls, ctx):
-        return cls(ctx, ())
-
-    @classmethod
-    def one(cls, ctx):
-        return cls(ctx, (ctx.one,))
+    __slots__ = ()
 
     @classmethod
     def x(cls, ctx):
@@ -44,16 +31,9 @@ class SkewPoly:
     def monomial(cls, ctx, c, i):
         return cls(ctx, (ctx.zero,) * i + (c,))
 
-    @classmethod
-    def constant(cls, ctx, c):
-        return cls(ctx, (c,))
-
     @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    def __bool__(self):
-        return bool(self.coeffs)
+    def constant_coeff(self):
+        return self[0]
 
     def __eq__(self, other):
         return (
@@ -62,46 +42,15 @@ class SkewPoly:
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __getitem__(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.ctx.zero
-
-    @property
-    def lead(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    @property
-    def constant_coeff(self):
-        return self[0]
-
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == self.ctx.one
-
-    def __add__(self, other):
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return SkewPoly(self.ctx, (self[i] + other[i] for i in range(n)))
-
-    def __sub__(self, other):
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return SkewPoly(self.ctx, (self[i] - other[i] for i in range(n)))
-
-    def __neg__(self):
-        return SkewPoly(self.ctx, (-c for c in self.coeffs))
+    __hash__ = Poly.__hash__  # a class that defines __eq__ gets None
 
     def __mul__(self, other):
         """Twisted product: (a x^i)(b x^j) = a sigma^i(b) x^(i+j)."""
-        self._check(other)
-        if not self or not other:
-            return SkewPoly.zero(self.ctx)
         ctx = self.ctx
+        if ctx is not other.ctx:
+            raise FieldError("skew polynomial context mismatch")
+        if not self or not other:
+            return SkewPoly.zero(ctx)
         out = [ctx.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
@@ -109,20 +58,16 @@ class SkewPoly:
             for j, b in enumerate(other.coeffs):
                 if b:
                     out[i + j] = out[i + j] + a * ctx.sigma_pow(b, i)
-        return SkewPoly(self.ctx, out)
+        return SkewPoly(ctx, out)
 
-    def scale_left(self, c):
-        """c * f (coefficients scaled on the left)."""
-        return SkewPoly(self.ctx, (c * a for a in self.coeffs))
+    def __divmod__(self, other):
+        return right_divmod(self, other)
 
-    def monic(self):
-        if not self:
-            return self
-        return self.scale_left(self.lead.inverse())
+    def gcd(self, other):
+        return gcrd(self, other)
 
-    def _check(self, other):
-        if self.ctx is not other.ctx:
-            raise FieldError("skew polynomial context mismatch")
+    # c * f, coefficients scaled on the left
+    scale_left = Poly.scale
 
     def __repr__(self):
         return f"SkewPoly({skew_to_literal(self)!r})"
@@ -202,21 +147,8 @@ def gcrd(f, g):
     return f.monic()
 
 
-def gcrd_extended(f, g):
-    """(d, u, v) with d = u*f + v*g the monic gcrd."""
-    ctx = f.ctx
-    r0, r1 = f, g
-    u0, u1 = SkewPoly.one(ctx), SkewPoly.zero(ctx)
-    v0, v1 = SkewPoly.zero(ctx), SkewPoly.one(ctx)
-    while r1:
-        q, r = right_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if not r0:
-        raise ValueError("gcrd(0, 0) is undefined")
-    c = r0.lead.inverse()
-    return r0.scale_left(c), u0.scale_left(c), v0.scale_left(c)
+# (d, u, v) with d = u*f + v*g the monic gcrd
+gcrd_extended = ext_gcd
 
 
 def power_reductions(f, upto):
@@ -323,7 +255,7 @@ class CentralPoly:
         return self.poly[0]
 
     def is_monic(self):
-        return bool(self.poly) and self.poly.lead == self.ctx.one
+        return self.poly.is_monic()
 
     def to_skew(self):
         """F(x^n) as a skew polynomial."""

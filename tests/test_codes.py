@@ -731,3 +731,18 @@ def test_norm_k_to_kprime_is_the_frobenius_orbit_product(p, e, n, sigma_exp):
             for i in range(e // ep):
                 expected = expected * c ** (p ** (ep * i))
             assert spec.norm_K_to_Kprime(c) == expected
+
+
+def test_codeword_decoder_rejects_indices_out_of_range():
+    # S_(4,1,2) and D_(4,1,2) both have 6561 words; index 6561 used to
+    # decode to the zero word and -1 to a nonzero one
+    q = quot34()
+    w = q.ctx.gen
+    for spec in (SCodeSpec(q, 2, w, AutMap.sigma_power(q.ctx, 1)), DCodeSpec(q, 2, w)):
+        count = codeword_count(spec)
+        assert count == 6561
+        assert not codeword_from_index(spec, 0).rep
+        assert codeword_from_index(spec, count - 1).rep
+        for idx in (count, -1):
+            with pytest.raises(ValueError):
+                codeword_from_index(spec, idx)

@@ -19,6 +19,8 @@ GOLDEN = Path(__file__).parent / "golden"
 F81 = {"kind": "finite", "p": 3, "e": 1, "n": 4}
 F9 = {"kind": "finite", "p": 3, "e": 1, "n": 2}
 F25 = {"kind": "finite", "p": 5, "e": 1, "n": 2}
+# e = 2: K = F_9 inside L = F_81, with F(y) = y^2 + 2w^10 over K
+E2 = {"field": {"kind": "finite", "p": 3, "e": 2, "n": 2}, "F": ["2*w^10", 0, 1]}
 FF8 = {
     "field": {"kind": "funcfield", "r": 3},
     "F": ["(t^6+t^4+t^2+1)/(t^6+t^5+t^3+t+1)", "1"],
@@ -65,6 +67,7 @@ CASES = {
         {"family": "D", "field": F81, "F": [1, 0, 1], "k": 2, "gamma": "w"},
         0,
     ),
+    "verify_d_e2": ([], {**E2, "family": "D", "k": 1, "gamma": "w^2"}, 0),
     "verify_d412_gamma1": (
         [],
         {"family": "D", "field": F81, "F": [-1, 1], "k": 2, "gamma": "1"},
@@ -113,6 +116,7 @@ CASES = {
          "F": [1, 0, 1], "gamma": "w"},
         0,
     ),
+    "semifield_star_d_e2": ([], {**SF, **E2, "family": "D", "gamma": "w"}, 0),
     "semifield_star_d_q3_n2_s2": (
         [],
         {**SF, "family": "D", "field": F9, "F": [1, 0, 1], "gamma": "w+1"},
@@ -186,9 +190,11 @@ def test_every_golden_file_has_a_case():
 ORBIT_SCANNED = [
     "semifield_star_d_3e8",
     "semifield_star_d_3e8_invalid",
+    "semifield_star_d_e2",
     "semifield_star_s_prime_3e8",
     "verify_d412",
     "verify_d412_gamma1",
+    "verify_d_e2",
     "verify_d_s2_k1",
     "verify_s_unit_off_spanning_words",
 ]

@@ -6,9 +6,16 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewlab.fields import FiniteFieldCtx, GFCtx
+from skewlab.fields import TABLE_LIMIT, FiniteFieldCtx, GFCtx
 from skewlab.modpoly import digits
-from skewlab.polyring import Poly, ext_gcd, irreducible_over, prime_divisors
+from skewlab.polyring import (
+    Poly,
+    RatFuncCtx,
+    ext_gcd,
+    irreducible_over,
+    power,
+    prime_divisors,
+)
 from skewlab.skewpoly import CentralPoly, central_is_irreducible
 
 from helpers import base_field_elems
@@ -180,3 +187,59 @@ def test_modular_pow_contract(args, e):
         return
     assert pow(a, e, m) == (a**e) % m
     assert pow(a, e, m).degree < max(m.degree, 1)
+
+
+# ----------------------------------------------------- square-and-multiply --
+
+
+def repeated_product(x, e, one):
+    out = one
+    for _ in range(e):
+        out = out * x
+    return out
+
+
+def test_power_matches_repeated_products_above_the_table_limit():
+    # GF(2^17) has no tables: powers and Frobenius images multiply
+    # coordinate tuples through power
+    F = GFCtx(2, 17)
+    assert F.order > TABLE_LIMIT
+    for idx in (1, 2, 12345, F.order - 1):
+        a = F.elem_from_index(idx)
+        for e in range(20):
+            assert a**e == repeated_product(a, e, F.one)
+        assert a**-3 * a**3 == F.one
+        assert F.frobenius(a) == a * a
+        assert F.frobenius(a, 3) == repeated_product(a, 8, F.one)
+
+
+def test_power_of_fractions_with_negative_exponents():
+    fp = GFCtx(3, 1)
+    R = RatFuncCtx(fp)
+    t = R.gen
+    a = (t * t + R.one) / (t + R.one + R.one)
+    for e in range(8):
+        assert a**-e == repeated_product(a.inverse(), e, R.one)
+        assert a**e * a**-e == R.one
+    with pytest.raises(ZeroDivisionError):
+        R.zero**-1
+
+
+def test_power_of_polys_with_a_modulus():
+    fp = GFCtx(5, 1)
+    f = Poly(fp, [fp.from_int(c) for c in (2, 0, 3, 1)])
+    mod = Poly(fp, [fp.from_int(c) for c in (1, 4, 0, 0, 1)])
+    for e in range(12):
+        assert pow(f, e, mod) == repeated_product(f, e, Poly.one(fp)) % mod
+        assert f**e == repeated_product(f, e, Poly.one(fp))
+    assert pow(f, 0, Poly.one(fp)) == Poly.zero(fp)
+    with pytest.raises(ValueError):
+        power(f, -1, Poly.one(fp))
+
+
+def test_digits_reject_indices_out_of_range():
+    assert digits(0, 3, 0) == []
+    assert digits(8, 3, 2) == [2, 2]
+    for idx, count in ((9, 2), (-1, 2), (1, 0)):
+        with pytest.raises(ValueError):
+            digits(idx, 3, count)

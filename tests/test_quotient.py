@@ -18,6 +18,7 @@ from skewlab.fields import AutMap, FiniteFieldCtx, FunctionFieldCtx, norm_to_fix
 from skewlab.linalg import BudgetExceeded
 from skewlab.quotient import (
     CERTIFICATE_POINTS,
+    EigenElem,
     QuotCtx,
     Specialisation,
     eigenring,
@@ -531,3 +532,25 @@ def test_divisor_search_tests_one_norm_per_constant(monkeypatch):
     assert skew_to_literal(spec.qctx.f) == "x^2+w^6"
     ctx = spec.qctx.ctx
     assert calls == [ctx.elem_from_index(i) for i in (1, 2, 3)]
+
+
+def test_eigen_elem_inverses():
+    # E(f) is the field F_(q^s) = F_9: every nonzero K-combination of the
+    # eigenring basis has an inverse by the q^s - 2 power
+    ctx = finite_ctx(3, 4)
+    q = QuotCtx(ctx, irreducible_quadratic(ctx))
+    b0, b1 = eigenring(q).basis
+    one = EigenElem(q, SkewPoly.one(ctx))
+    seen = set()
+    for c0 in range(3):
+        for c1 in range(3):
+            rep = b0.scale_left(ctx.from_int(c0)) + b1.scale_left(ctx.from_int(c1))
+            a = EigenElem(q, rep)
+            if not a:
+                with pytest.raises(ZeroDivisionError):
+                    a.inverse()
+                continue
+            inv = a.inverse()
+            assert a * inv == one == inv * a
+            seen.add(inv)
+    assert len(seen) == 8

@@ -755,3 +755,12 @@ def test_decode_a0_inverts_tau_eta_over_f8t():
     for _ in range(20):
         c = ff.random_elem(rng)
         assert spec.decode_a0(c) * (ff.one - eta * q.f.constant_coeff) == c
+
+
+def test_algebra_index_decoder_rejects_indices_out_of_range():
+    # on F_81, index 81 used to decode to (0, 0, 0, 0) and -1 to (2, 2, 2, 2)
+    alg = algebra_for_field(finite_ctx(3, 4))
+    assert alg.to_vec(alg.elem_from_index(80)) == (2, 2, 2, 2)
+    for idx in (81, -1):
+        with pytest.raises(ValueError):
+            alg.elem_from_index(idx)

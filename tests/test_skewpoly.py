@@ -32,7 +32,13 @@ from skewlab.skewpoly import (
     skew_to_literal,
 )
 
-from helpers import bound_oracle, finite_ctx, random_irreducible, random_skew
+from helpers import (
+    bound_oracle,
+    finite_ctx,
+    random_elem,
+    random_irreducible,
+    random_skew,
+)
 
 
 def test_defining_relation_f4():
@@ -499,3 +505,48 @@ def test_lclm_contract(args):
     assert right_divides(f, m) and right_divides(g, m)
     # deg lclm + deg gcrd = deg f + deg g pins the least common multiple
     assert m.degree == f.degree + g.degree - gcrd(f, g).degree
+
+
+# ------------------------------------------- SkewPoly as a twisted Poly ----
+
+
+def test_skew_structure_stays_skew_and_divides_on_the_right():
+    rng = random.Random(15)
+    for ctx in (finite_ctx(3, 2), FunctionFieldCtx(3)):
+        x = SkewPoly.x(ctx)
+        for _ in range(8):
+            f = random_skew(ctx, 4, rng, nonzero=True)
+            g = random_skew(ctx, 3, rng, nonzero=True)
+            c = random_elem(ctx, rng)
+            results = (f + g, f - g, -f, f.shift(2), f.scale_left(c), f.monic(),
+                       f * g, f**2, *divmod(f, g), f % g, f // g, f.gcd(g))
+            assert all(type(h) is SkewPoly for h in results)
+            # shifting multiplies by x^k on the right
+            assert f.shift(2) == f * x * x
+            assert divmod(f, g) == right_divmod(f, g)
+            assert f.gcd(g) == gcrd(f, g) == gcrd_extended(f, g)[0]
+            assert f**3 == f * f * f
+
+
+def test_commutative_only_methods_refuse_skew_polynomials():
+    ctx = finite_ctx(3, 2)
+    f = SkewPoly(ctx, (ctx.gen, ctx.one, ctx.one))
+    g = SkewPoly.x(ctx) + SkewPoly.one(ctx)
+    with pytest.raises(TypeError):
+        pow(f, 2, g)
+    with pytest.raises(TypeError):
+        f.evaluate(ctx.gen)
+
+
+def test_skew_poly_never_equals_a_poly():
+    ctx = finite_ctx(3, 2)
+    f = SkewPoly(ctx, (ctx.gen, ctx.one))
+    pairs = ((f, Poly(ctx, f.coeffs)), (SkewPoly.zero(ctx), Poly.zero(ctx)))
+    for skew, plain in pairs:
+        assert skew.coeffs == plain.coeffs
+        assert skew != plain and plain != skew
+        assert not skew == plain and not plain == skew
+    # equal coefficients over another context are not equal either
+    other = finite_ctx(3, 2)
+    assert SkewPoly.zero(ctx) != SkewPoly.zero(other)
+    assert hash(f) == hash(SkewPoly(ctx, f.coeffs))
