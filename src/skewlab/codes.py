@@ -3,8 +3,9 @@
 S-family: words a_0 + a_1 x + ... + a_{skl-1} x^(skl-1) + eta a_0^rho x^skl.
 D-family: words a_0' + sum a_i x^i + gamma a_0'' x^skl with a_0', a_0'' in the
 index-2 subfield L'.  Validation evaluates the exact norm conditions;
-verify_mrd ranks every codeword with the batched rank scan in linalg, or
-seeded samples of them (certified full rank or gcrd rank, from quotient);
+verify_mrd ranks every codeword with the batched rank scan in linalg (as an
+N x N matrix over L), or seeded samples of them (certified full rank or
+gcrd rank, from quotient);
 nuclear_params takes the idealisers, centraliser and centre of the code's
 spanning words in R_F from quotient.subspace_nuclei; the newness report
 replays the known-family parameter comparison.
@@ -237,12 +238,13 @@ def verify_mrd(
     """Check rank >= m - k + 1 for nonzero codewords.
 
     Exhaustive mode ranks the right multiplications g -> g*w on R_F with
-    linalg.rank_scan (see rank_family).  It reports the first violation in
-    enumeration order, and as checked the number of nonzero words up to it
-    (every nonzero word if there is none).  rank(g w) = rank(w) for a unit
-    g of the left idealiser Il, so the scan ranks one word per Il^* orbit
-    when Il passes rank_scan's field check, and one per F_p^* orbit
-    otherwise or when the nuclear systems raise.  Il comes from the
+    linalg.rank_scan (see rank_family): as N x N matrices over L, in units
+    of s*ell, or over F_p when L has no tables.  It reports the first
+    violation in enumeration order, and as checked the number of nonzero
+    words up to it (every nonzero word if there is none).  rank(g w) =
+    rank(w) for a unit g of the left idealiser Il, so the scan ranks one
+    word per Il^* orbit when Il passes rank_scan's field check, and one per
+    F_p^* orbit otherwise or when the nuclear systems raise.  Il comes from the
     computation nuclear_params reports, made once per spec and budget.  A
     deficient representative sends the scan back to F_p^* orbits in index
     order, so the counterexample, min_rank and checked are those of a scan
@@ -289,7 +291,7 @@ def verify_mrd(
         )
     if mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
-    basis, unit = rank_family(spec)
+    basis, unit, over = rank_family(spec)
 
     def check(idx, _matrix, r):
         return r == rank(codeword_from_index(spec, idx))
@@ -302,6 +304,7 @@ def verify_mrd(
         budget=budget,
         check=check,
         field=_idealiser_action(spec, basis, budget),
+        over=over,
     )
     if first_bad is None:
         checked, counter = codeword_count(spec) - 1, None
@@ -320,14 +323,26 @@ def verify_mrd(
 
 
 def rank_family(spec):
-    """(basis, unit) for linalg.rank_scan: word i acts on R_F by g -> g*w_i,
-    whose matrix is sum_j digit_j(i) basis[j] with basis[j] that of the
-    spanning word p^j, and rank(w_i) is its F_p-rank divided by
-    unit = s*ell*[L:F_p]."""
+    """(basis, unit, over) for linalg.rank_scan: word i acts on R_F by
+    g -> g*w_i, whose matrix is sum_j digit_j(i) basis[j] with basis[j]
+    that of the spanning word p^j.
+
+    The map is L-linear, (l g) w = l (g w), so its F_p-matrix R_w of size
+    dN x dN (N = deg F(x^n), d = [L:F_p]) is the expansion of the N x N
+    matrix over L whose column i holds the coefficients of x^i w: column
+    i*d of R_w.  So basis[j] is those N columns, over = L, and rank(w_i) is
+    the rank over L divided by unit = s*ell.  When L has no tables (order
+    above fields.TABLE_LIMIT) basis[j] is all of R_w, over is None, and
+    rank(w_i) is the F_p-rank divided by unit = s*ell*d.  Either way column
+    0 is R_w 1 = w."""
     qctx = spec.qctx
+    ctx = qctx.ctx
     alg = qctx.algebra
-    basis = [alg.right_mult_matrix(alg.to_vec(w)) for w in _spanning_words(spec)]
-    return basis, qctx.s * qctx.ell * qctx.ctx.dim
+    mats = [alg.right_mult_matrix(alg.to_vec(w)) for w in _spanning_words(spec)]
+    unit = qctx.s * qctx.ell
+    if ctx.index_tables() is None:
+        return mats, unit * ctx.dim, None
+    return [R[:, :: ctx.dim] for R in mats], unit, ctx
 
 
 # ------------------------------------------------ idealisers and centre ----
@@ -368,8 +383,9 @@ def _idealiser_action(spec, basis, budget):
     (quotient.subspace_action), for rank_scan's orbit cut: rank(g w) =
     rank(w) for a unit g, and Il of an MRD code is a field (Lunardon,
     Trombetti and Zhou 2017; rank_scan checks it).  Empty when the nuclear
-    systems raise, and rank_scan then scans F_p^* orbits.  basis holds the
-    right multiplications R_w of the spanning words (rank_family)."""
+    systems raise, and rank_scan then scans F_p^* orbits.  basis holds
+    the right multiplications R_w of the spanning words, or their columns
+    x^i (rank_family)."""
     alg = spec.qctx.algebra
     # R_w 1 = w, and 1 is the first coordinate vector
     span = [R[:, 0] for R in basis]

@@ -185,6 +185,7 @@ class GFCtx:
         self._tabled = dim > 1 and self.order <= TABLE_LIMIT
         # the tables (see _tabulate); None until built
         self._log = self._exp = self._elems = self._zech = self._frob_log = None
+        self._index_tables = None
         self._half = (self.order - 1) // 2
         self._frob_cache = {}
         self.zero = self._make(0)
@@ -355,6 +356,22 @@ class GFCtx:
         self._frob_log = [pow(p, k, q1) for k in range(dim)]
         self._elems = elems
         self._log = log.tolist()
+
+    def index_tables(self):
+        """The tables as numpy arrays on element indices, for batched
+        arithmetic (linalg.batch_rank_over): (log, exp, zech) as _tabulate
+        builds them, with exp[k] the index of g^k, and zech None in
+        characteristic 2, where a sum is the XOR of the indices.  None for
+        a field without tables.  Built on first use and kept."""
+        if not self._tabled:
+            return None
+        if self._index_tables is None:
+            if self._log is None:
+                self._tabulate()
+            zech = None if self.p == 2 else np.array(self._zech)
+            exp = np.array([a.i for a in self._exp])
+            self._index_tables = (np.array(self._log), exp, zech)
+        return self._index_tables
 
     def _primitive(self):
         """The coordinates of the first element in index order whose

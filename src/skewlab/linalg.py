@@ -4,7 +4,8 @@ Three layers: generic Gaussian elimination over any field whose elements carry
 Python operators (used over L and over F_2(s)), numpy integer elimination
 mod a prime (used for the large finite-context systems), and the batched
 rank scan over an F_p-linear family of matrices (used by the MRD and
-zero-divisor scans).
+zero-divisor scans), which ranks its members over F_p or, entry by entry
+as element indices, over a tabled field F_(p^a).
 """
 
 import numpy as np
@@ -293,34 +294,99 @@ def batch_rank(mats, p):
     return ranks
 
 
-def _orbit_chunks(basis, p, stride=1):
+def batch_rank_over(mats, field):
+    """Ranks over a tabled field F_(p^a) (fields.GFCtx.index_tables) of a
+    stack of matrices (count, rows, cols) whose entries are element
+    indices in elem_from_index order.
+
+    The elimination of batch_rank: row r picks as pivot its first nonzero
+    entry in a column not yet used and clears row r from the other unused
+    columns.  Products go through log/exp; sums use the field's Zech
+    logarithms, log(a + b) = log a + zech[log b - log a], or in
+    characteristic 2 the XOR of the indices: the rules of FFElem.
+    """
+    log, exp, zech = field.index_tables()
+    q1 = field.order - 1
+    zero = 2 * q1  # log[0]; exp is 0 from there on
+    minus = 0 if field.p == 2 else q1 // 2  # the log of -1
+    M = np.array(mats, dtype=np.int64)
+    count, nrows, ncols = M.shape
+    free = np.ones((count, ncols), dtype=bool)
+    ranks = np.zeros(count, dtype=np.int64)
+    at = np.arange(count)
+    for r in range(nrows):
+        row = M[:, r, :]
+        cand = free & (row != 0)
+        has = cand.any(axis=1)
+        piv = cand.argmax(axis=1)
+        free[at[has], piv[has]] = False
+        ranks += has
+        if r + 1 == nrows:
+            break
+        # column c += (-row[c] / row[piv]) * pivot column, for unused c:
+        # the logs of the factors, and of the terms (zero from `zero` on)
+        lrow = log[row]
+        lf = np.where(cand, (lrow - lrow[at, piv][:, None] + minus) % q1, zero)
+        lt = log[M[at, r + 1 :, piv]][:, :, None] + lf[:, None, :]
+        below = M[:, r + 1 :, :]
+        if zech is None:
+            below ^= exp[lt]
+            continue
+        la = log[below]
+        total = exp[la + zech[(lt - la) % q1]]
+        below[...] = np.where(
+            lt >= zero, below, np.where(below == 0, exp[lt], total)
+        )
+    return ranks
+
+
+def _entry_indices(mats, p, a):
+    """The index matrices of members whose rows come in blocks of a: the
+    F_p-coordinates of one entry each, the most significant first, as in
+    elem_from_index order (quotient.vec)."""
+    count, rows, cols = mats.shape
+    digits = (mats % p).reshape(count, rows // a, a, cols)
+    return np.einsum("cjtk,t->cjk", digits, p ** np.arange(a - 1, -1, -1))
+
+
+def member_ranks(mats, p, over=None):
+    """Ranks of a chunk of members: over F_p, or over the field over."""
+    if over is None:
+        return batch_rank(mats, p)
+    return batch_rank_over(_entry_indices(mats, p, over.dim), over)
+
+
+def _orbit_chunks(basis, p, stride=1, scale=1):
     """(indices, members) of an F_p-linear family in chunks of bounded size,
     one member per orbit of a field of order p^stride acting on the digit
     blocks of length stride (see rank_scan): the indices in [p^k, 2 p^k),
     k = 0, stride, 2 stride, ... < n, in increasing order.  With stride 1
     the orbits are those of F_p^*, whose smallest index has leading digit
-    1."""
-    chunk = max(1, SCAN_CHUNK_ENTRIES // basis[0].size)
+    1.  A chunk holds SCAN_CHUNK_ENTRIES entries of members scale times the
+    size of basis[0]."""
+    chunk = max(1, SCAN_CHUNK_ENTRIES // (basis[0].size * scale))
     for k in range(0, basis.shape[0], stride):
         for lo in range(p**k, 2 * p**k, chunk):
             idx = np.arange(lo, min(lo + chunk, 2 * p**k), dtype=np.int64)
             yield idx, family_members(basis, idx, p)
 
 
-def _scan(basis, p, threshold, unit, check, stride, limit, origin=None):
+def _scan(basis, p, threshold, unit, check, stride, limit, origin=None, over=None):
     """The rank-scan loop: rank the members _orbit_chunks yields until one
     ranks below threshold.  Returns (its index or None, minimum rank up to
     it, members ranked).  A chunk that would take the members ranked past
     limit raises BudgetExceeded.  origin(i) is the index check sees for
-    member i (i itself when None)."""
+    member i (i itself when None).  over is the field the members are
+    ranked over (see rank_scan)."""
     min_rank = None
     scanned = 0
-    for idx, mats in _orbit_chunks(basis, p, stride):
+    scale = 1 if over is None else over.dim
+    for idx, mats in _orbit_chunks(basis, p, stride, scale):
         if scanned + len(idx) > limit:
             raise BudgetExceeded(f"ranks past the scan budget ({limit} were left)")
-        ranks, rem = np.divmod(batch_rank(mats, p), unit)
+        ranks, rem = np.divmod(member_ranks(mats, p, over), unit)
         if rem.any():
-            raise RuntimeError("an F_p-rank is not a multiple of the rank unit")
+            raise RuntimeError("a rank is not a multiple of the rank unit")
         if check is not None:
             first = -scanned % SPOT_CHECK_EVERY
             for pos in range(first, len(idx), SPOT_CHECK_EVERY):
@@ -377,7 +443,8 @@ def _orbit_basis(beta, p):
 
 
 def rank_scan(
-    basis, p, threshold, unit=1, budget=DEFAULT_BUDGET, check=None, field=()
+    basis, p, threshold, unit=1, budget=DEFAULT_BUDGET, check=None, field=(),
+    over=None,
 ):
     """First member of an F_p-linear family of matrices whose rank is below
     threshold, in index order, and the minimum rank up to that member.
@@ -386,6 +453,14 @@ def rank_scan(
     family_members); its rank is its F_p-rank divided by unit, and a
     remainder raises.  Scaling a member by c in F_p^* keeps its rank, so
     only one member per orbit is ranked.
+
+    over = None ranks over F_p (batch_rank).  A tabled field F_(p^a)
+    (fields.GFCtx) ranks each member over it instead (batch_rank_over),
+    and the rank is that rank divided by unit: the rows of a member come in
+    blocks of a, the F_p-coordinates of one entry each, most significant
+    first.  Such a member stands for the F_p-matrix of an F_(p^a)-linear
+    map, a times its size, and chunks are sized by that, so they end at
+    the same members as the F_p scan of that matrix.
 
     field may give larger groups of scalings: n x n matrices A acting on
     the digit vectors x (columns) with rank(member(A x)) <= rank(member(x)),
@@ -408,8 +483,8 @@ def rank_scan(
     rank up to it, so the result is always that of a scan of every index.
 
     check(index, matrix, rank) is called on every SPOT_CHECK_EVERY-th
-    ranked member, with the member's index in the unchanged basis, and a
-    False result raises.
+    ranked member (as family_members gives it), with the member's index in
+    the unchanged basis, and a False result raises.
 
     budget counts every rank the scan computes.  The field check and the
     representatives are counted up front, and a scan over budget is
@@ -441,12 +516,12 @@ def rank_scan(
             # member j + a j' of the new basis is beta_j c_j', origin(p^(j + a j'))
             members = family_members(basis, [origin(p**j) for j in range(n)], p)
     first, min_rank, scanned = _scan(
-        members, p, threshold, unit, check, a, budget - ranked, origin
+        members, p, threshold, unit, check, a, budget - ranked, origin, over
     )
     if first is None or a == 1:
         return first, min_rank
     first, min_rank, _ = _scan(
-        basis, p, threshold, unit, check, 1, budget - ranked - scanned
+        basis, p, threshold, unit, check, 1, budget - ranked - scanned, over=over
     )
     return first, min_rank
 

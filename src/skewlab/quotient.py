@@ -61,16 +61,20 @@ class FiniteAlgebra:
     and from vectors of length dim, and mul is F_p-bilinear.
 
     Every multiplication matrix is a contraction of the structure constants
-    T, e_a e_b = sum_k T[a, b, k] e_k, which are built on first use.
+    T, e_a e_b = sum_k T[a, b, k] e_k, which are built on first use: by
+    constants() when given (R_F builds them from x and L), else from the
+    dim^2 products of basis elements (the star algebras of semifields,
+    which are not associative).
     """
 
-    def __init__(self, p, dim, to_vec, from_vec, mul, unit=None):
+    def __init__(self, p, dim, to_vec, from_vec, mul, unit=None, constants=None):
         self.p = p
         self.dim = dim
         self.to_vec = to_vec
         self.from_vec = from_vec
         self.mul = mul
         self.unit = unit
+        self._constants = constants or self._product_table
         self._T = None
 
     @property
@@ -88,10 +92,13 @@ class FiniteAlgebra:
     def structure_constants(self):
         """T[a, b, k], the k-th coordinate of e_a e_b, reduced mod p."""
         if self._T is None:
-            basis = self.basis()
-            table = [[self.to_vec(self.mul(x, y)) for y in basis] for x in basis]
-            self._T = np.array(table, dtype=np.int64) % self.p
+            self._T = self._constants()
         return self._T
+
+    def _product_table(self):
+        basis = self.basis()
+        table = [[self.to_vec(self.mul(x, y)) for y in basis] for x in basis]
+        return np.array(table, dtype=np.int64) % self.p
 
     def left_mult_matrix(self, v):
         """Matrix of b -> a b, for the element a with coordinates v."""
@@ -287,7 +294,8 @@ class QuotCtx:
     @property
     def algebra(self):
         """R_F as a FiniteAlgebra over F_p under the residue product
-        (finite contexts); its structure constants are built on first use."""
+        (finite contexts); its structure constants are built on first use
+        (_structure_constants)."""
         if self._algebra is None:
             ctx = self.ctx
             if not isinstance(ctx, FiniteFieldCtx):
@@ -299,8 +307,29 @@ class QuotCtx:
                 lambda a: vec(a.rep, slots),
                 lambda v: QuotElem(self, unvec(ctx, v, slots)),
                 lambda a, b: a * b,
+                constants=self._structure_constants,
             )
         return self._algebra
+
+    def _structure_constants(self):
+        """T of R_F from x and L.  Basis element e_(i d + a) is b_a x^i, for
+        b_a the a-th F_p-basis element of L (d = [L:F_p]).  R_F is
+        associative, R F(x^n) being a two-sided ideal, so left
+        multiplication by b_a x^i is S_a L_x^i: L_x, that of x, costs dim
+        products x e_b, and S_a, that of b_a, is block-diagonal in
+        ctx.mult_matrix(b_a)."""
+        ctx, alg = self.ctx, self.algebra
+        p, d, dim, N = ctx.p, ctx.dim, alg.dim, self.F_skew.degree
+        x = QuotElem(self, SkewPoly.x(ctx))
+        L_x = np.array([alg.to_vec(x * e) for e in alg.basis()], dtype=np.int64).T
+        powers = [np.eye(dim, dtype=np.int64)]
+        for _ in range(N - 1):
+            powers.append(L_x @ powers[-1] % p)
+        S = np.array([ctx.mult_matrix(b) for b in ctx.basis])
+        # T[i d + a, b, j d + s] = sum_t S[a][s, t] L_x^i[j d + t, b]
+        P = np.array(powers).reshape(N, N, d, dim)
+        T = np.einsum("ast,ijtb->iabjs", S, P).reshape(dim, dim, dim)
+        return T % p
 
 
 class QuotElem:

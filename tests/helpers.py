@@ -70,31 +70,56 @@ def irreducible_quadratic(ctx):
     raise RuntimeError("no irreducible quadratic found")
 
 
-def record_rank_scans(monkeypatch):
-    """Repeat every linalg.rank_scan with no field acting.  Returns the list
-    each scan appends (orbit, result, F_p^* result) to; orbit is True when
-    the scan ranked a different number of members than the F_p^* scan
-    (fewer for a scan of larger orbits; more with its rerun)."""
-    rank_scan, batch_rank = linalg.rank_scan, linalg.batch_rank
-    ranked = []
-    scans = []
+def record_chunks(monkeypatch):
+    """Returns the list of the chunks both rank kernels are handed, in call
+    order: (None, size) for batch_rank over F_p, (field, size) for
+    batch_rank_over."""
+    batch_rank, batch_rank_over = linalg.batch_rank, linalg.batch_rank_over
+    chunks = []
 
     def counted(mats, p):
-        ranked.append(len(mats))
+        chunks.append((None, len(mats)))
         return batch_rank(mats, p)
 
+    def counted_over(mats, field):
+        chunks.append((field, len(mats)))
+        return batch_rank_over(mats, field)
+
+    monkeypatch.setattr(linalg, "batch_rank", counted)
+    monkeypatch.setattr(linalg, "batch_rank_over", counted_over)
+    return chunks
+
+
+def record_rank_scans(monkeypatch):
+    """Repeat every linalg.rank_scan with no field acting, ranking over the
+    same `over`.  Returns the list each scan appends (orbit, result, F_p^*
+    result) to; orbit is True when the scan ranked a different number of
+    members than the F_p^* scan (fewer for a scan of larger orbits; more
+    with its rerun)."""
+    rank_scan = linalg.rank_scan
+    ranked = record_chunks(monkeypatch)
+    scans = []
+
     def both(basis, p, threshold, unit=1, budget=linalg.DEFAULT_BUDGET,
-             check=None, field=()):
+             check=None, field=(), over=None):
         ranked.clear()
-        got = rank_scan(basis, p, threshold, unit, budget, check, field)
-        orbit_ranks = sum(ranked)
-        plain = rank_scan(basis, p, threshold, unit, budget, check)
-        scans.append((2 * orbit_ranks != sum(ranked), got, plain))
+        got = rank_scan(basis, p, threshold, unit, budget, check, field, over)
+        orbit_ranks = sum(n for _, n in ranked)
+        plain = rank_scan(basis, p, threshold, unit, budget, check, over=over)
+        scans.append((2 * orbit_ranks != sum(n for _, n in ranked), got, plain))
         return got
 
     monkeypatch.setattr(linalg, "rank_scan", both)
-    monkeypatch.setattr(linalg, "batch_rank", counted)
     return scans
+
+
+def product_table_constants(alg):
+    """The structure constants T of a FiniteAlgebra from the dim^2 products
+    of its basis elements: the oracle for structure constants built any
+    other way."""
+    basis = alg.basis()
+    table = [[alg.to_vec(alg.mul(x, y)) for y in basis] for x in basis]
+    return np.array(table, dtype=np.int64) % alg.p
 
 
 def linearized_rank(a):

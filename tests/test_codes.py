@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from skewlab import linalg
+from skewlab import fields, linalg
 from skewlab.codes import (
     BudgetExceeded,
     DCodeSpec,
@@ -521,15 +521,52 @@ F81 = {"kind": "finite", "p": 3, "e": 1, "n": 4}
     ids=["D412", "S412", "D_s2"],
 )
 def test_kernel_rank_equals_gcrd_rank_on_every_word(d):
+    # over L (N x N, unit s*ell) and over F_p (the dN x dN expansion, unit
+    # s*ell*d), every word's rank is its gcrd rank
     spec = code_spec_from_dict(d)
-    p = spec.qctx.ctx.p
-    basis, unit = rank_family(spec)
+    q = spec.qctx
+    ctx = q.ctx
+    basis, unit, over = rank_family(spec)
+    assert over is ctx and unit == q.s * q.ell
     idx = np.arange(1, codeword_count(spec))
-    fp = linalg.batch_rank(linalg.family_members(basis, idx, p), p)
-    assert not (fp % unit).any()
     gcrd_ranks = [rank(codeword_from_index(spec, int(i))) for i in idx]
-    assert (fp // unit).tolist() == gcrd_ranks
+    on_l = linalg.member_ranks(linalg.family_members(basis, idx, ctx.p), ctx.p, ctx)
+    assert not (on_l % unit).any()
+    assert (on_l // unit).tolist() == gcrd_ranks
+    alg = q.algebra
+    full = [alg.right_mult_matrix(R[:, 0]) for R in basis]
+    fp = linalg.batch_rank(linalg.family_members(full, idx, ctx.p), ctx.p)
+    assert (fp // (unit * ctx.dim)).tolist() == gcrd_ranks
+    assert not (fp % (unit * ctx.dim)).any()
 
+
+def _outcome(spec_dict, budget):
+    try:
+        return verify_mrd(code_spec_from_dict(spec_dict), budget=budget).as_dict()
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+def test_budget_edge_of_the_rerun_is_that_of_the_fp_scan(monkeypatch):
+    # gamma = 1: the orbit scan meets a deficient representative and the
+    # rerun stops at word 810.  Just below, at and above the least budget
+    # that lets the rerun finish, ranking over L gives the outcome of the
+    # F_p scan: the same report, or the same BudgetExceeded
+    d = {"family": "D", "field": F81, "F": [-1, 1], "k": 2, "gamma": "1"}
+    lo, hi = 1, linalg.DEFAULT_BUDGET
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if isinstance(_outcome(d, mid), str):
+            lo = mid + 1
+        else:
+            hi = mid
+    edge = lo
+    assert "ranks past the scan budget" in _outcome(d, edge - 1)
+    assert _outcome(d, edge)["checked"] == 810
+    on_l = [_outcome(d, b) for b in (edge - 1, edge, edge + 1)]
+    monkeypatch.setattr(fields, "TABLE_LIMIT", 80)
+    assert rank_family(code_spec_from_dict(d))[2] is None
+    assert [_outcome(d, b) for b in (edge - 1, edge, edge + 1)] == on_l
 
 
 def test_parallel_scan_matches_sequential():

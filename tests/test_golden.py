@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import record_rank_scans
-from skewlab import cli
+from helpers import record_chunks, record_rank_scans
+from skewlab import cli, fields
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -231,3 +231,31 @@ def test_jobs_do_not_change_orbit_scanned_reports(name, tmp_path, capsys):
         assert cli.main(["verify", "--spec", str(path), "--jobs", jobs]) == code
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1] == (GOLDEN / f"{name}.json").read_text()
+
+
+# the exhaustive MRD scans: they rank N x N matrices over L
+EXHAUSTIVE_CODES = sorted(
+    name for name, (argv, spec, _) in CASES.items()
+    if name.startswith("verify_") and "sampled" not in argv
+)
+
+
+@pytest.mark.parametrize("name", EXHAUSTIVE_CODES)
+def test_a_field_without_tables_gives_the_report_in_the_same_chunks(
+    name, tmp_path, capsys, monkeypatch
+):
+    # with TABLE_LIMIT below |L|, L has no tables and the scan ranks the
+    # dN x dN F_p-matrices instead: the same report, and every kernel call
+    # (scans, field checks, unit searches) is handed a chunk of the same size
+    chunks = record_chunks(monkeypatch)
+    code, out = run_case(name, tmp_path, capsys)
+    assert out == (GOLDEN / f"{name}.json").read_text()
+    assert any(field is not None for field, _ in chunks)
+    on_l = [n for _, n in chunks]
+    chunks.clear()
+    field = CASES[name][1]["field"]
+    order = field["p"] ** (field["e"] * field["n"])
+    monkeypatch.setattr(fields, "TABLE_LIMIT", order - 1)
+    assert run_case(name, tmp_path, capsys) == (code, out)
+    assert all(field is None for field, _ in chunks)
+    assert [n for _, n in chunks] == on_l

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from skewlab import linalg
+from skewlab.fields import GFCtx
 
-from helpers import finite_ctx
+from helpers import finite_ctx, record_chunks
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 13, 251])
@@ -229,3 +230,98 @@ def test_the_rerun_is_counted_against_the_budget(monkeypatch):
     assert linalg.rank_scan(basis, 2, 2, budget=15, field=field) == (5, 0)
     with pytest.raises(linalg.BudgetExceeded, match="8 ranks exceed the scan budget 7"):
         linalg.rank_scan(basis, 2, 2, budget=up_front - 1, field=field)
+
+
+# ------------------------------------------------ ranks over F_(p^a) -------
+
+
+def _expansion(field, mats):
+    """The F_p-matrices of index matrices over field: entry x becomes the
+    a x a matrix of y -> x y."""
+    blocks = [
+        np.array([(field.elem_from_index(x) * b).coeffs for b in field.basis]).T
+        for x in range(field.order)
+    ]
+    return np.array([np.block([[blocks[x] for x in row] for row in m]) for m in mats])
+
+
+def _index_stack(field, rng, rows, cols):
+    """Index matrices over field: a zero matrix, random ones, rank-one
+    outer products, upper-triangular ones (zeros below each pivot), and
+    ones with a repeated row or a zero column."""
+    q = field.order
+    elems = [field.elem_from_index(i) for i in range(q)]
+    mats = [np.zeros((rows, cols), dtype=np.int64)]
+    mats += [rng.integers(0, q, size=(rows, cols)) for _ in range(6)]
+    for _ in range(3):
+        u, v = rng.integers(0, q, rows), rng.integers(1, q, cols)
+        mats.append(np.array([[(elems[x] * elems[y]).i for y in v] for x in u]))
+    mats += [np.triu(rng.integers(1, q, size=(rows, cols))) for _ in range(3)]
+    repeated, zero_col = rng.integers(0, q, size=(2, rows, cols))
+    repeated[-1] = repeated[0]
+    zero_col[:, 0] = 0
+    return np.array(mats + [repeated, zero_col])
+
+
+@pytest.mark.parametrize(
+    "p, a", [(2, 2), (2, 8), (3, 2), (5, 2), (3, 4), (3, 8)],
+    ids=["F_4", "F_256", "F_9", "F_25", "F_81", "F_3^8"],
+)
+def test_batch_rank_over_equals_rref_and_the_fp_expansion(p, a):
+    # XOR sums in characteristic 2, Zech sums otherwise; two references:
+    # elimination over FFElem entries, and the F_p-rank of the expansion
+    # divided by a
+    field = GFCtx(p, a)
+    rng = np.random.default_rng(p * 100 + a)
+    seen = set()
+    for rows, cols in ((4, 4), (3, 5), (5, 2), (1, 3), (6, 6)):
+        mats = _index_stack(field, rng, rows, cols)
+        got = linalg.batch_rank_over(mats, field)
+        rref = [
+            len(linalg.rref([[field.elem_from_index(int(x)) for x in r] for r in m])[1])
+            for m in mats
+        ]
+        assert got.tolist() == rref
+        fp = linalg.batch_rank(_expansion(field, mats), p)
+        assert not (fp % a).any() and (fp // a).tolist() == rref
+        seen.update(r == min(rows, cols) for r in rref)
+        assert got[0] == 0
+    assert seen == {True, False}  # full-rank and deficient members both occur
+
+
+def test_member_ranks_reads_entries_from_blocks_of_coordinates():
+    # a member over F_9 given as F_3-coordinate blocks (most significant
+    # first) ranks like its index matrix
+    field = GFCtx(3, 2)
+    rng = np.random.default_rng(5)
+    mats = _index_stack(field, rng, 3, 3)
+    coords = np.array([
+        [[c for x in row for c in field.elem_from_index(int(x)).coeffs]
+         for row in m.T]
+        for m in mats
+    ]).transpose(0, 2, 1)
+    assert coords.shape == (len(mats), 6, 3)
+    want = linalg.batch_rank_over(mats, field)
+    assert (linalg.member_ranks(coords, 3, field) == want).all()
+    assert (linalg.member_ranks(coords + 3, 3, field) == want).all()
+
+
+def test_chunks_over_a_field_end_where_those_of_the_expansion_do(monkeypatch):
+    # a member of N = 2 columns over F_9 stands for a 4 x 4 F_3-matrix:
+    # the scan over F_9 hands its kernel the chunks of the F_3 scan of the
+    # expansion, and both scans agree
+    monkeypatch.setattr(linalg, "SCAN_CHUNK_ENTRIES", 5 * 16)
+    field = GFCtx(3, 2)
+    rng = np.random.default_rng(3)
+    idx = rng.integers(0, 9, size=(4, 2, 2))
+    exp = _expansion(field, idx)
+    basis = exp[:, :, ::2]  # column j*a: the entries of column j
+    chunks = record_chunks(monkeypatch)
+    for threshold in (1, 2):
+        over = linalg.rank_scan(basis, 3, threshold, unit=1, over=field)
+        on_field = list(chunks)
+        chunks.clear()
+        plain = linalg.rank_scan(exp, 3, threshold, unit=2)
+        assert over == plain
+        assert [(field, n) for _, n in chunks] == on_field
+        chunks.clear()

@@ -41,6 +41,7 @@ from helpers import (
     finite_ctx,
     irreducible_quadratic,
     linearized_rank,
+    product_table_constants,
     random_skew,
     y_minus_one,
 )
@@ -373,6 +374,24 @@ def test_multiplication_matrices_match_direct_products(p, e, n, sigma_exp, s):
             assert tuple(mats[i][:, j]) == alg.to_vec(units[i] * units[j])
     # the residue round trip through the coordinates
     assert all(alg.from_vec(alg.to_vec(u)) == u for u in units)
+
+
+# every finite R_F a golden code uses: F_81 with F = y - 1 and y^2 + 1,
+# the e = 2 tower, the F_256 tower; and the two n = 2 semifield towers
+GOLDEN_R_F = {
+    "verify_d412", "verify_d_s2_k1", "verify_d_e2",
+    "verify_s_unit_off_spanning_words", "semifield_star_d_q3_n2_s2",
+    "semifield_star_d_q5_n2_s2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_R_F))
+def test_structure_constants_from_x_and_L_equal_the_product_table(name):
+    spec = {k: v for k, v in CASES[name][1].items() if k != "semifield"}
+    alg = code_spec_from_dict({**spec, "k": 1}).qctx.algebra
+    T = alg.structure_constants()
+    assert T.shape == (alg.dim,) * 3
+    assert np.array_equal(T, product_table_constants(alg))
 
 
 # ------------------------------------- full-rank certificate over F(t) ----
