@@ -431,7 +431,10 @@ def _exponent_entry(family, name, var, n_exp, target, kse, z_mod, e, nuclei=Fals
     (nuclei=True: both nuclei of a semifield) of order q^(target/e) needs
     gcd(n_exp, var) = gcd(n_exp, kse - var) = target, and one with centre q
     also gcd(z_mod, var) = e.  The family is new when no exponent meets
-    both; each reason prints the numbers it tested."""
+    both; each reason prints the numbers it tested.  The S-family rows pass
+    z_mod = None and skip the centre test: their z_mod would be e, and with
+    target t*e every matching h is a multiple of e, so gcd(e, h) = e always
+    holds."""
     t = target // e
     matching = [
         j
@@ -445,7 +448,7 @@ def _exponent_entry(family, name, var, n_exp, target, kse, z_mod, e, nuclei=Fals
             f"force {2 * t} | {kse // e}"
         )
         return NewnessEntry(family, "new", reason)
-    if all(math.gcd(z_mod, j) != e for j in matching):
+    if z_mod is not None and all(math.gcd(z_mod, j) != e for j in matching):
         reason = (
             f"every matching {name} {var} violates the centre constraint "
             f"gcd({z_mod}, {var}) = {e}"
@@ -497,7 +500,9 @@ def newness_mrd(p, e, n, s, k):
             "new",
             f"Trombetti-Zhou centraliser order q^{s} != q requires s = 1 (s = {s})",
         ),
-        _exponent_entry("S-family", "rho exponent", "h", n * e, t * e, k * s * e, e, e),
+        _exponent_entry(
+            "S-family", "rho exponent", "h", n * e, t * e, k * s * e, None, e
+        ),
         _overall(
             1 < k <= t and t >= 2 and s >= 3 and (s * k) % n != 0,
             "MRD",
@@ -559,7 +564,8 @@ def newness_semifield(p, e, n, s):
             f"(q^{t}, q^{t}, q^{s}): would need s = 1 or t = 1",
         ),
         _exponent_entry(
-            "S-family", "rho exponent", "h", n * e, t * e, s * e, e, e, nuclei=True
+            "S-family", "rho exponent", "h", n * e, t * e, s * e, None, e,
+            nuclei=True,
         ),
         NewnessEntry("biprojective-S", *bip),
         NewnessEntry("GK-unified", *gk),

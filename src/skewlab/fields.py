@@ -10,13 +10,14 @@ Both families are Towers: each supplies its cyclic automorphism group
 sigma, K-membership and the norm N_{L/K} are defined once on Tower.
 A finite element (FFElem) carries its index i in elem_from_index order and
 its coordinate tuple over the prime field, stored once when it is made.  A
-field of order at most TABLE_LIMIT interns its elements on its first sum or
-product, never at construction.  Prime fields compute with ints mod p;
-larger fields with exp/log tables built at the same time (Zech logarithms
-for sums in odd characteristic, XOR in characteristic 2).  Above that order
+finite field computes on one of two paths.  Up to order TABLE_LIMIT, prime
+fields included, it builds at construction its interned elements and
+exp/log tables (Zech logarithms for sums in odd characteristic, XOR in
+characteristic 2), and every operation is a lookup.  Above that order
 elements are made per operation and multiply coordinate tuples.  Function
-field elements are reduced fractions.  Contexts change only by building
-those tables, and all operations are pure.
+field elements are reduced fractions.  Contexts change only by filling
+caches (Frobenius basis images, numpy copies of the tables), and all
+operations are pure.
 """
 
 import itertools
@@ -55,9 +56,8 @@ class LiteralError(ValueError):
 # ------------------------------------------------------------ finite GF ----
 
 
-# fields of at most this order intern their elements and (above the prime
-# field) multiply, invert and apply Frobenius by exp/log tables; larger ones
-# multiply coordinate tuples (schoolbook, then fold)
+# fields of at most this order intern their elements and compute by exp/log
+# tables; larger ones multiply coordinate tuples (schoolbook, then fold)
 TABLE_LIMIT = 2**16
 
 
@@ -65,8 +65,9 @@ class FFElem:
     """Element of a finite field context: its index i in elem_from_index
     order and its coordinate tuple over F_p, both fixed when it is made.
 
-    A field with tables hands out one interned element per index once they
-    are built; arithmetic then never builds a coordinate tuple.
+    A field with tables hands out one interned element per index, and its
+    arithmetic never builds a coordinate tuple; the operators reach the
+    context's _add, _mul and _inverse only in a field without tables.
     """
 
     __slots__ = ("ctx", "i", "coeffs")
@@ -144,9 +145,11 @@ class FFElem:
         return self * other.inverse()
 
     def inverse(self):
+        if not self.i:
+            raise ZeroDivisionError("zero has no inverse")
         ctx = self.ctx
         log = ctx._log
-        if log is None or not self.i:
+        if log is None:
             return ctx._inverse(self)
         return ctx._exp[ctx.order - 1 - log[self.i]]
 
@@ -167,13 +170,13 @@ class GFCtx:
 
     Element i of elem_from_index order has the base-p digits of i as its
     coordinates, the constant coordinate most significant.  A field of
-    order at most TABLE_LIMIT interns its elements on its first sum,
-    difference or product, never at construction.  A prime field then
-    computes with ints mod p; any other field also builds exp/log tables of
-    a primitive element and, in odd characteristic, Zech logarithms
-    log(1 + g^d).  Frobenius uses the tables once they exist and basis
-    images before.  Above TABLE_LIMIT elements are made per operation and
-    multiply coordinate tuples.
+    order at most TABLE_LIMIT, prime or not, builds at construction its
+    interned elements, exp/log tables of a primitive element and, in odd
+    characteristic, Zech logarithms log(1 + g^d): every operation,
+    Frobenius included, is then a lookup.  Above TABLE_LIMIT elements are
+    made per operation: products multiply coordinate tuples, inverses take
+    ext_gcd with the modulus (pow(a, -1, p) in a prime field), and
+    Frobenius combines basis images.
     """
 
     def __init__(self, p, dim, modulus=None):
@@ -182,8 +185,7 @@ class GFCtx:
         self.p = p
         self.dim = dim
         self.order = p**dim
-        self._tabled = dim > 1 and self.order <= TABLE_LIMIT
-        # the tables (see _tabulate); None until built
+        # the tables (see _tabulate); None above TABLE_LIMIT
         self._log = self._exp = self._elems = self._zech = self._frob_log = None
         self._index_tables = None
         self._half = (self.order - 1) // 2
@@ -213,17 +215,8 @@ class GFCtx:
         self._red = [
             _ints(pow(y, k, M).coeffs, dim) for k in range(dim, 2 * dim - 1)
         ]
-
-    def _prime(self, v):
-        """The element v mod p of a prime field: interned, on first use, up
-        to TABLE_LIMIT."""
-        v %= self.p
-        elems = self._elems
-        if elems is None:
-            if self.p > TABLE_LIMIT:
-                return FFElem(self, v, (v,))
-            elems = self._elems = [FFElem(self, i, (i,)) for i in range(self.p)]
-        return elems[v]
+        if self.order <= TABLE_LIMIT:
+            self._tabulate()
 
     def _poly(self, coeffs):
         """The F_p[y] polynomial with integer coefficients coeffs."""
@@ -255,33 +248,17 @@ class GFCtx:
     def from_int(self, v):
         return self.elem((v,))
 
-    # -- arithmetic without tables: the operators come here while _log is
-    # None, and a field that takes tables builds them and goes back
+    # -- arithmetic without tables: the operators come here above
+    # TABLE_LIMIT, and during construction before _tabulate
 
     def _add(self, a, b, sign):
         """a + sign * b."""
-        if self.dim == 1:
-            elems = self._elems
-            if elems is not None:
-                return elems[(a.i + sign * b.i) % self.p]
-            return self._prime(a.i + sign * b.i)
-        if self._tabled:
-            self._tabulate()
-            return a + b if sign > 0 else a - b
         p = self.p
         return self._from_coeffs(
             tuple((x + sign * y) % p for x, y in zip(a.coeffs, b.coeffs))
         )
 
     def _mul(self, a, b):
-        if self.dim == 1:
-            elems = self._elems
-            if elems is not None:
-                return elems[a.i * b.i % self.p]
-            return self._prime(a.i * b.i)
-        if self._tabled:
-            self._tabulate()
-            return a * b
         return self._from_coeffs(self._schoolbook(a.coeffs, b.coeffs))
 
     def _schoolbook(self, x, y):
@@ -301,24 +278,19 @@ class GFCtx:
         return tuple(res)
 
     def _inverse(self, a):
-        if not a.i:
-            raise ZeroDivisionError("zero has no inverse")
-        if self._tabled:
-            self._tabulate()
-            return a.inverse()
         if self.dim == 1:
-            return self._prime(pow(a.i, -1, self.p))
+            return self._from_coeffs((pow(a.i, -1, self.p),))
         _, inv, _ = ext_gcd(self._poly(a.coeffs), self._M)
         return self._from_coeffs(_ints(inv.coeffs, self.dim))
 
     # -- the tables ------------------------------------------------------
 
     def _tabulate(self):
-        """Build the tables from the first primitive element g in index
-        order, in one pass over the multiplicative group: the coordinate
-        rows of g^m, ..., g^(2m-1) are those of g^0, ..., g^(m-1) times the
-        matrix of x -> x g^m, and that matrix squared is the one of
-        x -> x g^(2m).
+        """Build the tables at construction (fields of order at most
+        TABLE_LIMIT) from the first primitive element g in index order, in
+        one pass over the multiplicative group: the coordinate rows of
+        g^m, ..., g^(2m-1) are those of g^0, ..., g^(m-1) times the matrix
+        of x -> x g^m, and that matrix squared is the one of x -> x g^(2m).
 
         log[i] is the discrete logarithm of element i, and exp[k] the
         interned element g^k for k < 2(q-1).  log[0] = 2(q-1) is a sentinel:
@@ -362,12 +334,11 @@ class GFCtx:
         arithmetic (linalg.batch_rank_over): (log, exp, zech) as _tabulate
         builds them, with exp[k] the index of g^k, and zech None in
         characteristic 2, where a sum is the XOR of the indices.  None for
-        a field without tables.  Built on first use and kept."""
-        if not self._tabled:
+        a field without tables (order above TABLE_LIMIT).  Converted on
+        first use and kept."""
+        if self._log is None:
             return None
         if self._index_tables is None:
-            if self._log is None:
-                self._tabulate()
             zech = None if self.p == 2 else np.array(self._zech)
             exp = np.array([a.i for a in self._exp])
             self._index_tables = (np.array(self._log), exp, zech)
@@ -386,8 +357,8 @@ class GFCtx:
         raise RuntimeError(f"{self.describe()} has no primitive element")
 
     def frobenius(self, a, k=1):
-        """a^(p^k): a table lookup, or a combination of the cached basis
-        images before the tables exist and in fields without them."""
+        """a^(p^k): a table lookup, or in a field without tables a
+        combination of the cached basis images."""
         k %= self.dim
         if k == 0:
             return a
@@ -493,6 +464,8 @@ class FiniteFieldCtx(GFCtx, Tower):
     L is realised as F_p[w]/(modulus) of degree e*n over the prime field;
     K is the sigma-fixed subfield of order q = p^e.  The tower's cyclic
     group is Gal(L/F_p), generated by a -> a^p, and sigma = Frob^(e*j).
+    p must lie below 2^31, so that the mod-p linear algebra (linalg),
+    which multiplies two residues in int64, cannot overflow.
     """
 
     kind = "finite"
@@ -501,6 +474,8 @@ class FiniteFieldCtx(GFCtx, Tower):
     def __init__(self, p, e, n, sigma_exp=1, modulus=None):
         if e < 1 or n < 1:
             raise FieldError("e and n must be positive")
+        if p >= 2**31:
+            raise FieldError(f"p = {p} must lie below 2^31")
         if math.gcd(sigma_exp, n) != 1:
             raise FieldError("sigma exponent must be coprime to n")
         if modulus is not None and e != 1:

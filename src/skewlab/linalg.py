@@ -261,8 +261,20 @@ def family_members(basis, indices, p):
     return out.reshape(idx.shape + basis.shape[1:])
 
 
+def _inverses(x, p):
+    """The inverses mod p of the residues x (0 for 0): x^(p-2) by
+    left-to-right square-and-multiply (Fermat), x itself for p = 2."""
+    x = out = x.astype(_small_dtype((p - 1) ** 2), copy=False)
+    for bit in format(p - 2, "b")[1:]:
+        out = out * out % p
+        if bit == "1":
+            out = out * x % p
+    return out
+
+
 def batch_rank(mats, p):
-    """Ranks mod p of a stack of integer matrices (count, rows, cols).
+    """Ranks mod p of a stack of integer matrices (count, rows, cols), for
+    p < 2^31.
 
     Gaussian elimination to echelon form, all matrices at once, by column
     operations: row r picks as pivot its first nonzero entry mod p in a
@@ -270,13 +282,21 @@ def batch_rank(mats, p):
     Only row r and the pivot column are reduced mod p.  An entry below them
     takes at most one update of size < p^2 per row above it, and times an
     inverse (< p) it must still fit: that bound picks the smallest integer
-    dtype that cannot overflow.
+    dtype that cannot overflow.  Where no dtype holds it, the whole block
+    is reduced mod p at the start and after every step, so that entries
+    stay below p and products below p^2 < 2^62.
     """
     mats = np.asarray(mats)
     count, nrows, ncols = mats.shape
     largest = max(-int(mats.min(initial=0)), int(mats.max(initial=0)))
-    M = mats.astype(_small_dtype((largest + nrows * (p - 1) ** 2) * (p - 1)))
-    inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=M.dtype)
+    bound = (largest + nrows * (p - 1) ** 2) * (p - 1)
+    M = mats.astype(_small_dtype(bound))
+    eager = bound > np.iinfo(np.int64).max
+    if eager:
+        M %= p
+    # the inverses of all residues, unless there are more of them than
+    # matrices: then each step inverts its pivot values only
+    table = _inverses(np.arange(p), p) if p <= count else None
     free = np.ones((count, ncols), dtype=bool)
     ranks = np.zeros(count, dtype=np.int64)
     at = np.arange(count)
@@ -288,9 +308,13 @@ def batch_rank(mats, p):
         free[at[has], piv[has]] = False
         ranks += has
         # column c -= (row[c] / row[piv]) * pivot column, for unused c
-        scale = (M[at, r + 1 :, piv] * inv[row[at, piv]][:, None]) % p
+        pivots = row[at, piv]
+        inv = _inverses(pivots, p) if table is None else table[pivots]
+        scale = (M[at, r + 1 :, piv] * inv[:, None]) % p
         row *= free
         M[:, r + 1 :, :] -= scale[:, :, None] * row[:, None, :]
+        if eager:
+            M[:, r + 1 :, :] %= p
     return ranks
 
 

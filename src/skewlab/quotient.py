@@ -257,8 +257,10 @@ class QuotCtx:
         coefficient order with the constant coefficient most significant.
         The norm identity on the constant coefficient is a necessary
         condition, tested once per constant: one that fails it skips its
-        whole block of order^(s-1) candidates.  Reaching the candidate of
-        index budget raises BudgetExceeded."""
+        whole block of order^(s-1) candidates, which still count against
+        the budget.  Reaching the candidate of index budget raises
+        BudgetExceeded, before the norm test of its block, so at most
+        budget norms are computed."""
         ctx = self.ctx
         s = self.s
         sign = ctx.minus_one if s * (ctx.n - 1) % 2 else ctx.one
@@ -269,6 +271,8 @@ class QuotCtx:
             f"no right divisor f within the budget {budget} of candidates"
         )
         for hi in range(1, order):
+            if hi * block >= budget:
+                raise over
             c0 = ctx.elem_from_index(hi)
             if ctx.norm(c0) != target:
                 continue

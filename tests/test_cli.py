@@ -199,6 +199,13 @@ def test_wrong_field_value_type_is_a_usage_error(capsys, field, key):
     assert err.startswith("error:") and repr(key) in err
 
 
+def test_a_prime_from_2_to_the_31_is_a_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "bound", "--field", "finite:p=4294967311,e=1,n=2", "--poly", "x+w"
+    )
+    assert code == 2 and not out and err.startswith("error:")
+
+
 def test_verify_budget_exit(capsys, tmp_path):
     code, _, err = run_cli(
         capsys,

@@ -1,5 +1,7 @@
 """The batched rank scan against per-matrix elimination."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -9,17 +11,31 @@ from skewlab.fields import GFCtx
 from helpers import finite_ctx, record_chunks
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 13, 251])
+@pytest.mark.parametrize(
+    "p", [2, 3, 5, 13, 251, 65521, 16777213, 2**31 - 1]
+)
 def test_batch_rank_equals_np_rank(p):
-    # random stacks, rectangular and low-rank ones included; p = 13 and 251
-    # take the int16 and int32 elimination dtypes
+    # random stacks, rectangular and low-rank ones included, and a last row
+    # dependent on the first two; p = 13 and 251 take the int16 and int32
+    # elimination dtypes, and from p = 16777213 on no dtype holds the lazy
+    # bound, so every step is reduced mod p
     rng = np.random.default_rng(p)
     for rows, cols in ((4, 4), (3, 6), (7, 2), (9, 9)):
         mats = rng.integers(0, p, size=(60, rows, cols))
         col = rng.integers(0, p, size=(60, rows, 1))
         mats[::3] = (col @ rng.integers(0, p, size=(60, 1, cols)))[::3]
+        a, b = rng.integers(1, p, size=2)
+        mats[1::3, -1] = (a * mats[1::3, 0] % p + b * mats[1::3, 1] % p) % p
         got = linalg.batch_rank(mats, p)
         assert got.tolist() == [linalg.np_rank(m, p) for m in mats]
+
+
+def test_batch_rank_builds_nothing_of_size_p():
+    # an inverse table of all p residues took 25 s at p = 16777213
+    p = 2**31 - 1
+    start = time.perf_counter()
+    assert linalg.batch_rank(np.array([[[3, 5], [6, 10]]]), p).tolist() == [1]
+    assert time.perf_counter() - start < 1
 
 
 def test_rank_scan_matches_a_scan_of_every_index(monkeypatch):

@@ -553,6 +553,27 @@ def test_divisor_search_tests_one_norm_per_constant(monkeypatch):
     assert calls == [ctx.elem_from_index(i) for i in (1, 2, 3)]
 
 
+def test_divisor_search_counts_the_constants_that_fail_the_norm_test(monkeypatch):
+    # over F_(p^2), p = 16777213, with F = y - 1 the first right divisor
+    # lies past the first thousand constants, and a search that counted only
+    # the constants passing the norm test computed norms for minutes
+    calls = []
+    norm = FiniteFieldCtx.norm
+
+    def counted(ctx, a):
+        calls.append(a)
+        return norm(ctx, a)
+
+    monkeypatch.setattr(FiniteFieldCtx, "norm", counted)
+    ctx = FiniteFieldCtx(16777213, 1, 2)
+    F = CentralPoly.from_coeffs(ctx, [ctx.minus_one, ctx.one])
+    for budget in (1, 2, 10, 1000):
+        calls.clear()
+        with pytest.raises(BudgetExceeded):
+            QuotCtx(ctx, F, budget=budget)
+        assert len(calls) <= budget
+
+
 def test_eigen_elem_inverses():
     # E(f) is the field F_(q^s) = F_9: every nonzero K-combination of the
     # eigenring basis has an inverse by the q^s - 2 power

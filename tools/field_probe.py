@@ -10,8 +10,10 @@ steady state of a scan.  Each figure is the best of REPEATS passes, in ns
 per operation, with time.perf_counter.  table_build_ms is the first
 product of a fresh context minus a steady-state product (the median of
 REPEATS fresh contexts), for trees whose fields build tables lazily;
-construct_ms is the median time to construct the context.  Garbage is
-collected before each construction, outside the timed region.
+construct_ms is the median time to construct the context.  Where fields
+build their tables at construction, construct_ms includes them and
+table_build_ms reads about 0.  Garbage is collected before each
+construction, outside the timed region.
 """
 
 import gc
