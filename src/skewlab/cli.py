@@ -64,13 +64,16 @@ def _emit(report, out_path):
 
 def _budget(args):
     """Ranks one scan may compute: --budget, else SKEWLAB_BUDGET, else the
-    default."""
+    default; a budget below 1 is a usage error."""
     if args.budget is not None:
-        return args.budget
-    env = os.environ.get("SKEWLAB_BUDGET")
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
+        budget, source = args.budget, "--budget"
+    elif os.environ.get("SKEWLAB_BUDGET"):
+        budget, source = int(os.environ["SKEWLAB_BUDGET"]), "SKEWLAB_BUDGET"
+    else:
+        return DEFAULT_BUDGET
+    if budget < 1:
+        raise ValueError(f"{source} must be >= 1")
+    return budget
 
 
 def cmd_bound(args):
@@ -100,13 +103,14 @@ def cmd_bound(args):
 
 
 def cmd_verify(args):
+    budget = _budget(args)
     with open(args.spec) as fh:
         spec_dict = json.load(fh)
     if not isinstance(spec_dict, dict):
         raise ValueError("a spec file must hold a JSON object")
     if spec_dict.get("semifield"):
-        return _verify_semifield(args, spec_dict)
-    spec = code_spec_from_dict(spec_dict, budget=_budget(args))
+        return _verify_semifield(args, spec_dict, budget)
+    spec = code_spec_from_dict(spec_dict, budget=budget)
     qctx = spec.qctx
     ctx = qctx.ctx
     finite = isinstance(ctx, FiniteFieldCtx)
@@ -116,13 +120,13 @@ def cmd_verify(args):
         mode=args.mode,
         samples=args.samples,
         seed=args.seed,
-        budget=_budget(args),
+        budget=budget,
     )
     nuclear = None
     newness = []
     if finite:
         try:
-            np_ = nuclear_params(spec, budget=_budget(args))
+            np_ = nuclear_params(spec, budget=budget)
             nuclear = np_.as_dict()
             nuclear["outside_theorem_range"] = np_.outside_theorem_range
         except ValueError as exc:
@@ -156,7 +160,7 @@ def cmd_verify(args):
     return EXIT_OK
 
 
-def _verify_semifield(args, spec_dict):
+def _verify_semifield(args, spec_dict, budget):
     """Semifield-spec verification: zero-divisor scan, nuclei, newness."""
     from .semifields import (
         StarDSpec,
@@ -170,7 +174,7 @@ def _verify_semifield(args, spec_dict):
 
     if spec_int(spec_dict.get("k", 1), "k") != 1:
         raise ValueError("semifield specs need k = 1")
-    code_spec = code_spec_from_dict({**spec_dict, "k": 1}, budget=_budget(args))
+    code_spec = code_spec_from_dict({**spec_dict, "k": 1}, budget=budget)
     qctx = code_spec.qctx
     ctx = qctx.ctx
     if not isinstance(ctx, FiniteFieldCtx):
@@ -185,9 +189,9 @@ def _verify_semifield(args, spec_dict):
         star = StarDSpec(qctx, code_spec.gamma, enforce_norm=False)
         valid = not ctx.is_square_in_K(ctx.norm(code_spec.gamma))
     alg = algebra_for_star(star)
-    scan = zero_divisor_scan(alg, budget=_budget(args))
+    scan = zero_divisor_scan(alg, budget=budget)
     unital = has_two_sided_unit(alg)
-    nuc = nuclei(alg, budget=_budget(args))
+    nuc = nuclei(alg, budget=budget)
     newness = []
     if family == "D":
         newness = [
@@ -216,6 +220,8 @@ def _verify_semifield(args, spec_dict):
 
 def cmd_ffsuite(args):
     r_values = [int(x) for x in args.r.split(",") if x]
+    if not r_values:
+        raise ValueError("--r needs at least one r value")
     checks = [args.check] if args.check else None
     results = ffexamples.run_suite(r_values, checks=checks, r_cap=args.r_cap)
     table = [

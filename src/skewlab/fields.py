@@ -758,23 +758,12 @@ class AutMap:
         n = self.ctx.aut_order
         return n // math.gcd(self.exp, n)
 
-    def compose(self, other):
-        if self.ctx is not other.ctx:
-            raise FieldError("automorphism context mismatch")
-        return AutMap(self.ctx, self.exp + other.exp)
-
     def join(self, other):
         """The generator of <self, other>, whose fixed field is
         Fix(self) cap Fix(other)."""
         if self.ctx is not other.ctx:
             raise FieldError("automorphism context mismatch")
         return AutMap(self.ctx, math.gcd(self.exp, other.exp, self.ctx.aut_order))
-
-    def inverse(self):
-        return AutMap(self.ctx, -self.exp)
-
-    def is_identity(self):
-        return self.exp == 0
 
 
 def norm_to_fixed(a, sub, terms=None):

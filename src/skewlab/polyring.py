@@ -4,8 +4,8 @@ Coefficients can be any objects supporting field arithmetic through the
 Python operators (the field elements of :mod:`skewlab.fields`).  The owning
 field handle `ctx` supplies `zero` and `one`.  Poly coefficients are
 ascending, trimmed; the zero polynomial has degree -inf.  Structural methods
-build type(self), so skewpoly.SkewPoly is a Poly with a twisted product and
-right division, and ext_gcd serves both.
+build type(self), and skewpoly.SkewPoly overrides only the hook _twist, so
+the one product, the one (right) division and ext_gcd serve both.
 """
 
 import operator
@@ -33,6 +33,10 @@ class Poly:
     """Dense univariate polynomial over a coefficient field ctx."""
 
     __slots__ = ("ctx", "coeffs")
+
+    # x^k c = _twist((c,), k)[0] x^k, applied to each row of a product's
+    # right factor and each shifted divisor; None when x commutes
+    _twist = None
 
     def __init__(self, ctx, coeffs):
         coeffs = list(coeffs)
@@ -98,10 +102,13 @@ class Poly:
     def __mul__(self, other):
         if not self or not other:
             return type(self).zero(self.ctx)
-        out = [self.ctx.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        twist, row = self._twist, other.coeffs
+        out = [self.ctx.zero] * (len(self.coeffs) + len(row) - 1)
         for i, x in enumerate(self.coeffs):
             if x:
-                for j, y in enumerate(other.coeffs):
+                if twist is not None:
+                    row = twist(other.coeffs, i)
+                for j, y in enumerate(row):
                     out[i + j] = out[i + j] + x * y
         return type(self)(self.ctx, out)
 
@@ -118,18 +125,21 @@ class Poly:
     def __divmod__(self, other):
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
+        twist, row, inv_lead = self._twist, other.coeffs, other.lead.inverse()
         rem = list(self.coeffs)
         db = other.degree
-        inv_lead = other.lead.inverse()
         q = [self.ctx.zero] * max(len(rem) - db, 0)
         while len(rem) - 1 >= db and rem:
             if not rem[-1]:
                 rem.pop()
                 continue
             k = len(rem) - 1 - db
+            if twist is not None:
+                row = twist(other.coeffs, k)  # x^k * other, as a row
+                inv_lead = row[-1].inverse()
             c = rem[-1] * inv_lead
             q[k] = c
-            for j, y in enumerate(other.coeffs):
+            for j, y in enumerate(row):
                 rem[k + j] = rem[k + j] - c * y
             rem.pop()
         return type(self)(self.ctx, q), type(self)(self.ctx, rem)

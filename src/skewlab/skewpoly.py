@@ -1,9 +1,9 @@
 """The skew polynomial ring L[x; sigma] with xa = sigma(a)x.
 
-SkewPoly is a polyring.Poly that overrides only the product (schoolbook
-with the twist) and the division (on the right).  Left and right Euclidean
+SkewPoly is a polyring.Poly that overrides only _twist, to sigma^k, so
+Poly's product and division are the skew product and right division.  Left
 division, gcrd/lclm, two-sidedness, companion/semilinear matrices and the
-bound (minimal central multiple) of a polynomial all live here.
+bound (minimal central multiple) of a polynomial live here.
 """
 
 from . import linalg
@@ -18,8 +18,8 @@ from .polyring import Poly, exact_power, ext_gcd, irreducible_over
 
 
 class SkewPoly(Poly):
-    """Skew polynomial: a Poly whose product twists by sigma and whose
-    division (divmod, %, //, gcd) is on the right."""
+    """Skew polynomial: a Poly twisted by sigma, so its product is skew and
+    its division (divmod, %, //, gcd) is on the right."""
 
     __slots__ = ()
 
@@ -44,24 +44,18 @@ class SkewPoly(Poly):
 
     __hash__ = Poly.__hash__  # a class that defines __eq__ gets None
 
+    def _twist(self, coeffs, k):
+        """sigma^k of each coefficient: x^k c = sigma^k(c) x^k."""
+        if not k:
+            return coeffs
+        sigma_pow = self.ctx.sigma_pow
+        return [sigma_pow(c, k) if c else c for c in coeffs]
+
     def __mul__(self, other):
         """Twisted product: (a x^i)(b x^j) = a sigma^i(b) x^(i+j)."""
-        ctx = self.ctx
-        if ctx is not other.ctx:
+        if self.ctx is not other.ctx:
             raise FieldError("skew polynomial context mismatch")
-        if not self or not other:
-            return SkewPoly.zero(ctx)
-        out = [ctx.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * ctx.sigma_pow(b, i)
-        return SkewPoly(ctx, out)
-
-    def __divmod__(self, other):
-        return right_divmod(self, other)
+        return Poly.__mul__(self, other)
 
     def gcd(self, other):
         return gcrd(self, other)
@@ -75,26 +69,7 @@ class SkewPoly(Poly):
 
 def right_divmod(f, g):
     """Quotient and remainder with f = q*g + r, deg r < deg g."""
-    if not g:
-        raise ZeroDivisionError("skew division by zero")
-    ctx = f.ctx
-    dg = g.degree
-    lead_g = g.lead
-    rem = list(f.coeffs)
-    q = [ctx.zero] * max(len(rem) - dg, 0)
-    while len(rem) - 1 >= dg and rem:
-        if not rem[-1]:
-            rem.pop()
-            continue
-        k = len(rem) - 1 - dg
-        c = rem[-1] / ctx.sigma_pow(lead_g, k)
-        q[k] = c
-        # rem -= (c x^k) * g
-        for j, b in enumerate(g.coeffs):
-            if b:
-                rem[k + j] = rem[k + j] - c * ctx.sigma_pow(b, k)
-        rem.pop()
-    return SkewPoly(ctx, q), SkewPoly(ctx, rem)
+    return divmod(f, g)
 
 
 def left_divmod(f, g):
@@ -152,25 +127,14 @@ gcrd_extended = ext_gcd
 
 
 def power_reductions(f, upto):
-    """x^i mod_r f for i = 0..upto, each as a SkewPoly of degree < deg f."""
-    ctx = f.ctx
-    h = f.degree
-    if h < 1:
+    """x^i mod_r f for i = 0..upto, each as a SkewPoly of degree < deg f
+    (right reduction commutes with left factors such as x)."""
+    if f.degree < 1:
         raise ValueError("modulus must have positive degree")
-    out = []
-    cur = [ctx.one] + [ctx.zero] * (h - 1)
-    for _ in range(upto + 1):
-        out.append(SkewPoly(ctx, cur))
-        # multiply by x on the left: x * sum c_i x^i = sum sigma(c_i) x^(i+1)
-        shifted = [ctx.zero] + [ctx.sigma_pow(c, 1) for c in cur]
-        lead = shifted.pop()
-        if lead:
-            # x^h = -(f_0 + ... + f_{h-1} x^{h-1}) mod_r f for monic f; here
-            # fold via lead * (x^h mod f) with f not assumed monic
-            inv = f.lead.inverse()
-            for j in range(h):
-                shifted[j] = shifted[j] - lead * inv * f[j]
-        cur = shifted
+    x = SkewPoly.x(f.ctx)
+    out = [SkewPoly.one(f.ctx)]
+    for _ in range(upto):
+        out.append(x * out[-1] % f)
     return out
 
 

@@ -238,6 +238,16 @@ def test_verify_sampled_needs_a_positive_sample_count(capsys, tmp_path, samples)
     assert code == 2 and not out and "--samples" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_a_budget_below_one_is_a_usage_error(capsys, tmp_path, monkeypatch, budget):
+    path = write_spec(tmp_path, D412)
+    code, out, err = run_cli(capsys, "verify", "--spec", path, "--budget", budget)
+    assert code == 2 and not out and "--budget" in err
+    monkeypatch.setenv("SKEWLAB_BUDGET", budget)
+    code, out, err = run_cli(capsys, "verify", "--spec", path)
+    assert code == 2 and not out and "SKEWLAB_BUDGET" in err
+
+
 def test_verify_sampled_runs(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys,
@@ -304,6 +314,13 @@ def test_ffsuite_single_check_and_even_r(capsys):
     assert json.loads(out)["results"] == [{"r": 3, "check": "f-bound", "pass": True}]
     code2, _, err = run_cli(capsys, "ffsuite", "--r", "4")
     assert code2 == 2 and "odd" in err
+
+
+@pytest.mark.parametrize("r", [",", ""])
+def test_ffsuite_without_an_r_value_is_a_usage_error(capsys, r):
+    # a suite that checks nothing must not report all_pass
+    code, out, err = run_cli(capsys, "ffsuite", "--r", r)
+    assert code == 2 and not out and "--r" in err
 
 
 def test_reports_are_byte_identical(capsys, tmp_path):

@@ -550,3 +550,34 @@ def test_skew_poly_never_equals_a_poly():
     other = finite_ctx(3, 2)
     assert SkewPoly.zero(ctx) != SkewPoly.zero(other)
     assert hash(f) == hash(SkewPoly(ctx, f.coeffs))
+
+
+def test_skew_arithmetic_with_sigma_the_identity_is_commutative():
+    # n = 1: sigma = id, so the twisted loops must give Poly's results
+    rng = random.Random(18)
+    for ctx in (finite_ctx(2, 1, e=2), finite_ctx(3, 1, e=2)):
+        assert ctx.sigma(ctx.gen) == ctx.gen
+        for _ in range(15):
+            f = random_skew(ctx, 4, rng)
+            g = random_skew(ctx, 3, rng, nonzero=True)
+            pf, pg = Poly(ctx, f.coeffs), Poly(ctx, g.coeffs)
+            assert (f * g).coeffs == (pf * pg).coeffs == (g * f).coeffs
+            q, r = divmod(f, g)
+            pq, pr = divmod(pf, pg)
+            assert (q.coeffs, r.coeffs) == (pq.coeffs, pr.coeffs)
+            assert f.gcd(g).coeffs == pf.gcd(pg).coeffs
+
+
+def test_right_division_by_divisors_whose_lead_sigma_moves():
+    # each quotient term divides by sigma^k(lead g), not by lead g
+    rng = random.Random(19)
+    for ctx in (finite_ctx(2, 3, e=2), FunctionFieldCtx(3)):
+        for _ in range(10):
+            g = random_skew(ctx, 2, rng, nonzero=True)
+            while g.degree < 1 or ctx.is_in_K(g.lead):
+                g = random_skew(ctx, 2, rng, nonzero=True)
+            f = random_skew(ctx, 5, rng)
+            while f.degree < g.degree + 2:
+                f = random_skew(ctx, 5, rng)
+            q, r = divmod(f, g)
+            assert q * g + r == f and r.degree < g.degree
