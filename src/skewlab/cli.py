@@ -64,11 +64,17 @@ def _emit(report, out_path):
 
 def _budget(args):
     """Ranks one scan may compute: --budget, else SKEWLAB_BUDGET, else the
-    default; a budget below 1 is a usage error."""
+    default; a budget below 1, or a SKEWLAB_BUDGET that is not an integer,
+    is a usage error."""
+    env = os.environ.get("SKEWLAB_BUDGET")
     if args.budget is not None:
         budget, source = args.budget, "--budget"
-    elif os.environ.get("SKEWLAB_BUDGET"):
-        budget, source = int(os.environ["SKEWLAB_BUDGET"]), "SKEWLAB_BUDGET"
+    elif env:
+        source = "SKEWLAB_BUDGET"
+        try:
+            budget = int(env)
+        except ValueError:
+            raise ValueError(f"{source} must be an integer, got {env!r}") from None
     else:
         return DEFAULT_BUDGET
     if budget < 1:

@@ -434,7 +434,13 @@ def _exponent_entry(family, name, var, n_exp, target, kse, z_mod, e, nuclei=Fals
     both; each reason prints the numbers it tested.  The S-family rows pass
     z_mod = None and skip the centre test: their z_mod would be e, and with
     target t*e every matching h is a multiple of e, so gcd(e, h) = e always
-    holds."""
+    holds.
+
+    The S-family rule, that the member with rho exponent h has idealisers
+    of orders p^gcd(ne, h) and p^gcd(ne, kse - h), is stated for s >= 2,
+    the only range the replay applies it to (s = 1 returns before it).  At
+    s = 1 it fails: over F_81 at k = 1 and k = m - 1 some S-codes have both
+    idealisers of order q^n."""
     t = target // e
     matching = [
         j

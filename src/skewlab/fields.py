@@ -6,8 +6,9 @@ and the rational function fields L = F_{2^r}(t) with sigma = theta o tau
 K = F_2(s_ff) for s_ff = (t^2+1)/t.
 
 Both families are Towers: each supplies its cyclic automorphism group
-(aut, aut_order, the exponent sig of sigma) and a square test in K, and
-sigma, K-membership and the norm N_{L/K} are defined once on Tower.
+(aut, aut_order, the exponent sig of sigma), a square test in K and the
+K-coordinates of L (l_basis, K0, embed_K0, coords_over_K), and sigma,
+K-membership, the norm N_{L/K} and from_coords are defined once on Tower.
 A finite element (FFElem) carries its index i in elem_from_index order and
 its coordinate tuple over the prime field, stored once when it is made.  A
 finite field computes on one of two paths.  Up to order TABLE_LIMIT, prime
@@ -25,7 +26,7 @@ import math
 import re
 from contextlib import contextmanager
 
-from .linalg import np_kernel
+from .linalg import np_inv, np_kernel
 from .modpoly import digits
 from .polyring import (
     FracElem,
@@ -434,6 +435,11 @@ class Tower:
     F_(2^r)(t)); aut_order, that group's order; sig, the exponent with
     sigma = aut^sig; and is_square_in_K.  Everything else about sigma and
     the norm N_{L/K} is defined here, once.
+
+    A family also supplies L's K-coordinates: l_basis, a K-basis of L; K0,
+    the field the coordinates lie in; embed_K0, its isomorphism onto K; and
+    coords_over_K(a), the coordinates of a over l_basis.  from_coords, the
+    inverse map, is defined here.
     """
 
     def sigma(self, a):
@@ -456,6 +462,14 @@ class Tower:
     def _check_in_K(self, a):
         if not self.is_in_K(a):
             raise FieldError("element does not lie in the base field K")
+
+    def from_coords(self, coords):
+        """sum_i embed_K0(coords[i]) * l_basis[i]: the inverse of coords_over_K."""
+        acc = self.zero
+        for c, b in zip(coords, self.l_basis):
+            if c:
+                acc = acc + self.embed_K0(c) * b
+        return acc
 
 
 class FiniteFieldCtx(GFCtx, Tower):
@@ -498,6 +512,11 @@ class FiniteFieldCtx(GFCtx, Tower):
         self.k_basis = self.fixed_basis(self.sig)
         if len(self.k_basis) != e:
             raise FieldError("fixed field of sigma does not have order q")
+        # L = K(w), so w^0..w^(n-1) is a K-basis; its coordinates are the
+        # elements of L that lie in K
+        self.l_basis = [w**i for i in range(n)]
+        self.K0 = self
+        self._coords_inv = None
 
     def describe(self):
         return f"F_{self.p}^{self.e * self.n} tower(q={self.q}, n={self.n})"
@@ -518,6 +537,21 @@ class FiniteFieldCtx(GFCtx, Tower):
             return True
         return a ** ((self.q - 1) // 2) == self.one
 
+    def embed_K0(self, c):
+        return c
+
+    def coords_over_K(self, a):
+        """Coordinates of a over l_basis, as elements of K: F_p-coordinates
+        over the products k_b w^i (index i*e + b), combined over k_basis.
+        The inverse of that F_p-matrix is built on first use and kept."""
+        if self._coords_inv is None:
+            cols = [(kb * wi).coeffs for wi in self.l_basis for kb in self.k_basis]
+            inv = np_inv(np.array(cols, dtype=np.int64).T, self.p)
+            self._coords_inv = inv.tolist()
+        x = [sum(m * c for m, c in zip(row, a.coeffs)) for row in self._coords_inv]
+        e = self.e
+        return [self.combine(x[i : i + e], self.k_basis) for i in range(0, self.dim, e)]
+
     def mult_matrix(self, a):
         """F_p-matrix of left multiplication by a on L."""
         return np.array([(a * b).coeffs for b in self.basis], dtype=np.int64).T
@@ -530,9 +564,10 @@ class FunctionFieldCtx(Tower):
     """L = F_{2^r}(t) with sigma = theta o tau, of order n = 2r; r odd >= 3.
 
     K = Fix(L, sigma) = F_2(s_ff) with s_ff = (t^2+1)/t.  Elements are
-    reduced FracElems over GF(2^r)[t].  A coordinate field K0 = F_2(s)
-    (an abstract copy of K) backs the L-over-K linear algebra.  The
-    tower's cyclic group is <sigma> itself.
+    reduced FracElems over GF(2^r)[t].  The K-coordinates of L are taken
+    over the basis w^i t^delta and lie in K0 = F_2(s), an abstract copy of
+    K mapped onto it by s -> s_ff.  The tower's cyclic group is <sigma>
+    itself.
     """
 
     kind = "funcfield"
@@ -555,6 +590,7 @@ class FunctionFieldCtx(Tower):
                                       self.coeff_field.one])
         self.s_ff = self.rat.from_polys(num, Poly.gen(self.coeff_field))
         self.K0 = RatFuncCtx(GFCtx(2, 1), "s")
+        self.l_basis = [self.w**i * self.t**d for i in range(r) for d in (0, 1)]
 
     def describe(self):
         return f"F_(2^{self.r})(t)"
@@ -623,7 +659,7 @@ class FunctionFieldCtx(Tower):
     # -- L as a K-vector space of dimension 2r, basis w^i * t^delta --------
 
     def embed_K0(self, c):
-        """Map an abstract K0 = F_2(s) element into L via s -> s_ff."""
+        """The image in L of c in K0 = F_2(s): s -> s_ff."""
         def eval_at_sff(poly):
             acc = self.zero
             for coeff in reversed(poly.coeffs):
@@ -637,59 +673,53 @@ class FunctionFieldCtx(Tower):
         return num / den
 
     def coords_over_K(self, a):
-        """Coordinates of a over the K-basis {w^i t^delta} (index 2*i+delta),
-        as elements of K0 = F_2(s)."""
+        """Coordinates of a over l_basis, as elements of K0 = F_2(s).
+
+        The denominator is cleared by D, the lcm of its tau-images: tau fixes
+        D, so D lies in F_2[t], and so does each slice N_i of the numerator
+        over the F_2-basis {w^i} of F_(2^r).  N_i / D is then read in
+        K(t) = K0[t]/(t^2 + s t + 1) through the powers t^k = a_k + b_k t."""
         K0 = self.K0
         if not a:
             return [K0.zero] * self.n
         cf = self.coeff_field
-        # clear the denominator into F_2[t] via the tau-orbit product
-        extra = Poly.one(cf)
-        den_img = a.den
-        for k in range(1, self.r):
-            den_img = Poly(cf, (cf.frobenius(c, 1) for c in den_img.coeffs))
-            extra = extra * den_img
-        D = a.den * extra
-        N = a.num * extra
+        D = img = a.den
+        for _ in range(1, self.r):
+            img = Poly(cf, (cf.frobenius(c, 1) for c in img.coeffs))
+            if img == a.den:
+                break
+            D = D * (img // D.gcd(img))
         if any(any(c.coeffs[1:]) for c in D.coeffs):
-            raise FieldError("tau-orbit denominator product not rational over F_2")
+            raise FieldError("tau-orbit lcm of the denominator not rational over F_2")
+        N = a.num * (D // a.den)
         gf2 = K0.coeff_field
-        D2 = Poly(gf2, (gf2.from_int(c.coeffs[0]) for c in D.coeffs))
-        # split the numerator over the F_2-basis {w^i} of F_{2^r}
+        s = Poly.gen(gf2)
+        # t^(k+1) = t (a_k + b_k t) = b_k + (a_k + s b_k) t
+        powers = [(Poly.one(gf2), Poly.zero(gf2))]
+        for _ in range(max(N.degree, D.degree)):
+            ak, bk = powers[-1]
+            powers.append((bk, ak + s * bk))
+
+        def pair(bits):
+            """The F_2[t] polynomial with coefficients bits as x0 + x1 t."""
+            x0 = x1 = Poly.zero(gf2)
+            for bit, (ak, bk) in zip(bits, powers):
+                if bit:
+                    x0, x1 = x0 + ak, x1 + bk
+            return x0, x1
+
+        # 1/(d0 + d1 t) = (c0 + c1 t)/norm, where c0 + c1 t = d0 + d1 (s + t)
+        # is the conjugate of d0 + d1 t
+        d0, d1 = pair(c.coeffs[0] for c in D.coeffs)
+        c0, c1 = d0 + s * d1, d1
+        norm = d0 * c0 + d1 * d1
+        c0s = c0 + s * c1
         coords = []
-        d_pair = self._pair_from_poly(D2)
         for i in range(self.r):
-            Ni = Poly(gf2, (gf2.from_int(c.coeffs[i]) for c in N.coeffs))
-            n_pair = self._pair_from_poly(Ni)
-            alpha, beta = self._pair_div(n_pair, d_pair)
-            coords.append(alpha)
-            coords.append(beta)
+            n0, n1 = pair(c.coeffs[i] for c in N.coeffs)
+            coords.append(K0.from_polys(n0 * c0 + n1 * c1, norm))
+            coords.append(K0.from_polys(n0 * c1 + n1 * c0s, norm))
         return coords
-
-    def from_coords(self, coords):
-        """Inverse of coords_over_K."""
-        acc = self.zero
-        wpow = self.one
-        for i in range(self.r):
-            alpha = self.embed_K0(coords[2 * i])
-            beta = self.embed_K0(coords[2 * i + 1])
-            acc = acc + wpow * (alpha + beta * self.t)
-            wpow = wpow * self.w
-        return acc
-
-    def _pair_from_poly(self, P):
-        """Express P(t) over GF(2) as alpha + beta*t with alpha, beta in K0,
-        using t^2 = s*t + 1."""
-        K0 = self.K0
-        s = K0.gen
-        alpha, beta = K0.zero, K0.zero
-        a, b = K0.one, K0.zero  # t^k = a + b*t, k ascending
-        for c in P.coeffs:
-            if c:
-                alpha = alpha + a
-                beta = beta + b
-            a, b = b, a + s * b
-        return alpha, beta
 
     def random_elem(self, rng, max_deg=2):
         """A random fraction with numerator/denominator degree <= max_deg."""
@@ -704,20 +734,6 @@ class FunctionFieldCtx(Tower):
         """A random element of Fix(sigma^t), as the sigma^t-trace of a sample."""
         u = self.random_elem(rng, max_deg=max_deg)
         return u + self.sigma_pow(u, t)
-
-    def _pair_div(self, n_pair, d_pair):
-        """(n0 + n1 t) / (d0 + d1 t) in F_2(s)[t]/(t^2 + s t + 1)."""
-        K0 = self.K0
-        s = K0.gen
-        n0, n1 = n_pair
-        d0, d1 = d_pair
-        norm = d0 * d0 + s * d0 * d1 + d1 * d1
-        if not norm:
-            raise ZeroDivisionError("zero denominator in quadratic tower")
-        c0, c1 = d0 + s * d1, d1
-        q0 = n0 * c0 + n1 * c1
-        q1 = n0 * c1 + n1 * c0 + s * n1 * c1
-        return q0 / norm, q1 / norm
 
 
 # --------------------------------------------------------- automorphisms ---
@@ -990,12 +1006,11 @@ FIELD_SPEC_KEYS = ("kind", "p", "e", "n", "sigma_exp", "modulus", "r")
 
 
 def spec_int(value, key):
-    """int(value), or a ValueError naming the spec key the value came from."""
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        msg = f"spec key {key!r} must be an integer, got {value!r}"
-        raise ValueError(msg) from None
+    """value if it is a JSON integer (an int, not a bool), else a ValueError
+    naming the spec key the value came from."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"spec key {key!r} must be an integer, got {value!r}")
 
 
 def spec_list(value, key):

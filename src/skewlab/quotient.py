@@ -1,6 +1,8 @@
 """The quotient R_F = R/RF(x^n): canonical reduction, rank, eigenrings,
 and (finite case) explicit matrix images under the canonical isomorphism
 R_F = M_m(E(f)) for a distinguished irreducible right divisor f of F(x^n).
+The eigenring is one computation for both field families, a kernel over K
+in the tower's K-coordinates (fields.Tower.coords_over_K).
 
 rank is the gcrd definition.  Over F_(2^r)(t), full_rank_certified is a
 cheaper sufficient test for rank m, which sampled MRD scans try first: the
@@ -504,78 +506,25 @@ class EigenringBasis:
 
 
 def eigenring(qctx):
-    """Compute a K-basis of the eigenring of the distinguished f."""
-    if isinstance(qctx.ctx, FiniteFieldCtx):
-        basis = _eigenring_finite(qctx)
-    else:
-        basis = _eigenring_funcfield(qctx)
-    return EigenringBasis(qctx, basis)
-
-
-def _eigenring_finite(qctx):
+    """A K-basis of the eigenring of the distinguished f: the kernel over K
+    of g -> f*g mod_r f (K-linear, since K is central), written in the
+    K-coordinates of the units b x^i, b in ctx.l_basis and i < deg f."""
     ctx = qctx.ctx
     f = qctx.f
     df = f.degree
-    p = ctx.p
-    # column i*dim + b is the image of the unit b x^i, so a kernel row is
-    # the coordinate vector of its eigenring member
-    cols = [
-        vec(right_mod(f * SkewPoly.monomial(ctx, b, i), f), df)
-        for i in range(df)
-        for b in ctx.basis
-    ]
-    kernel = linalg.np_kernel(np.array(cols, dtype=np.int64).T, p, ncols=len(cols))
-    members = [unvec(ctx, row, df) for row in kernel]
-    # extract a K-basis from the F_p-kernel: K acts by central left scaling
-    e = len(ctx.k_basis)
-    if e == 1:
-        return members
-    selected = []
-    span = np.zeros((0, df * ctx.dim), dtype=np.int64)
-    for g in members:
-        gv = np.array(vec(g, df), dtype=np.int64)
-        if linalg.np_rank(np.vstack([span, gv]), p) == linalg.np_rank(span, p):
-            continue
-        selected.append(g)
-        scaled = [vec(g.scale_left(b), df) for b in ctx.k_basis]
-        span = np.vstack([span, np.array(scaled, dtype=np.int64)])
-    if len(selected) * e != len(members):
-        raise RuntimeError("K-basis extraction failed for the eigenring")
-    return selected
-
-
-def _eigenring_funcfield(qctx):
-    ctx = qctx.ctx
-    f = qctx.f
-    df = f.degree
-    nb = ctx.n  # K-dimension of L
-    K0 = ctx.K0
-
-    basis_elems = []
-    wpow = ctx.one
-    for i in range(ctx.r):
-        basis_elems.append(wpow)
-        basis_elems.append(wpow * ctx.t)
-        wpow = wpow * ctx.w
-
+    units = [SkewPoly.monomial(ctx, b, i) for i in range(df) for b in ctx.l_basis]
     cols = []
-    units = []
-    for i in range(df):
-        for b in basis_elems:
-            unit = SkewPoly.monomial(ctx, b, i)
-            units.append(unit)
-            img = right_mod(f * unit, f)
-            cols.append([c for j in range(df) for c in ctx.coords_over_K(img[j])])
-    rows = [[cols[j][i] for j in range(len(cols))] for i in range(df * nb)]
-    kernel = linalg.kernel_basis(rows, len(cols), K0)
+    for unit in units:
+        img = right_mod(f * unit, f)
+        cols.append([c for j in range(df) for c in ctx.coords_over_K(img[j])])
     members = []
-    for kv in kernel:
+    for kv in linalg.kernel_basis(list(zip(*cols)), len(cols), ctx.K0):
         g = SkewPoly.zero(ctx)
         for c, unit in zip(kv, units):
             if c:
                 g = g + unit.scale_left(ctx.embed_K0(c))
         members.append(g)
-    return members
+    return EigenringBasis(qctx, members)
 
 
 # ------------------------------------------------- eigenring as a field ----

@@ -177,6 +177,14 @@ S412 = {**{k: v for k, v in D412.items() if k != "gamma"}, "family": "S", "eta":
         ({**S412, "eta": 5}, "eta"),
         ({**D412, "gamma": 1}, "gamma"),
         ({**D412, "gamma": None}, "gamma"),
+        # numbers that are not JSON integers used to be truncated by int()
+        ({**D412, "k": 2.7}, "k"),
+        ({**D412, "k": True}, "k"),
+        ({**D412, "k": "2"}, "k"),
+        ({**D412, "F": [-1.0, 1]}, "F"),
+        ({**S412, "rho_exp": 1.5}, "rho_exp"),
+        ({**D412, "field": {"kind": "finite", "p": 3.5, "n": 4}}, "p"),
+        ({**D412, "field": {"kind": "finite", "p": 3, "n": 4.9}}, "n"),
     ],
 )
 def test_wrong_value_types_are_usage_errors(capsys, tmp_path, payload, key):
@@ -191,6 +199,9 @@ def test_wrong_value_types_are_usage_errors(capsys, tmp_path, payload, key):
     [
         ('{"kind": "finite", "p": 3, "n": [4]}', "n"),
         ('{"kind": "finite", "p": 3, "n": 4, "modulus": 5}', "modulus"),
+        ('{"kind": "finite", "p": 3.5, "n": 4.9}', "p"),
+        ('{"kind": "finite", "p": true, "n": 4}', "p"),
+        ('{"kind": "funcfield", "r": 3.0}', "r"),
     ],
 )
 def test_wrong_field_value_type_is_a_usage_error(capsys, field, key):
@@ -246,6 +257,18 @@ def test_a_budget_below_one_is_a_usage_error(capsys, tmp_path, monkeypatch, budg
     monkeypatch.setenv("SKEWLAB_BUDGET", budget)
     code, out, err = run_cli(capsys, "verify", "--spec", path)
     assert code == 2 and not out and "SKEWLAB_BUDGET" in err
+
+
+@pytest.mark.parametrize("budget", ["abc", "1e6"])
+def test_a_budget_variable_that_is_not_an_integer_is_a_usage_error(
+    capsys, tmp_path, monkeypatch, budget
+):
+    # int() used to raise "invalid literal for int() with base 10", which
+    # does not name the variable
+    monkeypatch.setenv("SKEWLAB_BUDGET", budget)
+    code, out, err = run_cli(capsys, "verify", "--spec", write_spec(tmp_path, D412))
+    assert code == 2 and not out
+    assert "SKEWLAB_BUDGET" in err and repr(budget) in err
 
 
 def test_verify_sampled_runs(capsys, tmp_path):

@@ -8,11 +8,11 @@ from skewlab.ffexamples import (
     CHECKS,
     SuiteInstance,
     f_cofactor,
-    rewrite_in_sff,
     run_suite,
     verify_f_bound,
     verify_g_bound,
     verify_gamma_example,
+    verify_sff_rewrite,
     verify_sigma_order,
 )
 from skewlab.polyring import Poly, FracElem
@@ -53,19 +53,20 @@ def test_g_bound_details():
     assert verify_g_bound(inst)
 
 
-def test_rewrite_examples():
+def test_sff_rewrite_examples_through_coordinates():
     inst = SuiteInstance(3)
+    assert verify_sff_rewrite(inst)
+    # t lies outside K: its coordinates are those of the basis vector w^0 t
     ctx = inst.ctx
-    assert rewrite_in_sff(ctx, ctx.s_ff, 1) == [0, 1]
-    cube = ctx.elem((1, 0, 1, 0, 1, 0, 1), (0, 0, 0, 1))
-    assert rewrite_in_sff(ctx, cube, 3) == [0, 0, 0, 1]
-    assert rewrite_in_sff(ctx, ctx.zero, 3) == []
+    K0 = ctx.K0
+    assert ctx.coords_over_K(ctx.t) == [K0.zero, K0.one] + [K0.zero] * (ctx.n - 2)
 
 
-def test_rewrite_random_palindromic_roundtrip():
+def test_palindromic_fractions_round_trip_through_coordinates():
+    # sum a_i t^(2i) / t^ell with a_i = a_(ell-i) in F_2 and ell odd lies in
+    # K: its coordinates are (P(s), 0, ..., 0), deg P = ell when a_0 = 1
     rng = random.Random(19)
-    inst = SuiteInstance(3)
-    ctx = inst.ctx
+    ctx = SuiteInstance(3).ctx
     cf = ctx.coeff_field
     for ell in (1, 3, 5, 7, 9):
         for _ in range(20):
@@ -78,24 +79,14 @@ def test_rewrite_random_palindromic_roundtrip():
             num = Poly(cf, num_coeffs[:-1])
             den = Poly(cf, [cf.zero] * ell + [cf.one])
             rt = FracElem(ctx.rat, num, den)
-            coeffs = rewrite_in_sff(ctx, rt, ell)
-            # degree claim: ell when the end coefficients are 1
+            coords = ctx.coords_over_K(rt)
+            P = coords[0]
+            assert not any(coords[1:]) and P.den.degree == 0
             if a[0] == 1:
-                assert len(coeffs) - 1 == ell
-            elif any(a):
-                assert len(coeffs) - 1 < ell
-
-
-def test_rewrite_shape_violations():
-    inst = SuiteInstance(3)
-    ctx = inst.ctx
-    with pytest.raises(ValueError):
-        rewrite_in_sff(ctx, ctx.t, 1)  # t / 1 is not palindromic over t^ell
-    with pytest.raises(ValueError):
-        rewrite_in_sff(ctx, ctx.s_ff, 2)  # even ell
-    bad = ctx.elem((1, 1, 1), (0, 1))  # odd-degree numerator term
-    with pytest.raises(ValueError):
-        rewrite_in_sff(ctx, bad, 1)
+                assert P.num.degree == ell
+            else:
+                assert P.num.degree < ell
+            assert ctx.from_coords(coords) == rt
 
 
 def test_run_suite_argument_validation():

@@ -25,6 +25,8 @@ from skewlab.fields import (
     norm_to_fixed,
 )
 
+from skewlab.polyring import Poly
+
 from helpers import finite_ctx, random_elem
 
 
@@ -175,6 +177,54 @@ def test_coords_over_K_roundtrip():
         a = ff.random_elem(rng, max_deg=2)
         assert ff.from_coords(ff.coords_over_K(a)) == a
     assert ff.from_coords(ff.coords_over_K(ff.zero)) == ff.zero
+
+
+@pytest.mark.parametrize("p, e, n", [(3, 1, 4), (2, 1, 3), (3, 2, 2), (2, 2, 2)])
+def test_finite_coords_over_K_roundtrip(p, e, n):
+    # e = 2: the K-coordinates are elements of K = F_(p^2) inside L
+    rng = random.Random(p * 100 + e * 10 + n)
+    ctx = FiniteFieldCtx(p, e, n)
+    assert ctx.K0 is ctx and len(ctx.l_basis) == n
+    for i, b in enumerate(ctx.l_basis):
+        assert ctx.coords_over_K(b) == [ctx.one if j == i else ctx.zero for j in range(n)]
+    for _ in range(20):
+        a = ctx.random_elem(rng)
+        coords = ctx.coords_over_K(a)
+        assert all(ctx.is_in_K(c) for c in coords)
+        assert ctx.from_coords(coords) == a
+        c = [ctx.combine([rng.randrange(p) for _ in range(e)], ctx.k_basis)
+             for _ in range(n)]
+        assert ctx.coords_over_K(ctx.from_coords(c)) == c
+
+
+@pytest.mark.parametrize("r", [3, 5])
+def test_funcfield_coords_over_K_roundtrip(r):
+    # denominators outside F_2[t] (cleared by the lcm of their tau-images)
+    # and inside it (their own lcm)
+    rng = random.Random(r)
+    ff = FunctionFieldCtx(r)
+    K0 = ff.K0
+    cf = ff.coeff_field
+    for i, b in enumerate(ff.l_basis):
+        assert ff.coords_over_K(b) == [K0.one if j == i else K0.zero for j in range(ff.n)]
+    outside = 0
+    for _ in range(10):
+        a = ff.random_elem(rng, max_deg=3)
+        outside += any(any(c.coeffs[1:]) for c in a.den.coeffs)
+        num = [cf.random_elem(rng) for _ in range(4)]
+        b = ff.elem(num, [rng.randrange(2) for _ in range(3)] + [1])
+        for x in (a, b):
+            assert ff.from_coords(ff.coords_over_K(x)) == x
+    assert outside
+    # elements of K have the coordinates (c, 0, ..., 0)
+    gf2 = K0.coeff_field
+
+    def f2_poly(k):
+        return Poly(gf2, [gf2.from_int(rng.randrange(2)) for _ in range(k)])
+
+    for _ in range(5):
+        c = K0.from_polys(f2_poly(4), f2_poly(3) + Poly.gen(gf2) ** 3)
+        assert ff.coords_over_K(ff.embed_K0(c)) == [c] + [K0.zero] * (ff.n - 1)
 
 
 def test_finite_literals_roundtrip():

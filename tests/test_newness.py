@@ -10,7 +10,15 @@ test was gcd(s*e, j) = e, and now prints the constraint it tests.
 
 import math
 
-from skewlab.codes import NewnessEntry, newness_report
+import pytest
+
+from skewlab.codes import (
+    NewnessEntry,
+    code_spec_from_dict,
+    newness_report,
+    nuclear_params,
+)
+from skewlab.semifields import StarSPrimeSpec, algebra_for_star, nuclei
 
 # p, e, even n, s, k: 4 * 4 * 8 * 12 * 12 tuples
 GRID = [
@@ -290,3 +298,44 @@ def test_newness_matches_the_reference_on_the_grid():
     assert len(GRID) == 18432
     assert centre == 3040
 
+
+# ------------------------------------------- the rule on computed members --
+
+# L = F_81 over K = F_3 (n = 4), F = y^2 + 1 (s = 2), eta = w
+S2_SPEC = {
+    "family": "S",
+    "field": {"kind": "finite", "p": 3, "e": 1, "n": 4},
+    "F": [1, 0, 1],
+    "eta": "w",
+}
+
+
+@pytest.mark.parametrize("h", range(4))
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_s_family_exponent_rule_holds_on_computed_codes(k, h):
+    # the S-family rows of the replay take the S-code with rho exponent h to
+    # have idealisers of orders q^gcd(n, h) and q^gcd(n, ks - h)
+    spec = code_spec_from_dict({**S2_SPEC, "k": k, "rho_exp": h})
+    params = nuclear_params(spec)
+    assert (params.il, params.ir) == (3 ** math.gcd(4, h), 3 ** math.gcd(4, 2 * k - h))
+
+
+@pytest.mark.parametrize("h", range(4))
+def test_s_family_exponent_rule_holds_on_computed_semifields(h):
+    # for the semifield star_S' (k = 1): nuclei q^gcd(n, h), q^gcd(n, s - h),
+    # and Nr = E(f) of order q^s over the centre K
+    spec = code_spec_from_dict({**S2_SPEC, "k": 1, "rho_exp": h})
+    alg = algebra_for_star(StarSPrimeSpec(spec.qctx, spec.eta, spec.rho))
+    rep = nuclei(alg)
+    assert (rep.nl, rep.nm, rep.nr, rep.z) == (
+        3 ** math.gcd(4, h), 3 ** math.gcd(4, 2 - h), 9, 3
+    )
+
+
+
+def test_s_family_exponent_rule_fails_at_s1():
+    # why the rule is stated for s >= 2: with F = y - 1 (s = 1) and k = 1,
+    # the h = 0 code has both idealisers L (order 81), not 81 and 3
+    spec = code_spec_from_dict({**S2_SPEC, "F": [-1, 1], "k": 1, "rho_exp": 0})
+    params = nuclear_params(spec)
+    assert (params.il, params.ir) == (81, 81)

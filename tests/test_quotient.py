@@ -15,7 +15,7 @@ from skewlab.codes import (
     verify_mrd,
 )
 from skewlab.fields import AutMap, FiniteFieldCtx, FunctionFieldCtx, norm_to_fixed
-from skewlab.linalg import BudgetExceeded
+from skewlab.linalg import BudgetExceeded, rref
 from skewlab.quotient import (
     CERTIFICATE_POINTS,
     EigenElem,
@@ -45,7 +45,7 @@ from helpers import (
     random_skew,
     y_minus_one,
 )
-from test_golden import CASES, FF8
+from test_golden import CASES, E2, FF8
 
 
 def quot_f8():
@@ -159,6 +159,30 @@ def test_eigenring_funcfield_dimension():
     assert eb.dimension == 4  # s * ell^2
     for g in eb.basis:
         assert not right_mod(qf.f * g, qf.f)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        # the verify_d_e2 tower: K = F_9 inside L = F_81, F = y^2 + 2w^10
+        lambda: code_spec_from_dict({**E2, "family": "D", "k": 1, "gamma": "w^2"}).qctx,
+        lambda: quot_funcfield(5),
+    ],
+    ids=["e2", "F32(t)"],
+)
+def test_eigenring_has_dimension_s_ell_squared_over_K(make):
+    q = make()
+    ctx, f = q.ctx, q.f
+    eb = eigenring(q)
+    assert eb.dimension == q.s * q.ell**2
+    for g in eb.basis:
+        assert g.degree < f.degree and not right_mod(f * g, f)
+    # the members are K-independent: their K-coordinates have full rank
+    coords = [
+        [c for j in range(f.degree) for c in ctx.coords_over_K(g[j])]
+        for g in eb.basis
+    ]
+    assert len(rref(coords)[1]) == eb.dimension
 
 
 def test_matrix_image_identity_and_welldefined():
