@@ -225,7 +225,10 @@ def _verify_semifield(args, spec_dict, budget):
 
 
 def cmd_ffsuite(args):
-    r_values = [int(x) for x in args.r.split(",") if x]
+    try:
+        r_values = [int(x) for x in args.r.split(",") if x]
+    except ValueError:
+        raise ValueError(f"--r takes integers, got {args.r!r}") from None
     if not r_values:
         raise ValueError("--r needs at least one r value")
     checks = [args.check] if args.check else None

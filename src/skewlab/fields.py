@@ -1064,5 +1064,11 @@ def field_from_inline(text):
             key, _, val = part.partition("=")
             if not val:
                 raise FieldError(f"bad field spec fragment {part!r}")
-            spec[key.strip()] = int(val)
+            key = key.strip()
+            try:
+                spec[key] = int(val)
+            except ValueError:
+                raise FieldError(
+                    f"field key {key!r} must be an integer, got {val!r}"
+                ) from None
     return field_from_spec(spec)

@@ -195,21 +195,6 @@ def np_kernel(M, p, ncols=None):
     return basis
 
 
-def np_solve(M, b, p):
-    """One solution of M x = b mod p (free variables zero), or None."""
-    M = np.atleast_2d(np.array(M, dtype=np.int64))
-    b = np.array(b, dtype=np.int64).reshape(-1, 1)
-    aug = np.hstack([M, b])
-    R, pivots = np_rref(aug, p)
-    ncols = M.shape[1]
-    if ncols in pivots:
-        return None
-    x = np.zeros(ncols, dtype=np.int64)
-    for row, pc in zip(R, pivots):
-        x[pc] = row[-1]
-    return x
-
-
 def np_inv(M, p):
     M = np.array(M, dtype=np.int64)
     n = M.shape[0]

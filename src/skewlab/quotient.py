@@ -15,9 +15,9 @@ vec/unvec (residues as F_p vectors), the residue classes (QuotElem and its
 mod-f subclasses), FiniteAlgebra, an F_p-bilinear product given by its
 structure constants, and subspace_nuclei, the idealiser, centraliser and
 centre systems of a subspace of such an algebra, which give the nuclear
-parameters of a code.  R_F itself is a FiniteAlgebra (QuotCtx.algebra).
-The nuclei of a semifield come from their definitions instead, as kernels
-of systems on its structure constants (semifields.nuclei).
+parameters of a code.  Every such algebra is R/Rg under a b = g_a b mod_r
+g (residue_algebra), its structure constants the left actions of the g_a:
+R_F with g_a = a (QuotCtx.algebra), and the star algebras of semifields.
 """
 
 from collections import namedtuple
@@ -63,20 +63,18 @@ class FiniteAlgebra:
     and from vectors of length dim, and mul is F_p-bilinear.
 
     Every multiplication matrix is a contraction of the structure constants
-    T, e_a e_b = sum_k T[a, b, k] e_k, which are built on first use: by
-    constants() when given (R_F builds them from x and L), else from the
-    dim^2 products of basis elements (the star algebras of semifields,
-    which are not associative).
+    T, e_a e_b = sum_k T[a, b, k] e_k, which constants(alg) builds on first
+    use (residue_algebra: from the left actions of x and L).
     """
 
-    def __init__(self, p, dim, to_vec, from_vec, mul, unit=None, constants=None):
+    def __init__(self, p, dim, to_vec, from_vec, mul, constants, unit=None):
         self.p = p
         self.dim = dim
         self.to_vec = to_vec
         self.from_vec = from_vec
         self.mul = mul
         self.unit = unit
-        self._constants = constants or self._product_table
+        self._constants = constants
         self._T = None
 
     @property
@@ -94,13 +92,8 @@ class FiniteAlgebra:
     def structure_constants(self):
         """T[a, b, k], the k-th coordinate of e_a e_b, reduced mod p."""
         if self._T is None:
-            self._T = self._constants()
+            self._T = self._constants(self)
         return self._T
-
-    def _product_table(self):
-        basis = self.basis()
-        table = [[self.to_vec(self.mul(x, y)) for y in basis] for x in basis]
-        return np.array(table, dtype=np.int64) % self.p
 
     def left_mult_matrix(self, v):
         """Matrix of b -> a b, for the element a with coordinates v."""
@@ -115,6 +108,56 @@ class FiniteAlgebra:
     def left_mult_matrices(self):
         """M_i = matrix of left multiplication by the i-th basis vector."""
         return [self.left_mult_matrix(e) for e in np.eye(self.dim, dtype=np.int64)]
+
+
+def left_actions(ctx, modulus, polys):
+    """The F_p-matrices of b -> g b mod_r modulus, one per skew polynomial
+    g in polys (finite contexts).  R/R modulus is a left R-module, so c x^i
+    acts as S_c L_x^i: L_x costs dim products x e_b, and S_c is
+    block-diagonal in ctx.mult_matrix(c).  g is not reduced (right
+    reduction does not commute with right factors): L_x^i runs to deg g."""
+    p, d, N = ctx.p, ctx.dim, modulus.degree
+    dim = N * d
+    x = SkewPoly.x(ctx)
+    units = (SkewPoly.monomial(ctx, b, i) for i in range(N) for b in ctx.basis)
+    L_x = np.array([vec(right_mod(x * e, modulus), N) for e in units]).T
+    slots = max(g.degree for g in polys) + 1
+    powers = [np.eye(dim, dtype=np.int64)]
+    for _ in range(slots - 1):
+        powers.append(L_x @ powers[-1] % p)
+    S = np.array([ctx.mult_matrix(b) for b in ctx.basis], dtype=np.int64)
+    G = np.array([vec(g, slots) for g in polys], dtype=np.int64)
+    # S_(c_i) for the coefficient c_i of x^i in g: C[g, s, i, t]
+    C = np.einsum("gia,ast->gsit", G.reshape(len(polys), slots, d), S) % p
+    # M_g[j d + s, b] = sum_(i, t) C[g, s, i, t] L_x^i[j d + t, b]: one
+    # product per (g, j), batched so that it lands in M's layout (no copy)
+    P = np.array(powers).reshape(slots, N, d, dim).transpose(1, 0, 2, 3)
+    M = C.reshape(len(polys), 1, d, slots * d) @ P.reshape(N, slots * d, dim)
+    M %= p
+    return M.reshape(len(polys), dim, dim)
+
+
+def residue_algebra(qctx, modulus, elem, left_factor, unit=None):
+    """R/R modulus as a FiniteAlgebra over F_p (finite contexts) under
+    a b = g_a b mod_r modulus, g_a = left_factor(a) a skew polynomial and
+    elem(qctx, rep) the residue of rep; T[a] is the transposed left action
+    of g_(e_a)."""
+    ctx = qctx.ctx
+    if not isinstance(ctx, FiniteFieldCtx):
+        raise FieldError("F_p coordinates need a finite context")
+    slots = modulus.degree
+
+    def mul(a, b):
+        return elem(qctx, right_mod(left_factor(a) * b.rep, modulus))
+
+    def constants(alg):
+        polys = [left_factor(e) for e in alg.basis()]
+        return left_actions(ctx, modulus, polys).transpose(0, 2, 1)
+
+    return FiniteAlgebra(
+        ctx.p, slots * ctx.dim, lambda a: vec(a.rep, slots),
+        lambda v: elem(qctx, unvec(ctx, v, slots)), mul, constants, unit,
+    )
 
 
 # kernel bases (rows of F_p coordinates) of the four idealiser systems
@@ -300,42 +343,12 @@ class QuotCtx:
     @property
     def algebra(self):
         """R_F as a FiniteAlgebra over F_p under the residue product
-        (finite contexts); its structure constants are built on first use
-        (_structure_constants)."""
+        (finite contexts): residue_algebra with g_a = a."""
         if self._algebra is None:
-            ctx = self.ctx
-            if not isinstance(ctx, FiniteFieldCtx):
-                raise FieldError("F_p coordinates need a finite context")
-            slots = self.F_skew.degree
-            self._algebra = FiniteAlgebra(
-                ctx.p,
-                slots * ctx.dim,
-                lambda a: vec(a.rep, slots),
-                lambda v: QuotElem(self, unvec(ctx, v, slots)),
-                lambda a, b: a * b,
-                constants=self._structure_constants,
+            self._algebra = residue_algebra(
+                self, self.F_skew, QuotElem, lambda a: a.rep
             )
         return self._algebra
-
-    def _structure_constants(self):
-        """T of R_F from x and L.  Basis element e_(i d + a) is b_a x^i, for
-        b_a the a-th F_p-basis element of L (d = [L:F_p]).  R_F is
-        associative, R F(x^n) being a two-sided ideal, so left
-        multiplication by b_a x^i is S_a L_x^i: L_x, that of x, costs dim
-        products x e_b, and S_a, that of b_a, is block-diagonal in
-        ctx.mult_matrix(b_a)."""
-        ctx, alg = self.ctx, self.algebra
-        p, d, dim, N = ctx.p, ctx.dim, alg.dim, self.F_skew.degree
-        x = QuotElem(self, SkewPoly.x(ctx))
-        L_x = np.array([alg.to_vec(x * e) for e in alg.basis()], dtype=np.int64).T
-        powers = [np.eye(dim, dtype=np.int64)]
-        for _ in range(N - 1):
-            powers.append(L_x @ powers[-1] % p)
-        S = np.array([ctx.mult_matrix(b) for b in ctx.basis])
-        # T[i d + a, b, j d + s] = sum_t S[a][s, t] L_x^i[j d + t, b]
-        P = np.array(powers).reshape(N, N, d, dim)
-        T = np.einsum("ast,ijtb->iabjs", S, P).reshape(dim, dim, dim)
-        return T % p
 
 
 class QuotElem:

@@ -1,16 +1,20 @@
 """Division algebra multiplications on R/Rf and their verification.
 
-star_S twists the constant term by eta*a_0^rho, star_S' is its unital
-isotope (unit x), star_D splits the constant over the index-2 subfield;
-the s = 1 case of star_D has the Hughes-Kleinfeld closed form.
+Every star product is a b = g_a b mod_r f for a skew polynomial g_a
+(left_factor): g_a = phi(a) for star_S, which twists the constant term by
+eta*a_0^rho, and for star_D, which splits the constant over the index-2
+subfield; g_a = phi(a) Z(x) for star_S', the unital isotope of star_S
+(unit x).
 
 Zero-divisor scans and nuclei work through the prime-field coordinate
 picture: every product here is F_p-bilinear, so left multiplications are
-matrices and a zero divisor is a singular left multiplication found by the
-batched rank scan in linalg.  The nuclei come from their definitions in a
-unital isotope (the algebra itself when it has a unit): each is the kernel
-of a system linear in z, dim unknowns and dim^3 rows contracted from the
-structure constants (never order^3 associativity loops).
+matrices, the left actions of the g_a on R/Rf (quotient.residue_algebra,
+R_F's builder too), and a zero divisor is a singular left multiplication
+found by the batched rank scan in linalg.  The nuclei come from their
+definitions in a unital isotope (the algebra itself when it has a unit):
+each is the kernel of a system linear in z, dim unknowns and dim^3 rows
+contracted from the structure constants (never order^3 associativity
+loops).
 """
 
 from dataclasses import dataclass
@@ -18,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .fields import AutMap, FieldError, FiniteFieldCtx, norm_to_fixed
+from .fields import AutMap, norm_to_fixed
 from .polyring import Poly, ext_gcd
-from .quotient import FiniteAlgebra, QuotElem, cached_nuclei, unvec, vec
+from .quotient import QuotElem, cached_nuclei, residue_algebra
 from .skewpoly import CentralPoly, SkewPoly, right_mod
 
 
@@ -34,10 +38,25 @@ class AlgebraElem(QuotElem):
         return self.qctx.f
 
 
+class StarProduct:
+    """a star b = g_a b mod_r f, with g_a = left_factor(a) (lift(a) unless
+    a subclass twists it further); unit is the two-sided unit, if known."""
+
+    unit = None
+
+    def left_factor(self, a):
+        return self.lift(a)
+
+    def mul(self, a, b):
+        return AlgebraElem(
+            self.qctx, right_mod(self.left_factor(a) * b.rep, self.qctx.f)
+        )
+
+
 # ------------------------------------------------------------- star_S ------
 
 
-class StarSSpec:
+class StarSSpec(StarProduct):
     """star_S: decode a_0 through tau_eta, add eta a_0^rho f, multiply."""
 
     def __init__(self, qctx, eta, rho):
@@ -76,11 +95,6 @@ class StarSSpec:
         twist = self.eta * self.rho.apply(a0)
         return a.rep + self.qctx.f.scale_left(twist)
 
-    def mul(self, a, b):
-        return AlgebraElem(
-            self.qctx, right_mod(self.lift(a) * b.rep, self.qctx.f)
-        )
-
 
 class StarSPrimeSpec(StarSSpec):
     """star_S': the unital isotope of star_S, with unit x and the extra
@@ -109,9 +123,8 @@ class StarSPrimeSpec(StarSSpec):
             raise RuntimeError("Z(x) is not the inverse of x in R/Rf")
         self.unit = AlgebraElem(qctx, right_mod(x, qctx.f))
 
-    def mul(self, a, b):
-        prod = self.lift(a) * self.z_skew * b.rep
-        return AlgebraElem(self.qctx, right_mod(prod, self.qctx.f))
+    def left_factor(self, a):
+        return self.lift(a) * self.z_skew
 
 
 # ------------------------------------------------------------- star_D ------
@@ -119,8 +132,7 @@ class StarSPrimeSpec(StarSSpec):
 
 class LprimeSplit:
     """c = c' + gamma c'' with c', c'' in L' = Fix(sigma^t), n = 2t, for a
-    gamma outside L': the constant-term split of star_D and the pairs of
-    Hughes-Kleinfeld."""
+    gamma outside L': the constant-term split of star_D."""
 
     def __init__(self, ctx, gamma):
         self.ctx = ctx
@@ -133,7 +145,7 @@ class LprimeSplit:
         return c - self.gamma * c1, c1
 
 
-class StarDSpec(LprimeSplit):
+class StarDSpec(StarProduct, LprimeSplit):
     """star_D: split a_0 = a_0' + gamma a_0'' over L', subtract
     (gamma/f0) a_0'' f, multiply; unital with unit 1.
 
@@ -162,102 +174,15 @@ class StarDSpec(LprimeSplit):
         correction = self.qctx.f.scale_left(self.gamma / self.f0 * app)
         return a.rep - correction
 
-    def mul(self, a, b):
-        return AlgebraElem(
-            self.qctx, right_mod(self.lift(a) * b.rep, self.qctx.f)
-        )
-
-
-# ------------------------------------------------------ Hughes-Kleinfeld ---
-
-
-class HKParams(LprimeSplit):
-    """q, t, sigma exponent j, and gamma with gamma^(q^j + 1) = u + v*gamma,
-    u, v in F_{q^t}; multiplication on pairs over F_{q^t}."""
-
-    def __init__(self, ctx, gamma):
-        if not isinstance(ctx, FiniteFieldCtx) or ctx.n % 2:
-            raise ValueError("Hughes-Kleinfeld needs a finite field with even n")
-        if ctx.in_Lprime(gamma):
-            raise ValueError("gamma must lie outside F_{q^t}")
-        super().__init__(ctx, gamma)
-        power = ctx.sigma_pow(gamma, 1) * gamma  # gamma^(q^j + 1)
-        self.u, self.v = self.split(power)
-
-
-def hk_mul(c, d, params):
-    """(c0,c1) * (d0,d1) = (c0 d0 + c1 d1^Q u, c0 d1 + c1 d0^Q + c1 d1^Q v)
-    with Q = q^j the sigma twist."""
-    ctx = params.ctx
-    c0, c1 = c
-    d0, d1 = d
-    d0q = ctx.sigma_pow(d0, 1)
-    d1q = ctx.sigma_pow(d1, 1)
-    return (
-        c0 * d0 + c1 * d1q * params.u,
-        c0 * d1 + c1 * d0q + c1 * d1q * params.v,
-    )
-
 
 # ------------------------------------------------- coordinate algebras -----
 
 
 def algebra_for_star(spec):
-    """R/Rf under spec.mul as a FiniteAlgebra (finite contexts)."""
+    """R/Rf under spec.mul as a FiniteAlgebra (finite contexts), its
+    structure constants the left actions of the spec.left_factor(a)."""
     qctx = spec.qctx
-    ctx = qctx.ctx
-    if not isinstance(ctx, FiniteFieldCtx):
-        raise FieldError("coordinate scans need a finite context")
-    df = qctx.f.degree
-    return FiniteAlgebra(
-        ctx.p,
-        df * ctx.dim,
-        lambda a: vec(a.rep, df),
-        lambda v: AlgebraElem(qctx, unvec(ctx, v, df)),
-        spec.mul,
-        getattr(spec, "unit", None),
-    )
-
-
-def algebra_for_hk(params):
-    """F_{q^t} + F_{q^t} under hk_mul as a FiniteAlgebra."""
-    ctx = params.ctx
-    sub = ctx.fixed_basis(ctx.sig * params.t)
-    half = len(sub)
-    basis_mat = np.array([b.coeffs for b in sub], dtype=np.int64).T
-
-    def sub_coords(a):
-        sol = linalg.np_solve(basis_mat, list(a.coeffs), ctx.p)
-        if sol is None:
-            raise FieldError("element is not in F_{q^t}")
-        return [int(c) for c in sol]
-
-    def to_vec(pair):
-        return tuple(sub_coords(pair[0]) + sub_coords(pair[1]))
-
-    def from_vec(v):
-        return (ctx.combine(v[:half], sub), ctx.combine(v[half:], sub))
-
-    def mul(a, b):
-        return hk_mul(a, b, params)
-
-    unit = (ctx.one, ctx.zero)
-    return FiniteAlgebra(ctx.p, 2 * half, to_vec, from_vec, mul, unit)
-
-
-def algebra_for_field(ctx):
-    """A finite field under its own multiplication (sanity fixture)."""
-
-    def to_vec(a):
-        return a.coeffs
-
-    def from_vec(v):
-        return ctx.elem(tuple(v))
-
-    def mul(a, b):
-        return a * b
-
-    return FiniteAlgebra(ctx.p, ctx.dim, to_vec, from_vec, mul, ctx.one)
+    return residue_algebra(qctx, qctx.f, AlgebraElem, spec.left_factor, spec.unit)
 
 
 # ------------------------------------------------------------- scanning ----

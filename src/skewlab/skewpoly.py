@@ -2,8 +2,8 @@
 
 SkewPoly is a polyring.Poly that overrides only _twist, to sigma^k, so
 Poly's product and division are the skew product and right division.  Left
-division, gcrd/lclm, two-sidedness, companion/semilinear matrices and the
-bound (minimal central multiple) of a polynomial live here.
+division, gcrd, companion/semilinear matrices and the bound (minimal
+central multiple) of a polynomial live here.
 """
 
 from . import linalg
@@ -136,62 +136,6 @@ def power_reductions(f, upto):
     for _ in range(upto):
         out.append(x * out[-1] % f)
     return out
-
-
-def lclm(f, g):
-    """Monic least common left multiple, by the linear-system method.
-
-    The conditions h mod_r f = 0, h mod_r g = 0 are left-L-linear in the
-    coefficients of h, so for each candidate degree d the monic h of degree d
-    is found by one linear solve; the first solvable d wins.
-    """
-    if not f or not g:
-        raise ValueError("lclm of the zero polynomial is undefined")
-    ctx = f.ctx
-    if g.degree == 0:
-        return f.monic() if f.degree > 0 else SkewPoly.one(ctx)
-    if f.degree == 0:
-        return g.monic()
-    df, dg = f.degree, g.degree
-    top = df + dg
-    red_f = power_reductions(f, top)
-    red_g = power_reductions(g, top)
-    for d in range(max(df, dg), top + 1):
-        # unknowns c_0..c_{d-1}; rows indexed by remainder coefficient slots
-        rows = []
-        rhs = []
-        for slot in range(df):
-            rows.append([red_f[i][slot] for i in range(d)])
-            rhs.append(-red_f[d][slot])
-        for slot in range(dg):
-            rows.append([red_g[i][slot] for i in range(d)])
-            rhs.append(-red_g[d][slot])
-        sol = linalg.solve(rows, rhs, ctx)
-        if sol is None:
-            continue
-        h = SkewPoly(ctx, sol + [ctx.one])
-        if right_mod(h, f) or right_mod(h, g):
-            raise RuntimeError("lclm solution failed the divisibility check")
-        return h
-    raise RuntimeError("lclm search exceeded deg f + deg g")
-
-
-def is_two_sided(f):
-    """True iff f = d * G(x^n) * x^m with G over K (Rf = fR)."""
-    if not f:
-        return True
-    ctx = f.ctx
-    n = ctx.n
-    m = next(i for i, c in enumerate(f.coeffs) if c)
-    d = f.lead
-    for i, c in enumerate(f.coeffs):
-        if not c:
-            continue
-        if (i - m) % n:
-            return False
-        if not ctx.is_in_K(c / d):
-            return False
-    return True
 
 
 class CentralPoly:

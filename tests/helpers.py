@@ -4,7 +4,8 @@ import numpy as np
 
 from skewlab import linalg
 from skewlab.fields import FieldError, FiniteFieldCtx, FunctionFieldCtx
-from skewlab.quotient import vec
+from skewlab.quotient import FiniteAlgebra, vec
+from skewlab.semifields import LprimeSplit
 from skewlab.skewpoly import CentralPoly, SkewPoly, is_irreducible, power_reductions
 
 
@@ -116,10 +117,89 @@ def record_rank_scans(monkeypatch):
 def product_table_constants(alg):
     """The structure constants T of a FiniteAlgebra from the dim^2 products
     of its basis elements: the oracle for structure constants built any
-    other way."""
+    other way, and the constants of the algebras below."""
     basis = alg.basis()
     table = [[alg.to_vec(alg.mul(x, y)) for y in basis] for x in basis]
     return np.array(table, dtype=np.int64) % alg.p
+
+
+def np_solve(M, b, p):
+    """One solution of M x = b mod p (free variables zero), or None."""
+    M = np.atleast_2d(np.array(M, dtype=np.int64))
+    b = np.array(b, dtype=np.int64).reshape(-1, 1)
+    R, pivots = linalg.np_rref(np.hstack([M, b]), p)
+    ncols = M.shape[1]
+    if ncols in pivots:
+        return None
+    x = np.zeros(ncols, dtype=np.int64)
+    for row, pc in zip(R, pivots):
+        x[pc] = row[-1]
+    return x
+
+
+class HKParams(LprimeSplit):
+    """Hughes-Kleinfeld: q, t, sigma exponent j, and gamma with
+    gamma^(q^j + 1) = u + v*gamma, u, v in F_{q^t}; multiplication on pairs
+    over F_{q^t}.  The s = 1 case of star_D in closed form."""
+
+    def __init__(self, ctx, gamma):
+        if not isinstance(ctx, FiniteFieldCtx) or ctx.n % 2:
+            raise ValueError("Hughes-Kleinfeld needs a finite field with even n")
+        if ctx.in_Lprime(gamma):
+            raise ValueError("gamma must lie outside F_{q^t}")
+        super().__init__(ctx, gamma)
+        power = ctx.sigma_pow(gamma, 1) * gamma  # gamma^(q^j + 1)
+        self.u, self.v = self.split(power)
+
+
+def hk_mul(c, d, params):
+    """(c0,c1) * (d0,d1) = (c0 d0 + c1 d1^Q u, c0 d1 + c1 d0^Q + c1 d1^Q v)
+    with Q = q^j the sigma twist."""
+    ctx = params.ctx
+    c0, c1 = c
+    d0, d1 = d
+    d0q = ctx.sigma_pow(d0, 1)
+    d1q = ctx.sigma_pow(d1, 1)
+    return (
+        c0 * d0 + c1 * d1q * params.u,
+        c0 * d1 + c1 * d0q + c1 * d1q * params.v,
+    )
+
+
+def algebra_for_hk(params):
+    """F_{q^t} + F_{q^t} under hk_mul as a FiniteAlgebra."""
+    ctx = params.ctx
+    sub = ctx.fixed_basis(ctx.sig * params.t)
+    half = len(sub)
+    basis_mat = np.array([b.coeffs for b in sub], dtype=np.int64).T
+
+    def sub_coords(a):
+        sol = np_solve(basis_mat, list(a.coeffs), ctx.p)
+        if sol is None:
+            raise FieldError("element is not in F_{q^t}")
+        return [int(c) for c in sol]
+
+    def to_vec(pair):
+        return tuple(sub_coords(pair[0]) + sub_coords(pair[1]))
+
+    def from_vec(v):
+        return (ctx.combine(v[:half], sub), ctx.combine(v[half:], sub))
+
+    def mul(a, b):
+        return hk_mul(a, b, params)
+
+    unit = (ctx.one, ctx.zero)
+    return FiniteAlgebra(
+        ctx.p, 2 * half, to_vec, from_vec, mul, product_table_constants, unit
+    )
+
+
+def algebra_for_field(ctx):
+    """A finite field under its own multiplication (sanity fixture)."""
+    return FiniteAlgebra(
+        ctx.p, ctx.dim, lambda a: a.coeffs, lambda v: ctx.elem(tuple(v)),
+        lambda a, b: a * b, product_table_constants, ctx.one,
+    )
 
 
 def linearized_rank(a):
@@ -166,7 +246,7 @@ def bound_oracle(f):
                 cols.append(vec(red.scale_left(b), h))
         rhs = [(-x) % ctx.p for x in vec(reds[n * d], h)]
         mat = np.array(cols, dtype=np.int64).T
-        sol = linalg.np_solve(mat, rhs, ctx.p)
+        sol = np_solve(mat, rhs, ctx.p)
         if sol is None:
             continue
         coeffs = [ctx.combine(sol[i * e : (i + 1) * e], ctx.k_basis) for i in range(d)]

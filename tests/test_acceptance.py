@@ -32,10 +32,8 @@ from skewlab.quotient import (
 )
 from skewlab.semifields import (
     AlgebraElem,
-    HKParams,
     StarDSpec,
     algebra_for_star,
-    hk_mul,
     nuclei,
     zero_divisor_scan,
 )
@@ -52,8 +50,10 @@ from skewlab.skewpoly import (
 )
 
 from helpers import (
+    HKParams,
     bound_oracle,
     finite_ctx,
+    hk_mul,
     irreducible_quadratic,
     linearized_rank,
     random_irreducible,

@@ -202,6 +202,9 @@ def test_wrong_value_types_are_usage_errors(capsys, tmp_path, payload, key):
         ('{"kind": "finite", "p": 3.5, "n": 4.9}', "p"),
         ('{"kind": "finite", "p": true, "n": 4}', "p"),
         ('{"kind": "funcfield", "r": 3.0}', "r"),
+        ("finite:p=3.5,n=4", "p"),
+        ("finite:p=3,n=true", "n"),
+        ("funcfield:r=x", "r"),
     ],
 )
 def test_wrong_field_value_type_is_a_usage_error(capsys, field, key):
@@ -344,6 +347,11 @@ def test_ffsuite_without_an_r_value_is_a_usage_error(capsys, r):
     # a suite that checks nothing must not report all_pass
     code, out, err = run_cli(capsys, "ffsuite", "--r", r)
     assert code == 2 and not out and "--r" in err
+
+
+def test_ffsuite_r_value_that_is_not_an_integer_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "ffsuite", "--r", "3,x")
+    assert code == 2 and not out and "--r" in err and "'3,x'" in err
 
 
 def test_reports_are_byte_identical(capsys, tmp_path):

@@ -2,6 +2,7 @@
 F_(2^r)(t), eigenrings, matrix images."""
 
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from skewlab.quotient import (
     matrix_rank,
     rank,
 )
+from skewlab.semifields import StarDSpec, StarSPrimeSpec, algebra_for_star
 from skewlab.skewpoly import (
     CentralPoly,
     SkewPoly,
@@ -46,6 +48,7 @@ from helpers import (
     y_minus_one,
 )
 from test_golden import CASES, E2, FF8
+from test_semifields import ORACLE_CASES
 
 
 def quot_f8():
@@ -409,10 +412,39 @@ GOLDEN_R_F = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_R_F))
-def test_structure_constants_from_x_and_L_equal_the_product_table(name):
+def golden_r_f(name):
     spec = {k: v for k, v in CASES[name][1].items() if k != "semifield"}
-    alg = code_spec_from_dict({**spec, "k": 1}).qctx.algebra
+    return code_spec_from_dict({**spec, "k": 1}).qctx.algebra
+
+
+def golden_star(name):
+    """The star algebra skewlab verify builds for a semifield golden."""
+    spec = {k: v for k, v in CASES[name][1].items() if k != "semifield"}
+    code = code_spec_from_dict({**spec, "k": 1})
+    if code.family == "S":
+        return algebra_for_star(StarSPrimeSpec(code.qctx, code.eta, code.rho))
+    return algebra_for_star(StarDSpec(code.qctx, code.gamma, enforce_norm=False))
+
+
+# R_F of the golden codes, the star algebra of every semifield golden and
+# every star algebra of the nuclei oracle (unital and not): all residue
+# algebras, whose T comes from left actions
+RESIDUE_ALGEBRAS = {name: partial(golden_r_f, name) for name in GOLDEN_R_F}
+RESIDUE_ALGEBRAS.update(
+    (f"star-{name}", partial(golden_star, name))
+    for name, (_, spec, _) in CASES.items()
+    if spec is not None and spec.get("semifield")
+)
+RESIDUE_ALGEBRAS.update(
+    (f"oracle-{name}", build)
+    for name, build in ORACLE_CASES.items()
+    if name.startswith("star")
+)
+
+
+@pytest.mark.parametrize("name", sorted(RESIDUE_ALGEBRAS))
+def test_structure_constants_from_x_and_L_equal_the_product_table(name):
+    alg = RESIDUE_ALGEBRAS[name]()
     T = alg.structure_constants()
     assert T.shape == (alg.dim,) * 3
     assert np.array_equal(T, product_table_constants(alg))

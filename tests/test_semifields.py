@@ -8,26 +8,32 @@ import pytest
 
 from skewlab.codes import DCodeSpec, SCodeSpec, _spanning_words, validate_d
 from skewlab.fields import AutMap
-from skewlab.quotient import QuotCtx, subspace_nuclei, vec
+from skewlab.quotient import FiniteAlgebra, QuotCtx, subspace_nuclei, vec
 from skewlab import linalg
 from skewlab.semifields import (
     AlgebraElem,
-    HKParams,
     StarDSpec,
     StarSPrimeSpec,
     StarSSpec,
-    algebra_for_field,
-    algebra_for_hk,
     algebra_for_star,
     has_two_sided_unit,
-    hk_mul,
     nuclei,
     zero_divisor_scan,
 )
 from skewlab.semifields import _solve_nuclei
 from skewlab.skewpoly import CentralPoly, SkewPoly
 
-from helpers import finite_ctx, irreducible_quadratic, record_rank_scans, y_minus_one
+from helpers import (
+    HKParams,
+    algebra_for_field,
+    algebra_for_hk,
+    finite_ctx,
+    hk_mul,
+    irreducible_quadratic,
+    product_table_constants,
+    record_rank_scans,
+    y_minus_one,
+)
 
 
 def quot_x_minus_one():
@@ -278,7 +284,6 @@ def test_zero_divisor_scan_budget():
 def test_zero_divisor_scan_detects_witness():
     # F_3 x F_3 with componentwise product has zero divisors
     ctx = finite_ctx(3, 2)
-    from skewlab.semifields import FiniteAlgebra
 
     def mul(a, b):
         return (a[0] * b[0], a[1] * b[1])
@@ -289,7 +294,7 @@ def test_zero_divisor_scan_detects_witness():
     def from_vec(v):
         return (ctx.from_int(int(v[0])), ctx.from_int(int(v[1])))
 
-    alg = FiniteAlgebra(3, 2, to_vec, from_vec, mul)
+    alg = FiniteAlgebra(3, 2, to_vec, from_vec, mul, product_table_constants)
     rep = zero_divisor_scan(alg)
     assert rep.found
     a, b = rep.witness
@@ -328,6 +333,28 @@ def test_zero_divisor_scan_matches_pairwise_products(gamma_lit):
         a, b = rep.witness
         assert alg.to_vec(a) == alg.to_vec(alg.elem_from_index(witness[0]))
         assert alg.to_vec(b) == alg.to_vec(alg.elem_from_index(witness[1]))
+
+
+def test_zero_divisor_scan_spot_check_catches_a_wrong_left_action(monkeypatch):
+    # T comes from the left actions of x and L, the spot check from the
+    # products: one wrong entry of L_a, for a = e_(dim-1) (index 1, the
+    # first member the scan ranks and checks), in the column a itself hits
+    from skewlab import quotient
+
+    left_actions = quotient.left_actions
+
+    def off_by_one(ctx, modulus, polys):
+        mats = left_actions(ctx, modulus, polys)
+        mats[-1, 0, -1] = (mats[-1, 0, -1] + 1) % ctx.p
+        return mats
+
+    q = quot_x_minus_one()
+    alg = algebra_for_star(StarDSpec(q, q.ctx.gen))
+    assert not zero_divisor_scan(alg).found
+    monkeypatch.setattr(quotient, "left_actions", off_by_one)
+    alg = algebra_for_star(StarDSpec(q, q.ctx.gen))
+    with pytest.raises(RuntimeError):
+        zero_divisor_scan(alg)
 
 
 def test_invalid_norm_gamma_scan_runs_without_judgment():
@@ -517,12 +544,10 @@ def sheared_field():
     """F_81 under a . b = phi(a) b, phi(a) = a + a_1 (a_1 the coefficient of
     w): an isotope of the field with no unit whose right multiplications
     do not normalise the field's scalars."""
-    from skewlab.semifields import FiniteAlgebra
-
     ctx = finite_ctx(3, 4)
     return FiniteAlgebra(
         3, 4, lambda a: a.coeffs, lambda v: ctx.elem(tuple(int(c) for c in v)),
-        lambda a, b: (a + ctx.from_int(a.coeffs[1])) * b,
+        lambda a, b: (a + ctx.from_int(a.coeffs[1])) * b, product_table_constants,
     )
 
 
@@ -679,20 +704,18 @@ def test_star_s_funcfield_rho_identity():
 
 
 def test_nuclei_invariant_under_normalisation():
-    from skewlab.semifields import FiniteAlgebra
-
     q = quot_s2()
     spec, _ = first_valid_gamma(q)
     alg = algebra_for_star(spec)
-    stripped = FiniteAlgebra(alg.p, alg.dim, alg.to_vec, alg.from_vec, alg.mul)
+    stripped = FiniteAlgebra(
+        alg.p, alg.dim, alg.to_vec, alg.from_vec, alg.mul, product_table_constants
+    )
     assert nuclei(alg).as_dict() == nuclei(stripped).as_dict()
 
 
 def test_nuclei_search_the_spread_set_for_an_invertible_element():
     # F_3 x F_3 with the componentwise product, passed without its unit:
     # neither basis L_a = diag(1, 0), diag(0, 1) is invertible, their sum is
-    from skewlab.semifields import FiniteAlgebra
-
     ctx = finite_ctx(3, 2)
 
     def to_vec(a):
@@ -705,9 +728,12 @@ def test_nuclei_search_the_spread_set_for_an_invertible_element():
         return (a[0] * b[0], a[1] * b[1])
 
     # the spread set is the diagonal matrices: every nucleus is that F_3 x F_3
-    alg = FiniteAlgebra(3, 2, to_vec, from_vec, mul)
+    alg = FiniteAlgebra(3, 2, to_vec, from_vec, mul, product_table_constants)
     assert nuclei(alg).as_dict() == {"Nl": 9, "Nm": 9, "Nr": 9, "Z": 9}
-    zero = FiniteAlgebra(3, 2, to_vec, from_vec, lambda a, b: (ctx.zero, ctx.zero))
+    zero = FiniteAlgebra(
+        3, 2, to_vec, from_vec, lambda a, b: (ctx.zero, ctx.zero),
+        product_table_constants,
+    )
     with pytest.raises(ValueError, match="spread set contains no invertible element"):
         nuclei(zero)
 

@@ -1,4 +1,4 @@
-"""Skew polynomial arithmetic, divisions, gcrd/lclm, bounds."""
+"""Skew polynomial arithmetic, divisions, gcrd, bounds."""
 
 import random
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewlab import linalg
 from skewlab.fields import AutMap, FunctionFieldCtx
 from skewlab.polyring import Poly
 from skewlab.skewpoly import (
@@ -19,8 +18,6 @@ from skewlab.skewpoly import (
     gcrd,
     gcrd_extended,
     is_irreducible,
-    is_two_sided,
-    lclm,
     left_divides,
     left_divmod,
     norm_identity_check,
@@ -35,6 +32,7 @@ from skewlab.skewpoly import (
 from helpers import (
     bound_oracle,
     finite_ctx,
+    np_solve,
     random_elem,
     random_irreducible,
     random_skew,
@@ -148,47 +146,6 @@ def test_gcrd_contracts_random():
             assert d == gcrd(g, right_mod(f, g))
             dd, u, v = gcrd_extended(f, g)
             assert dd == d and u * f + v * g == d
-
-
-def test_lclm_examples_and_contracts():
-    ctx = finite_ctx(2, 3)
-    x = SkewPoly.x(ctx)
-    one = SkewPoly.one(ctx)
-    rng = random.Random(8)
-    f = random_skew(ctx, 3, rng, nonzero=True)
-    assert lclm(f, f) == f.monic()
-    assert lclm(f, one) == f.monic()
-    w = ctx.gen
-    l = lclm(x - SkewPoly.constant(ctx, w), x - SkewPoly.constant(ctx, w * w))
-    assert l.degree == 2 and l.is_monic()
-    assert right_divides(x - SkewPoly.constant(ctx, w), l)
-    assert right_divides(x - SkewPoly.constant(ctx, w * w), l)
-    for _ in range(10):
-        f = random_skew(ctx, 3, rng, nonzero=True)
-        g = random_skew(ctx, 3, rng, nonzero=True)
-        m = lclm(f, g)
-        assert right_divides(f, m) and right_divides(g, m)
-        assert m.degree == f.degree + g.degree - gcrd(f, g).degree
-
-
-def test_two_sided():
-    ctx = finite_ctx(2, 3)
-    x = SkewPoly.x(ctx)
-    one = SkewPoly.one(ctx)
-    assert is_two_sided(SkewPoly(ctx, (ctx.one, ctx.zero, ctx.zero, ctx.one)))
-    assert not is_two_sided(x + one)
-    assert is_two_sided(SkewPoly.zero(ctx))
-    assert is_two_sided(x)
-    # d * G(x^n) * x^m shape
-    w = ctx.gen
-    G = SkewPoly(ctx, (ctx.one, ctx.zero, ctx.zero, ctx.one))
-    shaped = SkewPoly.constant(ctx, w) * G * x
-    assert is_two_sided(shaped)
-    ff = FunctionFieldCtx(3)
-    f0 = ff.elem((1, 0, 1), (1, 1, 1))
-    xf = SkewPoly.x(ff)
-    F_skew = bound(xf * xf + SkewPoly.constant(ff, f0)).F.to_skew()
-    assert is_two_sided(F_skew)
 
 
 def test_companion_and_af_examples():
@@ -307,7 +264,7 @@ def test_min_poly_over_L_equals_over_K():
             power = (power @ big) % ctx.p
             vec = power.reshape(-1)
             mat = np.array(seen, dtype=np.int64).T
-            sol = linalg.np_solve(mat, vec, ctx.p)
+            sol = np_solve(mat, vec, ctx.p)
             if sol is not None:
                 coeffs = [int(c) for c in sol]
             else:
@@ -319,15 +276,18 @@ def test_min_poly_over_L_equals_over_K():
 
 
 def test_composite_divisor_norm_identity():
-    # g = lclm of two degree-1 divisors of x^3 - 1 is a degree-2 monic
-    # divisor; its constant coefficient satisfies the h = 2 norm identity
+    # g = x^2 + x + 1, the least common left multiple of the degree-1
+    # divisors x - w and x - w^2 of x^3 - 1, is a degree-2 monic divisor;
+    # its constant coefficient satisfies the h = 2 norm identity
     from skewlab.fields import AutMap, norm_to_fixed
 
     ctx = finite_ctx(2, 3)
     x = SkewPoly.x(ctx)
     w = ctx.gen
     F_skew = SkewPoly(ctx, (ctx.one, ctx.zero, ctx.zero, ctx.one))
-    g = lclm(x - SkewPoly.constant(ctx, w), x - SkewPoly.constant(ctx, w * w))
+    g = skew_from_literal(ctx, "x^2+x+1")
+    for c in (w, w * w):
+        assert right_divides(x - SkewPoly.constant(ctx, c), g)
     assert g.degree == 2 and right_divides(g, F_skew)
     sigma = AutMap.sigma_power(ctx, 1)
     h = 2
@@ -490,21 +450,6 @@ def test_gcrd_contract(args):
     assert d2 == d and u * f + v * g == d
     if c:
         assert right_divides(c, d)
-
-
-@PROPERTY
-@given(tower_and_skews(2, max_deg=3))
-def test_lclm_contract(args):
-    _, f, g = args
-    if not f or not g:
-        with pytest.raises(ValueError):
-            lclm(f, g)
-        return
-    m = lclm(f, g)
-    assert m.is_monic()
-    assert right_divides(f, m) and right_divides(g, m)
-    # deg lclm + deg gcrd = deg f + deg g pins the least common multiple
-    assert m.degree == f.degree + g.degree - gcrd(f, g).degree
 
 
 # ------------------------------------------- SkewPoly as a twisted Poly ----

@@ -8,7 +8,10 @@ Both trees are source checkouts (each with its own skewbench/).  For every
 workload and seed it runs skewbench/run.py --trace 0 once in each tree,
 the parent first on even pair numbers and the change first on odd ones,
 and appends one JSON line per run to --log (so an interrupted session keeps
-its runs; an existing log is extended, and its runs are not repeated).  The
+its runs; an existing log is extended, and its runs are not repeated).
+Before the first pair it recompiles src and skewbench in both trees
+(compileall -f), so that neither tree starts with stale bytecode and
+recompiles changed modules in every run.  The
 summary printed at the end gives, per workload and end-to-end metric, each
 side's median and quartiles and the number of pairs the change won (lower
 is better for every metric), and per op the median over seeds of its
@@ -98,6 +101,9 @@ def main(argv=None):
         records = [json.loads(line) for line in log.read_text().splitlines()]
     done = {(r["workload"], r["seed"], r["side"]) for r in records}
     trees = {"parent": args.parent, "change": args.change}
+    for tree in trees.values():
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "-f", "src",
+                        "skewbench"], cwd=tree, check=True)
     for workload in args.workloads.split(","):
         for n, seed in enumerate(range(first, last + 1)):
             order = ("parent", "change") if n % 2 == 0 else ("change", "parent")

@@ -10,21 +10,28 @@ the N x N matrices over L (linalg.member_ranks, which reads the entry
 indices from the coordinates and calls linalg.batch_rank_over).  Each
 figure is the best of REPEATS passes over those chunks, in microseconds per
 matrix, with time.perf_counter; the ranks of the two kernels are checked to
-agree.  structure_constants_ms times building T of R_F from x and L
-(QuotCtx.algebra) and from the dim^2 products of basis elements, each the
-best of REPEATS fresh algebras.
+agree.  structure_constants_ms times building T, for R_F of each shape
+and for the star algebras of three semifield goldens (STARS, built as
+skewlab verify builds them), from the left actions of x and L
+(quotient.residue_algebra) and from the dim^2 products of basis elements
+(the tests' product_table_constants), each the best of REPEATS fresh
+algebras net of building the algebra; the two T are checked to agree.
 """
 
 import json
 import os
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from skewlab import linalg
 from skewlab.codes import code_spec_from_dict, rank_family
-from skewlab.quotient import FiniteAlgebra
+from skewlab.semifields import StarDSpec, StarSPrimeSpec, algebra_for_star
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from helpers import product_table_constants  # noqa: E402
 
 F81 = {"kind": "finite", "p": 3, "e": 1, "n": 4}
 SHAPES = {
@@ -34,6 +41,12 @@ SHAPES = {
         "family": "S", "field": {"kind": "finite", "p": 2, "e": 4, "n": 2},
         "F": ["w^7+w^6+w^5", 1], "k": 1, "eta": "w^5+w^4", "rho_exp": 2,
     },
+}
+F_3_8 = {"kind": "finite", "p": 3, "e": 1, "n": 8}
+STARS = {
+    "star_d_3e8": {"family": "D", "field": F81, "F": [1, 0, 1], "gamma": "w"},
+    "star_s_prime_3e8": {"family": "S", "field": F81, "F": [1, 0, 1], "eta": "w"},
+    "star_d_3e16": {"family": "D", "field": F_3_8, "F": [1, 0, 1], "gamma": "w"},
 }
 CHUNKS = 8
 REPEATS = 7
@@ -78,20 +91,28 @@ def kernels(spec_dict):
     }
 
 
-def structure_constants_ms(spec_dict):
-    def from_x_and_L():
-        code_spec_from_dict(spec_dict).qctx.algebra.structure_constants()
+def r_f(spec_dict):
+    return code_spec_from_dict(spec_dict).qctx.algebra
 
-    def from_products():
-        alg = code_spec_from_dict(spec_dict).qctx.algebra
-        FiniteAlgebra(
-            alg.p, alg.dim, alg.to_vec, alg.from_vec, alg.mul
-        ).structure_constants()
 
-    base = _best(lambda: code_spec_from_dict(spec_dict).qctx.algebra)
+def star(spec_dict):
+    code = code_spec_from_dict({**spec_dict, "k": 1})
+    if code.family == "S":
+        return algebra_for_star(StarSPrimeSpec(code.qctx, code.eta, code.rho))
+    return algebra_for_star(StarDSpec(code.qctx, code.gamma, enforce_norm=False))
+
+
+def structure_constants_ms(build, spec_dict):
+    alg = build(spec_dict)
+    if not np.array_equal(alg.structure_constants(), product_table_constants(alg)):
+        raise RuntimeError("left actions and products disagree")
+    base = _best(lambda: build(spec_dict))
+    x_and_L = _best(lambda: build(spec_dict).structure_constants())
+    products = _best(lambda: product_table_constants(build(spec_dict)))
     return {
-        "from_x_and_L": round((_best(from_x_and_L) - base) * 1e3, 3),
-        "from_products": round((_best(from_products) - base) * 1e3, 3),
+        "dim": alg.dim,
+        "from_x_and_L": round((x_and_L - base) * 1e3, 3),
+        "from_products": round((products - base) * 1e3, 3),
     }
 
 
@@ -102,7 +123,8 @@ def main():
         "numpy": np.__version__,
         "per_matrix": {name: kernels(d) for name, d in SHAPES.items()},
         "structure_constants_ms": {
-            name: structure_constants_ms(d) for name, d in SHAPES.items()
+            **{name: structure_constants_ms(r_f, d) for name, d in SHAPES.items()},
+            **{name: structure_constants_ms(star, d) for name, d in STARS.items()},
         },
     }
     json.dump(out, sys.stdout, indent=1)
