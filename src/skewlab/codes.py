@@ -253,12 +253,19 @@ def verify_mrd(
     word decoded from its index.
 
     Sampled mode draws samples >= 1 seeded random codewords and is
-    probabilistic evidence only.  Over F_(2^r)(t) a word counts as rank m
-    when quotient.full_rank_certified proves it (its rows x^i w mod F(x^n)
-    keep full rank after evaluation at a point of GF(2^(2r)), and
-    specialising can only lower a rank); any other word, and every word
-    over a finite field, is ranked by gcrd (quotient.rank).  Both give the
-    same rank, so the report does not depend on which one ran.
+    probabilistic evidence only; samples above budget raise
+    BudgetExceeded before the first draw.  Words are drawn in chunks of
+    16, then 32, ..., up to linalg.SCAN_CHUNK_ENTRIES // N^2 (N = deg F(x^n)),
+    and each chunk goes to quotient.full_rank_certified in one call.  Over
+    F_(2^r)(t) with r <= 7 that proves rank m for most words: the rows
+    x^i w mod F(x^n) keep full rank after evaluation at a point of
+    GF(2^(2r)), found through ev_z(sigma^i(c)) = Frob^k(c(y_i)), and
+    specialising can only lower a rank.  The other words, every word over
+    a finite field and every word for r >= 9, are ranked by gcrd
+    (quotient.rank) in draw order.  Both give the same rank, and the seed
+    fixes the draws, so the report does not depend on which one ran or
+    on the chunks; the draws after a counterexample in its chunk are
+    made but not reported.
     """
     qctx = spec.qctx
     d_target = qctx.m - spec.k + 1
@@ -269,23 +276,31 @@ def verify_mrd(
             raise ValueError("sampled mode requires a sample count")
         if samples < 1:
             raise ValueError(f"sampled mode needs samples >= 1, got {samples}")
+        if samples > budget:
+            raise BudgetExceeded(f"{samples} samples exceed the scan budget {budget}")
         import random as _random
 
         rng = _random.Random(seed)
         min_rank = None
         counter = None
-        checked = 0
-        for _ in range(samples):
-            word = random_codeword(spec, rng)
-            if not word.rep:
-                continue
-            r = qctx.m if full_rank_certified(word) else rank(word)
-            checked += 1
-            if min_rank is None or r < min_rank:
-                min_rank = r
-            if r < d_target and counter is None:
-                counter = word
-                break
+        checked = drawn = 0
+        cap = max(1, linalg.SCAN_CHUNK_ENTRIES // qctx.F_skew.degree**2)
+        size = min(16, cap)
+        while drawn < samples and counter is None:
+            count = min(size, samples - drawn)
+            words = [random_codeword(spec, rng) for _ in range(count)]
+            drawn += count
+            size = min(2 * size, cap)
+            for word, full in zip(words, full_rank_certified(words)):
+                if not word.rep:
+                    continue
+                r = qctx.m if full else rank(word)
+                checked += 1
+                if min_rank is None or r < min_rank:
+                    min_rank = r
+                if r < d_target:
+                    counter = word
+                    break
         return MrdReport(
             spec.family, "sampled", False, min_rank, d_target, checked, counter, seed
         )

@@ -498,10 +498,12 @@ def rank_scan(
     budget counts every rank the scan computes.  The field check and the
     representatives are counted up front, and a scan over budget is
     refused before any rank; the rerun is counted as it goes and raises
-    BudgetExceeded when it would pass the budget.
+    BudgetExceeded when it would pass the budget.  A family whose indices
+    do not fit in int64 (p^n - 1 >= 2^63) raises it too, before any rank.
     """
     basis = np.asarray(basis)
     n = basis.shape[0]
+    _indices_fit(p, n)
     beta = _field_basis(field, n, p)
     a = len(beta)
     checking = scan_size(p, a) if a > 1 else 0
@@ -535,6 +537,13 @@ def rank_scan(
     return first, min_rank
 
 
+def _indices_fit(p, n):
+    if p**n - 1 > np.iinfo(np.int64).max:
+        raise BudgetExceeded(
+            f"member indices 0 to {p}^{n} - 1 exceed the int64 index range"
+        )
+
+
 def _within_budget(total, budget):
     if total > budget:
         raise BudgetExceeded(f"{total} ranks exceed the scan budget {budget}")
@@ -544,8 +553,10 @@ def first_invertible(basis, p, budget=DEFAULT_BUDGET):
     """Index of the first invertible member of an F_p-linear family of
     square matrices, in rank_scan's order, or None if every member is
     singular.  A chunk that would take the ranks computed past budget
-    raises BudgetExceeded instead."""
+    raises BudgetExceeded instead, as does a family whose indices do not
+    fit in int64."""
     basis = np.asarray(basis)
+    _indices_fit(p, basis.shape[0])
     ranked = 0
     for idx, mats in _orbit_chunks(basis, p):
         ranked += len(idx)

@@ -4,11 +4,12 @@ R_F = M_m(E(f)) for a distinguished irreducible right divisor f of F(x^n).
 The eigenring is one computation for both field families, a kernel over K
 in the tower's K-coordinates (fields.Tower.coords_over_K).
 
-rank is the gcrd definition.  Over F_(2^r)(t), full_rank_certified is a
-cheaper sufficient test for rank m, which sampled MRD scans try first: the
-matrix of the rows x^i a mod F(x^n) is evaluated at points of GF(2^(2r)),
-where a rank can only drop, so full rank there proves full rank over
-F_(2^r)(t); a word it cannot certify is ranked by gcrd.
+rank is the gcrd definition.  Over F_(2^r)(t) with r <= 7,
+full_rank_certified is a cheaper sufficient test for rank m, which sampled
+MRD scans try first on each chunk of words: the matrix of the rows
+x^i a mod F(x^n) is evaluated at points of GF(2^(2r)), where a rank can
+only drop, so full rank there proves full rank over F_(2^r)(t); a word it
+cannot certify is ranked by gcrd.
 
 This module also owns the F_p-coordinate layer every exact scan works in:
 vec/unvec (residues as F_p vectors), the residue classes (QuotElem and its
@@ -21,14 +22,15 @@ R_F with g_a = a (QuotCtx.algebra), and the star algebras of semifields.
 """
 
 from collections import namedtuple
-from itertools import islice
 
 import numpy as np
 
 from . import linalg
-from .fields import FieldError, FiniteFieldCtx, FunctionFieldCtx, GFCtx
+from .fields import (
+    TABLE_LIMIT, FieldError, FiniteFieldCtx, FunctionFieldCtx, GFCtx,
+)
 from .modpoly import digits
-from .polyring import Poly, power, prime_divisors
+from .polyring import power, prime_divisors
 from .skewpoly import (
     CentralPoly,
     SkewPoly,
@@ -411,100 +413,168 @@ def rank(a):
 
 # ------------------------------------- full rank by specialisation (F(t)) --
 
-# points t0 of GF(2^(2r)) tried per word before falling back to the gcrd rank
+# points z of GF(2^(2r)) tried per word before falling back to the gcrd rank
 CERTIFICATE_POINTS = 3
+
+# a point z with, in E's logs, its n points y_i, the factors 2^k of
+# Frob^k and the rows X^k mod M_z (None where F has a pole at z)
+CertificatePoint = namedtuple("CertificatePoint", "z ylog frob xpow")
 
 
 class Specialisation:
-    """Evaluation at points t0 of E = GF(2^(2r)) (function fields): embed
-    maps the coefficient field GF(2^r) into E, sending w to the first root
-    of its modulus in E, and points pairs each t0 with F(X^n) evaluated
-    there (None where a coefficient of F has a pole).  The points are the
-    first CERTIFICATE_POINTS elements of E, in elem_from_index order, of
-    degree 2r over F_2: outside every proper subfield, GF(2^r) included,
-    where words rarely certify."""
+    """Evaluation at points z of E = GF(2^(2r)) in E's index tables
+    (fields.GFCtx.index_tables; function fields with r <= 7, the ones with
+    |E| <= fields.TABLE_LIMIT).
+
+    embed[i] is the E-index of the image of element i of the coefficient
+    field GF(2^r), which sends w to the first root of its modulus in E, in
+    index order.  A ring map commutes with Frobenius, and sigma^i =
+    theta^i tau^k with k = i mod r (FunctionFieldCtx.aut), so
+
+        ev_z(sigma^i(c)) = Frob^k(c(y_i)),   y_i = Frob^(-k)(z^((-1)^i)),
+
+    and c has a pole at y_i exactly when sigma^i(c) has one at z: no
+    twisted fraction is built.  The points are the first
+    CERTIFICATE_POINTS elements of E, in elem_from_index order, of degree
+    2r over F_2: outside every proper subfield, GF(2^r) included, where
+    words rarely certify.  Each holds the logs of its y_i (i < n), the
+    factors 2^k that take a log through Frob^k, and xpow, the logs of the
+    coefficients of X^k mod M_z for k < 2N - 1, where M_z is F(X^n) at z
+    (None where a coefficient of F has a pole at z).  A word has at most N
+    coefficients, so its rows read no X^k past k = 2N - 2.
+    """
 
     def __init__(self, qctx):
         ctx = qctx.ctx
         cf = ctx.coeff_field
-        E = GFCtx(2, 2 * ctx.r)
-
-        def scan():
-            return map(E.elem_from_index, range(E.order))
-
-        root = next(
-            z for z in scan()
-            if not E.combine(cf.modulus, [z**i for i in range(cf.dim + 1)])
-        )
-        powers = [root**i for i in range(cf.dim)]
-        self.field = E
-        self.embed = [
-            E.combine(c.coeffs, powers)
-            for c in map(cf.elem_from_index, range(cf.order))
-        ]
+        E = self.field = GFCtx(2, 2 * ctx.r)
+        log, exp, _ = E.index_tables()
+        q1 = E.order - 1
+        logs = log[1:]  # of the nonzero elements, in index order
+        at = np.zeros(q1, dtype=np.int64)
+        for i, c in enumerate(cf.modulus):
+            if c:
+                at ^= exp[i * logs % q1]
+        root = log[1 + np.flatnonzero(at == 0)[0]]
+        # element i of GF(2^r) has the bits of i as its coordinates over
+        # 1, w, ..., w^(r-1), the constant one most significant
+        idx = np.arange(cf.order)
+        self.embed = np.zeros(cf.order, dtype=np.int64)
+        for i in range(cf.dim):
+            self.embed ^= (idx >> (cf.dim - 1 - i) & 1) * exp[i * root % q1]
+        # z lies in GF(2^d) iff z^(2^d - 1) = 1
         maximal = [E.dim // q for q in prime_divisors(E.dim)]
-        full = (z for z in scan() if all(E.frobenius(z, d) != z for d in maximal))
+        full = np.all([(2**d - 1) * logs % q1 != 0 for d in maximal], axis=0)
         self.points = [
-            (z, self._modulus_at(qctx.F_skew, z))
-            for z in islice(full, CERTIFICATE_POINTS)
+            self._point(qctx, E.elem_from_index(1 + int(i)))
+            for i in np.flatnonzero(full)[:CERTIFICATE_POINTS]
         ]
 
-    def evaluate(self, a, z):
-        """a(z) for a fraction a = num/den over GF(2^r), or None where den
-        vanishes."""
-        den = self._image(a.den).evaluate(z)
-        if not den:
-            return None
-        return self._image(a.num).evaluate(z) / den
+    def _point(self, qctx, z):
+        ctx = qctx.ctx
+        E = self.field
+        log, exp, _ = E.index_tables()
+        i = np.arange(ctx.n)
+        k = i % ctx.r
+        # log y_i = (-1)^i log z 2^(2r - k)
+        ylog = np.where(i % 2, -1, 1) * log[z.i] * 2 ** (E.dim - k) % (E.order - 1)
+        point = CertificatePoint(z, ylog, 2**k, None)
+        at_z, pole = self.twisted_values(point, qctx.F_skew.coeffs)
+        if pole[:, 0].any():
+            return point
+        N = qctx.F_skew.degree
+        low = [E.elem_from_index(a) for a in exp[at_z[:N, 0]]]
+        rows = [[E.one if a == b else E.zero for b in range(N)] for a in range(N)]
+        for _ in range(N - 1):
+            # X^(k+1) = X X^k, and X^N = X^N - M_z is low in characteristic 2
+            prev = rows[-1]
+            rows.append([a + prev[-1] * b for a, b in zip([E.zero] + prev[:-1], low)])
+        return point._replace(xpow=log[[[a.i for a in row] for row in rows]])
 
-    def _image(self, poly):
-        """poly with its coefficients mapped into E."""
-        return Poly(self.field, (self.embed[c.i] for c in poly.coeffs))
+    def twisted_values(self, point, fracs):
+        """(V, pole) for fractions c over GF(2^r) and i < n: V[c, i] is the
+        log of ev_z(sigma^i(c)), 2(|E| - 1) (the log of 0) where that is 0
+        or a pole, and pole[c, i] is True where sigma^i(c) has a pole at z,
+        which is where c has one at y_i."""
+        log, exp, _ = self.field.index_tables()
+        q1 = self.field.order - 1
+        polys = [p.coeffs for c in fracs for p in (c.num, c.den)]
+        width = max(map(len, polys))
+        idx = np.array([[a.i for a in p] + [0] * (width - len(p)) for p in polys])
+        coeffs = log[self.embed[idx]]
+        powers = np.arange(width)[:, None] * point.ylog % q1
+        at = np.zeros((len(polys), len(point.ylog)), dtype=np.int64)
+        for d in range(width):
+            at ^= exp[coeffs[:, d, None] + powers[d]]
+        num, den = at[0::2], at[1::2]
+        pole = den == 0
+        V = (log[num] - log[den]) * point.frob % q1
+        V[(num == 0) | pole] = 2 * q1
+        return V, pole
 
-    def _modulus_at(self, F_skew, z):
-        values = [self.evaluate(c, z) for c in F_skew.coeffs]
-        return None if None in values else Poly(self.field, values)
+    def rows(self, point, V):
+        """E-indices of the rows x^i a mod F(x^n), i < N, at z, one N x N
+        matrix per word a with values V[a] (n x J, twisted_values of its J
+        coefficients): row i is sum_j V[a, i mod n, j] (X^(i+j) mod M_z)."""
+        _, exp, _ = self.field.index_tables()
+        count, n, width = V.shape
+        N = point.xpow.shape[1]
+        i = np.arange(N)
+        twisted = V[:, i % n]
+        out = np.zeros((count, N, N), dtype=np.int64)
+        for j in range(width):
+            out ^= exp[twisted[:, :, j, None] + point.xpow[i + j]]
+        return out
 
 
-def full_rank_certified(a):
-    """True only if rank(a) = m, proven by specialisation (function fields;
-    always False over finite contexts, and for a = 0).
+def full_rank_certified(words):
+    """For each word a of one quotient, True only if rank(a) = m, proven
+    by specialisation (function fields with r <= 7; always False over
+    finite contexts, for r >= 9, where E = GF(2^(2r)) has no tables, and
+    for a = 0).
 
     The rows x^i a mod_r F(x^n), i < N = deg F(x^n), span the left L-space
     R_F a, of dimension s*ell*rank(a).  F(x^n) has its coefficients in the
     fixed field K, which commutes with x, so row i is the ordinary remainder
     of X^i sum_j sigma^i(a_j) X^j mod F(X^n) in L[X].  Evaluation at a
-    point t0 is a ring map into E from the fractions regular at t0; where
+    point z is a ring map into E from the fractions regular at z; where
     every sigma^i(a_j) and every coefficient of F is regular, it commutes
     with that remainder and cannot raise a rank: an evaluated rank N means
-    an N x N minor is nonzero at t0, hence nonzero in L, and rank(a) = m.
-    Points with a pole are skipped.  A lower evaluated rank at every point proves
-    nothing; the caller then falls back to rank(a), the definition.
+    an N x N minor is nonzero at z, hence nonzero in L, and rank(a) = m.
+    By the Frobenius identity of Specialisation the evaluated row i is
+    sum_j Frob^k(a_j(y_i)) (X^(i+j) mod M_z), k = i mod r, so the words
+    regular at a point form one stack of index matrices over E, ranked by
+    linalg.batch_rank_over.  A word with a pole at a point skips it, and
+    the words not yet certified go on to the next point.  A lower
+    evaluated rank at every point proves nothing; the caller then falls
+    back to rank(a), the definition.
     """
-    qctx = a.qctx
+    certified = [False] * len(words)
+    todo = [k for k, a in enumerate(words) if a.rep]
+    if not todo:
+        return certified
+    qctx = words[todo[0]].qctx
     ctx = qctx.ctx
-    if not isinstance(ctx, FunctionFieldCtx) or not a.rep:
-        return False
+    if not isinstance(ctx, FunctionFieldCtx) or 2 ** (2 * ctx.r) > TABLE_LIMIT:
+        return certified  # E = GF(2^(2r)) would have no tables
     if qctx._special is None:
         qctx._special = Specialisation(qctx)
     special = qctx._special
-    E = special.field
     N = qctx.F_skew.degree
-    # sigma has order n (and N = s*n), so rows i and i + n twist a alike
-    twisted = [[ctx.sigma_pow(c, i) for c in a.rep.coeffs] for i in range(ctx.n)]
-    for z, modulus in special.points:
-        if modulus is None:
+    width = max(len(words[k].rep.coeffs) for k in todo)
+    for point in special.points:
+        if point.xpow is None or not todo:
             continue
-        values = [[special.evaluate(c, z) for c in row] for row in twisted]
-        if any(None in row for row in values):
-            continue
-        rows = []
-        for i in range(N):
-            rem = Poly(E, [E.zero] * i + values[i % ctx.n]) % modulus
-            rows.append([rem[j] for j in range(N)])
-        if len(linalg.rref(rows)[1]) == N:
-            return True
-    return False
+        fracs = [words[k].rep[j] for k in todo for j in range(width)]
+        V, pole = special.twisted_values(point, fracs)
+        V = V.reshape(len(todo), width, -1).transpose(0, 2, 1)
+        regular = ~pole.reshape(len(todo), -1).any(axis=1)
+        mats = special.rows(point, V[regular])
+        ranks = linalg.batch_rank_over(mats, special.field)
+        for k, r in zip(np.array(todo)[regular], ranks):
+            certified[k] = bool(r == N)
+        todo = [k for k in todo if not certified[k]]
+    return certified
 
 
 class EigenringBasis:

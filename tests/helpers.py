@@ -4,7 +4,8 @@ import numpy as np
 
 from skewlab import linalg
 from skewlab.fields import FieldError, FiniteFieldCtx, FunctionFieldCtx
-from skewlab.quotient import FiniteAlgebra, vec
+from skewlab.polyring import Poly
+from skewlab.quotient import FiniteAlgebra, Specialisation, vec
 from skewlab.semifields import LprimeSplit
 from skewlab.skewpoly import CentralPoly, SkewPoly, is_irreducible, power_reductions
 
@@ -252,3 +253,52 @@ def bound_oracle(f):
         coeffs = [ctx.combine(sol[i * e : (i + 1) * e], ctx.k_basis) for i in range(d)]
         return CentralPoly.from_coeffs(ctx, coeffs + [ctx.one])
     raise RuntimeError("oracle found no bound up to deg f")
+
+
+def evaluate_at(special, c, z):
+    """c(z) for a fraction c = num/den over GF(2^r) and z in special.field,
+    with special.embed mapping the coefficients; None where den vanishes."""
+    E = special.field
+
+    def image(poly):
+        embed = special.embed
+        return Poly(E, (E.elem_from_index(int(embed[a.i])) for a in poly.coeffs))
+
+    den = image(c.den).evaluate(z)
+    if not den:
+        return None
+    return image(c.num).evaluate(z) / den
+
+
+def full_rank_certified_oracle(a, special=None):
+    """The per-word certificate full_rank_certified batches, from its
+    definition: sigma^i of each coefficient as a fraction (ctx.sigma_pow),
+    evaluated at each point z of special (a quotient.Specialisation of a's
+    quotient, built when None), the rows X^i sum_j sigma^i(a_j) X^j mod
+    F(X^n) at z reduced in E[X], and their rank by linalg.rref.  True at
+    the first point with no pole and rank N."""
+    qctx = a.qctx
+    ctx = qctx.ctx
+    if not isinstance(ctx, FunctionFieldCtx) or not a.rep:
+        return False
+    special = special or Specialisation(qctx)
+    E = special.field
+    N = qctx.F_skew.degree
+    # sigma has order n (and N = s*n), so rows i and i + n twist a alike
+    twisted = [[ctx.sigma_pow(c, i) for c in a.rep.coeffs] for i in range(ctx.n)]
+    for point in special.points:
+        z = point.z
+        modulus = [evaluate_at(special, c, z) for c in qctx.F_skew.coeffs]
+        if None in modulus:
+            continue
+        modulus = Poly(E, modulus)
+        values = [[evaluate_at(special, c, z) for c in row] for row in twisted]
+        if any(None in row for row in values):
+            continue
+        rows = []
+        for i in range(N):
+            rem = Poly(E, [E.zero] * i + values[i % ctx.n]) % modulus
+            rows.append([rem[j] for j in range(N)])
+        if len(linalg.rref(rows)[1]) == N:
+            return True
+    return False

@@ -292,15 +292,18 @@ def test_verify_sampled_runs(capsys, tmp_path):
     assert report["mrd"]["mode"] == "sampled" and report["mrd"]["seed"] == 12
 
 
+FF8_D = {
+    "family": "D",
+    "field": {"kind": "funcfield", "r": 3},
+    "F": ["(t^6+t^4+t^2+1)/(t^6+t^5+t^3+t+1)", "1"],
+    "k": 1,
+    "gamma": "t+1",
+    "f": "x^2+(t^2+1)/(t^2+t+1)",
+}
+
+
 def test_verify_funcfield_spec(capsys, tmp_path):
-    spec = {
-        "family": "D",
-        "field": {"kind": "funcfield", "r": 3},
-        "F": ["(t^6+t^4+t^2+1)/(t^6+t^5+t^3+t+1)", "1"],
-        "k": 1,
-        "gamma": "t+1",
-        "f": "x^2+(t^2+1)/(t^2+t+1)",
-    }
+    spec = FF8_D
     code, out, _ = run_cli(
         capsys,
         "verify",
@@ -325,6 +328,16 @@ def test_verify_funcfield_spec(capsys, tmp_path):
         "--mode", "sampled", "--samples", "1", "--seed", "3",
     )
     assert code == 2 and not out and err.startswith("error:")
+
+
+def test_sampled_verify_counts_its_samples_against_the_budget(capsys, tmp_path):
+    path = write_spec(tmp_path, FF8_D)
+    argv = ["verify", "--spec", path, "--mode", "sampled", "--seed", "3"]
+    code, out, err = run_cli(capsys, *argv, "--samples", "11", "--budget", "10")
+    assert code == 3 and not out and "11 samples exceed the scan budget 10" in err
+    code, out, _ = run_cli(capsys, *argv, "--samples", "10", "--budget", "10")
+    assert (code, out) == run_cli(capsys, *argv, "--samples", "10")[:2]
+    assert json.loads(out)["mrd"]["checked"] == 10
 
 
 def test_ffsuite(capsys):

@@ -341,3 +341,16 @@ def test_chunks_over_a_field_end_where_those_of_the_expansion_do(monkeypatch):
         assert over == plain
         assert [(field, n) for _, n in chunks] == on_field
         chunks.clear()
+
+
+def test_a_family_whose_indices_overflow_int64_is_refused(monkeypatch):
+    # p = 2^31 - 1 and 3 members: indices up to p^3 - 1 > 2^63 - 1, inside a
+    # budget of 10^30; refused before any chunk, naming the index range
+    p = 2**31 - 1
+    basis = np.array([np.eye(2, dtype=np.int64) * (j + 1) for j in range(3)])
+    ranked = _counting_ranks(monkeypatch)
+    with pytest.raises(linalg.BudgetExceeded, match=rf"0 to {p}\^3 - 1 exceed"):
+        linalg.rank_scan(basis, p, 2, budget=10**30)
+    with pytest.raises(linalg.BudgetExceeded, match="int64"):
+        linalg.first_invertible(basis, p, budget=10**30)
+    assert ranked == []

@@ -17,6 +17,7 @@ from skewlab.codes import (
 )
 from skewlab.fields import AutMap, FiniteFieldCtx, FunctionFieldCtx, norm_to_fixed
 from skewlab.linalg import BudgetExceeded, rref
+from skewlab.polyring import Poly
 from skewlab.quotient import (
     CERTIFICATE_POINTS,
     EigenElem,
@@ -40,6 +41,8 @@ from skewlab.skewpoly import (
 
 from helpers import (
     base_field_elems,
+    evaluate_at,
+    full_rank_certified_oracle,
     finite_ctx,
     irreducible_quadratic,
     linearized_rank,
@@ -484,13 +487,10 @@ def test_certified_words_have_gcrd_rank_m(name):
     assert validate(spec) == (not name.startswith("invalid"))
     # the words verify_mrd draws for this seed (up to its first counterexample)
     rng = random.Random(seed)
-    certified = 0
-    for _ in range(samples):
-        word = random_codeword(spec, rng)
-        if full_rank_certified(word):
-            certified += 1
-            assert rank(word) == spec.qctx.m
-    assert certified
+    words = [random_codeword(spec, rng) for _ in range(samples)]
+    certified = full_rank_certified(words)
+    assert all(rank(w) == spec.qctx.m for w, c in zip(words, certified) if c)
+    assert any(certified)
 
 
 @pytest.mark.parametrize("make", [quot_funcfield, quot_funcfield_g_side])
@@ -499,23 +499,29 @@ def test_rank_deficient_words_are_never_certified(make):
     # s = 2, ell = 1 quotient (m = 6) certifies 12 x 12 matrices
     q = make()
     ctx = q.ctx
-    rng = random.Random(4)
-    deficient = 0
-    for _ in range(15):
-        h = random_skew(ctx, 3, rng, nonzero=True)
-        word = q.reduce(h * q.f)
-        if word:
-            assert not full_rank_certified(word)
-            assert rank(word) < q.m
-            deficient += 1
-        word = q.reduce(random_skew(ctx, 3, rng, nonzero=True))
-        if full_rank_certified(word):
-            assert rank(word) == q.m
-    assert deficient >= 10
-    assert not full_rank_certified(q.reduce(SkewPoly.zero(ctx)))
+    deficient, other = _deficient_and_random_words(q, random.Random(4), 15)
+    assert len(deficient) >= 10
+    assert not any(full_rank_certified(deficient))
+    assert all(rank(w) < q.m for w in deficient)
+    assert all(
+        rank(w) == q.m for w, c in zip(other, full_rank_certified(other)) if c
+    )
+    assert full_rank_certified([q.reduce(SkewPoly.zero(ctx))]) == [False]
     # over a finite field the caller always ranks by gcrd
     q8 = quot_f8()
-    assert not full_rank_certified(q8.reduce(SkewPoly.one(q8.ctx)))
+    assert full_rank_certified([q8.reduce(SkewPoly.one(q8.ctx))]) == [False]
+
+
+def _deficient_and_random_words(q, rng, count):
+    """The nonzero words h*f mod F(x^n) (rank below m) and random words of
+    degree <= 3, count draws of each."""
+    deficient, other = [], []
+    for _ in range(count):
+        word = q.reduce(random_skew(q.ctx, 3, rng, nonzero=True) * q.f)
+        if word:
+            deficient.append(word)
+        other.append(q.reduce(random_skew(q.ctx, 3, rng, nonzero=True)))
+    return deficient, other
 
 
 def test_verify_mrd_ranks_uncertified_words_by_gcrd(monkeypatch):
@@ -530,6 +536,47 @@ def test_verify_mrd_ranks_uncertified_words_by_gcrd(monkeypatch):
     monkeypatch.setattr(codes, "random_codeword", lambda _spec, _rng: word)
     rep = verify_mrd(spec, mode="sampled", samples=5, seed=1)
     assert (rep.min_rank, rep.checked, rep.counterexample) == (q.m - 1, 1, word)
+
+
+def test_verify_mrd_report_is_that_of_a_word_by_word_loop(monkeypatch):
+    # a counterexample in the middle of the second chunk (words 16-47): a
+    # zero word, then the rank m - 1 word f; the words after it are drawn
+    # with their chunk but not reported
+    spec_dict, _, seed = SAMPLED_FUNCFIELD["test_funcfield_d_k1"]
+    spec = code_spec_from_dict(spec_dict)
+    q = spec.qctx
+    rng = random.Random(seed)
+    words = [random_codeword(spec, rng) for _ in range(40)]
+    words[20] = q.reduce(SkewPoly.zero(q.ctx))
+    words[23] = q.reduce(q.f)
+    samples = len(words)
+    min_rank, checked, counter = None, 0, None
+    for word in words:
+        if not word.rep:
+            continue
+        r = rank(word)
+        checked += 1
+        min_rank = r if min_rank is None else min(min_rank, r)
+        if r < q.m - spec.k + 1:
+            counter = word
+            break
+    assert (checked, counter) == (23, words[23])
+    drawn = iter(words)
+    monkeypatch.setattr(codes, "random_codeword", lambda _spec, _rng: next(drawn))
+    rep = verify_mrd(spec, mode="sampled", samples=samples, seed=seed)
+    assert rep == codes.MrdReport(
+        "D", "sampled", False, min_rank, q.m - spec.k + 1, checked, counter, seed
+    )
+    assert next(drawn, None) is None
+
+
+def test_sampled_verify_at_r_9_ranks_by_gcrd_without_a_specialisation():
+    # GF(2^18) has no tables: no certificate and no scan for a root there
+    q = quot_funcfield(9)
+    spec = codes.SCodeSpec(q, 1, q.ctx.t, AutMap.sigma_power(q.ctx, 0))
+    rep = verify_mrd(spec, mode="sampled", samples=2, seed=1)
+    assert (rep.min_rank, rep.checked, rep.counterexample) == (9, 2, None)
+    assert q._special is None
 
 
 def _degree_over_f2(z):
@@ -549,17 +596,118 @@ def test_certificate_points_lie_outside_gf_2_r(r):
     want = [
         z for z in map(E.elem_from_index, range(E.order)) if _degree_over_f2(z) == 2 * r
     ][:CERTIFICATE_POINTS]
-    assert [z for z, _ in special.points] == want
+    assert [point.z for point in special.points] == want
     assert all(z ** (2**r) != z for z in want)
-    # embed is a ring map GF(2^r) -> E, so it commutes with evaluation
+    # embed is a ring map GF(2^r) -> E, so it commutes with evaluation; w
+    # goes to the first root of GF(2^r)'s modulus in index order
     cf = q.ctx.coeff_field
     elems = [cf.elem_from_index(i) for i in range(cf.order)]
-    embed = special.embed
+
+    def embed(a):
+        return E.elem_from_index(int(special.embed[a.i]))
+
     for a in elems:
         for b in elems[:: max(1, cf.order // 8)]:
-            assert embed[(a * b).i] == embed[a.i] * embed[b.i]
-            assert embed[(a + b).i] == embed[a.i] + embed[b.i]
-    assert embed[cf.one.i] == E.one
+            assert embed(a * b) == embed(a) * embed(b)
+            assert embed(a + b) == embed(a) + embed(b)
+    assert embed(cf.one) == E.one
+    roots = (
+        z for z in map(E.elem_from_index, range(E.order))
+        if not E.combine(cf.modulus, [z**i for i in range(r + 1)])
+    )
+    assert embed(cf.gen) == next(roots)
+
+
+def _pole_at(special, q, y):
+    """1/m(t), m the minimal polynomial of y in E over GF(2^r): a fraction
+    with a pole at y."""
+    E, cf = special.field, q.ctx.coeff_field
+    back = {int(e): cf.elem_from_index(i) for i, e in enumerate(special.embed)}
+    conj = E.frobenius(y, cf.dim)
+    m = [y * conj, y + conj, E.one] if conj != y else [y, E.one]
+    return q.ctx.one / q.ctx.rat.from_polys(Poly(cf, [back[c.i] for c in m]))
+
+
+@pytest.mark.parametrize("r", [3, 5, 7])
+def test_values_at_a_point_are_frobenius_at_the_twisted_point(r):
+    # ev_z(sigma^i(c)) = Frob^k(c(y_i)), y_i = Frob^(-k)(z^((-1)^i)), with
+    # the poles of sigma^i(c) at z those of c at y_i
+    q = quot_funcfield(r)
+    ctx = q.ctx
+    special = Specialisation(q)
+    E = special.field
+    _, exp, _ = E.index_tables()
+    rng = random.Random(r)
+    for point in special.points:
+        z = point.z
+        ys = [
+            E.frobenius(z if i % 2 == 0 else z.inverse(), -(i % r))
+            for i in range(ctx.n)
+        ]
+        fracs = [ctx.random_elem(rng) for _ in range(4)] + [ctx.zero, ctx.t]
+        fracs += [_pole_at(special, q, ys[i]) * ctx.random_elem(rng) for i in (0, 1)]
+        V, pole = special.twisted_values(point, fracs)
+        assert pole.any() and not pole.all()
+        for c, values, poles in zip(fracs, V, pole):
+            for i in range(ctx.n):
+                direct = evaluate_at(special, ctx.sigma_pow(c, i), z)
+                at_y = evaluate_at(special, c, ys[i])
+                assert (direct is None) == (at_y is None) == bool(poles[i])
+                if direct is not None:
+                    assert direct == E.frobenius(at_y, i % r)
+                    assert exp[values[i]] == direct.i
+
+
+def _oracle_words(name):
+    """(quotient, words) on which the batch and the oracle are compared."""
+    if name.startswith("r"):
+        q = quot_funcfield(int(name[1:]))
+        rng = random.Random(name)
+        count = {"r3": 20, "r5": 8, "r7": 4}[name]
+        words = [
+            q.reduce(random_skew(q.ctx, q.F_skew.degree - 1, rng, nonzero=True))
+            for _ in range(count)
+        ]
+        return q, words + _deficient_and_random_words(q, rng, 2)[0]
+    if name == "pole_at_first_point":
+        q = quot_funcfield()
+        special = Specialisation(q)
+        c = _pole_at(special, q, special.points[0].z)
+        one = q.ctx.one
+        return q, [q.reduce(SkewPoly(q.ctx, pair)) for pair in ([c, one], [one, c])]
+    make = quot_funcfield if name == "deficient_f_side" else quot_funcfield_g_side
+    q = make()
+    deficient, other = _deficient_and_random_words(q, random.Random(4), 15)
+    return q, deficient + other
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["r3", "r5", "r7", "deficient_f_side", "deficient_g_side", "pole_at_first_point"],
+)
+def test_batched_certificate_equals_the_per_word_oracle(name):
+    q, words = _oracle_words(name)
+    batch = full_rank_certified(words)
+    assert batch == [full_rank_certified_oracle(w) for w in words]
+    assert [full_rank_certified([w])[0] for w in words] == batch
+    if name == "pole_at_first_point":
+        # the first point is skipped, and a later one certifies
+        special = q._special
+        fracs = [c for w in words for c in w.rep.coeffs]
+        assert special.twisted_values(special.points[0], fracs)[1].any()
+        assert all(batch)
+
+
+def test_certificate_builds_no_twisted_fraction(monkeypatch):
+    q, words = _oracle_words("r3")
+    want = [full_rank_certified_oracle(w) for w in words]
+
+    def refuse(*_args):
+        raise AssertionError("FunctionFieldCtx.aut called")
+
+    monkeypatch.setattr(FunctionFieldCtx, "aut", refuse)
+    q._special = None
+    assert full_rank_certified(words) == want
 
 
 def test_divisor_search_skips_whole_norm_blocks():
