@@ -619,8 +619,9 @@ CODE_SPEC_KEYS = (
 def code_spec_from_dict(d, budget=DEFAULT_BUDGET):
     """Build an S/D code spec from its file form:
     {family, field, F: [coeffs over K], k, eta|gamma: literal, rho_exp?: h,
-    f?: literal, semifield?: bool}.  Any other key is an error.  budget
-    bounds the candidates the search for the divisor f may try."""
+    f?: literal, semifield?: bool}.  Any other key is an error, as is one
+    the spec does not read (gamma in S, eta or rho_exp in D, a finite f).
+    budget bounds the candidates the search for the divisor f may try."""
     if not isinstance(d, dict):
         raise ValueError("code spec must be a mapping")
     unknown = [key for key in d if key not in CODE_SPEC_KEYS]
@@ -630,6 +631,11 @@ def code_spec_from_dict(d, budget=DEFAULT_BUDGET):
     if family not in ("S", "D"):
         raise ValueError("family must be 'S' or 'D'")
     ctx = field_from_spec(d["field"])
+    for key in {"S": ["gamma"], "D": ["eta", "rho_exp"]}[family] + ["f"]:
+        # f is found by search over a finite field
+        if key in d and (key != "f" or isinstance(ctx, FiniteFieldCtx)):
+            where = f"the {family} family over {ctx.describe()}"
+            raise ValueError(f"spec key {key!r} is not read by {where}")
     coeffs = []
     for c in spec_list(d["F"], "F"):
         if isinstance(c, str):

@@ -4,8 +4,10 @@ Three layers: generic Gaussian elimination over any field whose elements carry
 Python operators (used over L and over F_2(s)), numpy integer elimination
 mod a prime (used for the large finite-context systems), and the batched
 rank scan over an F_p-linear family of matrices (used by the MRD and
-zero-divisor scans), which ranks its members over F_p or, entry by entry
-as element indices, over a tabled field F_(p^a).
+zero-divisor scans).  The scan ranks its members, one chunk at a time in
+one chunk loop (_scan), by one batched pivot loop (_echelon_ranks) with two
+arithmetics: mod p (batch_rank), or over a tabled field F_(p^a) on element
+indices (batch_rank_over).
 """
 
 import numpy as np
@@ -179,19 +181,13 @@ def np_rank(M, p):
 def np_kernel(M, p, ncols=None):
     """Rows spanning the right kernel of M mod p."""
     M = np.atleast_2d(np.array(M, dtype=np.int64))
-    if M.size == 0:
-        if ncols is None:
-            ncols = M.shape[1]
-        return np.eye(ncols, dtype=np.int64)
-    ncols = M.shape[1]
+    if M.size == 0:  # no equation: ncols, when given, is the width
+        M = np.zeros((0, M.shape[1] if ncols is None else ncols), dtype=np.int64)
     R, pivots = np_rref(M, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for row, pc in zip(R, pivots):
-            basis[k, pc] = (-row[fc]) % p
+    free = np.delete(np.arange(M.shape[1]), pivots)
+    basis = np.zeros((len(free), M.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -R[:, free].T % p
     return basis
 
 
@@ -257,13 +253,34 @@ def _inverses(x, p):
     return out
 
 
+def _echelon_ranks(row, nrows, step):
+    """Ranks of a stack of matrices with nrows >= 1 rows: the pivot loop of
+    both finite-field kernels, Gaussian elimination to echelon form of all
+    the matrices at once by column operations.  row is row 0 of each,
+    reduced (count, cols).  Row r picks as pivot its first nonzero entry in
+    a column not yet used; then step(r, row, piv, cand) clears row r from
+    the rows below it in the columns cand, the unused ones (the pivot's
+    included) where row r is nonzero, and returns row r + 1, reduced.  The
+    columns used before row r are never read again."""
+    count, ncols = row.shape
+    free = np.ones((count, ncols), dtype=bool)
+    ranks = np.zeros(count, dtype=np.int64)
+    at = np.arange(count)
+    for r in range(nrows):
+        cand = free & (row != 0)
+        has = cand.any(axis=1)
+        piv = cand.argmax(axis=1)
+        free[at[has], piv[has]] = False
+        ranks += has
+        if r + 1 < nrows:
+            row = step(r, row, piv, cand)
+    return ranks
+
+
 def batch_rank(mats, p):
     """Ranks mod p of a stack of integer matrices (count, rows, cols), for
-    p < 2^31.
+    p < 2^31: _echelon_ranks with the mod-p step.
 
-    Gaussian elimination to echelon form, all matrices at once, by column
-    operations: row r picks as pivot its first nonzero entry mod p in a
-    column not yet used and clears row r from the other unused columns.
     Only row r and the pivot column are reduced mod p.  An entry below them
     takes at most one update of size < p^2 per row above it, and times an
     inverse (< p) it must still fit: that bound picks the smallest integer
@@ -282,57 +299,42 @@ def batch_rank(mats, p):
     # the inverses of all residues, unless there are more of them than
     # matrices: then each step inverts its pivot values only
     table = _inverses(np.arange(p), p) if p <= count else None
-    free = np.ones((count, ncols), dtype=bool)
-    ranks = np.zeros(count, dtype=np.int64)
     at = np.arange(count)
-    for r in range(nrows):
-        row = M[:, r, :] % p
-        cand = free & (row != 0)
-        has = cand.any(axis=1)
-        piv = cand.argmax(axis=1)
-        free[at[has], piv[has]] = False
-        ranks += has
-        # column c -= (row[c] / row[piv]) * pivot column, for unused c
+
+    def step(r, row, piv, cand):
+        # column c -= (row[c] / row[piv]) * pivot column, for every c: row is
+        # zero on the unused columns outside cand, and the used ones are
+        # never read again
         pivots = row[at, piv]
         inv = _inverses(pivots, p) if table is None else table[pivots]
         scale = (M[at, r + 1 :, piv] * inv[:, None]) % p
-        row *= free
         M[:, r + 1 :, :] -= scale[:, :, None] * row[:, None, :]
         if eager:
             M[:, r + 1 :, :] %= p
-    return ranks
+        return M[:, r + 1, :] % p
+
+    return _echelon_ranks(M[:, 0, :] % p, nrows, step)
 
 
 def batch_rank_over(mats, field):
     """Ranks over a tabled field F_(p^a) (fields.GFCtx.index_tables) of a
     stack of matrices (count, rows, cols) whose entries are element
-    indices in elem_from_index order.
+    indices in elem_from_index order: _echelon_ranks with a step in log/exp
+    arithmetic.
 
-    The elimination of batch_rank: row r picks as pivot its first nonzero
-    entry in a column not yet used and clears row r from the other unused
-    columns.  Products go through log/exp; sums use the field's Zech
-    logarithms, log(a + b) = log a + zech[log b - log a], or in
-    characteristic 2 the XOR of the indices: the rules of FFElem.
+    Products go through log/exp; sums use the field's Zech logarithms,
+    log(a + b) = log a + zech[log b - log a], or in characteristic 2 the
+    XOR of the indices: the rules of FFElem.
     """
     log, exp, zech = field.index_tables()
     q1 = field.order - 1
     zero = 2 * q1  # log[0]; exp is 0 from there on
     minus = 0 if field.p == 2 else q1 // 2  # the log of -1
     M = np.array(mats, dtype=np.int64)
-    count, nrows, ncols = M.shape
-    free = np.ones((count, ncols), dtype=bool)
-    ranks = np.zeros(count, dtype=np.int64)
-    at = np.arange(count)
-    for r in range(nrows):
-        row = M[:, r, :]
-        cand = free & (row != 0)
-        has = cand.any(axis=1)
-        piv = cand.argmax(axis=1)
-        free[at[has], piv[has]] = False
-        ranks += has
-        if r + 1 == nrows:
-            break
-        # column c += (-row[c] / row[piv]) * pivot column, for unused c:
+    at = np.arange(len(M))
+
+    def step(r, row, piv, cand):
+        # column c += (-row[c] / row[piv]) * pivot column, for c in cand:
         # the logs of the factors, and of the terms (zero from `zero` on)
         lrow = log[row]
         lf = np.where(cand, (lrow - lrow[at, piv][:, None] + minus) % q1, zero)
@@ -340,13 +342,15 @@ def batch_rank_over(mats, field):
         below = M[:, r + 1 :, :]
         if zech is None:
             below ^= exp[lt]
-            continue
-        la = log[below]
-        total = exp[la + zech[(lt - la) % q1]]
-        below[...] = np.where(
-            lt >= zero, below, np.where(below == 0, exp[lt], total)
-        )
-    return ranks
+        else:
+            la = log[below]
+            total = exp[la + zech[(lt - la) % q1]]
+            below[...] = np.where(
+                lt >= zero, below, np.where(below == 0, exp[lt], total)
+            )
+        return M[:, r + 1, :]
+
+    return _echelon_ranks(M[:, 0, :], M.shape[1], step)
 
 
 def _entry_indices(mats, p, a):
@@ -380,13 +384,15 @@ def _orbit_chunks(basis, p, stride=1, scale=1):
             yield idx, family_members(basis, idx, p)
 
 
-def _scan(basis, p, threshold, unit, check, stride, limit, origin=None, over=None):
-    """The rank-scan loop: rank the members _orbit_chunks yields until one
-    ranks below threshold.  Returns (its index or None, minimum rank up to
-    it, members ranked).  A chunk that would take the members ranked past
-    limit raises BudgetExceeded.  origin(i) is the index check sees for
-    member i (i itself when None).  over is the field the members are
-    ranked over (see rank_scan)."""
+def _scan(basis, p, stop, limit, unit=1, check=None, stride=1, origin=None, over=None):
+    """The chunk loop of every family scan: rank the members _orbit_chunks
+    yields until stop(ranks), a mask over a chunk's ranks, marks one.
+    Returns (its index or None, minimum rank up to it, members ranked).  A
+    chunk that would take the members ranked past limit raises
+    BudgetExceeded, as does a family whose indices do not fit in int64,
+    before any rank.  unit, check and over are rank_scan's; origin(i) is
+    the index check sees for member i (i itself when None)."""
+    _indices_fit(p, len(basis))
     min_rank = None
     scanned = 0
     scale = 1 if over is None else over.dim
@@ -406,9 +412,9 @@ def _scan(basis, p, threshold, unit, check, stride, limit, origin=None, over=Non
                         f"at index {at}"
                     )
         scanned += len(idx)
-        bad = np.flatnonzero(ranks < threshold)
-        stop = bad[0] + 1 if bad.size else len(idx)
-        low = int(ranks[:stop].min())
+        bad = np.flatnonzero(stop(ranks))
+        end = bad[0] + 1 if bad.size else len(idx)
+        low = int(ranks[:end].min())
         min_rank = low if min_rank is None else min(min_rank, low)
         if bad.size:
             return int(idx[bad[0]]), min_rank, scanned
@@ -416,39 +422,32 @@ def _scan(basis, p, threshold, unit, check, stride, limit, origin=None, over=Non
 
 
 def _field_basis(field, n, p):
-    """beta_0 = I, then the matrices of field that enlarge the F_p-span so
-    far: an F_p-basis, starting with the identity, of the span of I and
-    field (n x n matrices)."""
-    rows = [np.eye(n, dtype=np.int64).reshape(-1)]
-    for M in field:
-        cand = np.asarray(M, dtype=np.int64).reshape(-1) % p
-        if np_rank(rows + [cand], p) > len(rows):
-            rows.append(cand)
-    return np.array(rows).reshape(-1, n, n)
+    """beta_0 = I, then each matrix of field outside the F_p-span of those
+    before it (the pivot columns of one elimination of them all): an
+    F_p-basis, starting with I, of the span of I and field (n x n)."""
+    mats = np.array([np.eye(n, dtype=np.int64), *field], dtype=np.int64) % p
+    return mats[np_rref(mats.reshape(len(mats), -1).T, p)[1]]
 
 
 def _closed_under_products(beta, p):
-    """True iff every product beta_i beta_j lies in the F_p-span of beta."""
-    flat = beta.reshape(len(beta), -1)
-    return all(
-        np_rank(np.vstack([flat, (x @ y % p).reshape(1, -1)]), p) == len(beta)
-        for x in beta
-        for y in beta
-    )
+    """True iff every product beta_i beta_j lies in the F_p-span of beta:
+    iff stacking all of them under beta keeps its rank."""
+    a = len(beta)
+    products = np.einsum("iab,jbc->ijac", beta, beta).reshape(a * a, -1)
+    return np_rank(np.vstack([beta.reshape(a, -1), products]), p) == a
 
 
 def _orbit_basis(beta, p):
     """Rows beta_i c_j, in the order i + a j, of the reordered index basis
-    (coordinates over the old one): c_j is the first unit vector outside
-    the span of the rows so far, so the c_j are a basis of F_p^n over the
-    field spanned by beta (a = len(beta))."""
-    n = beta.shape[1]
-    rows = np.zeros((0, n), dtype=np.int64)
-    for k in range(n):
-        e_k = np.eye(n, dtype=np.int64)[k]
-        if np_rank(np.vstack([rows, e_k]), p) > len(rows):
-            rows = np.vstack([rows, beta[:, :, k]])
-    return rows
+    (coordinates over the old one), a = len(beta): the c_j are the e_k
+    whose block of rows beta_i e_k starts with a pivot of one elimination
+    of all the blocks, the e_k outside the span of the blocks before them.
+    That span is a module over the field spanned by beta, so the c_j are a
+    basis of F_p^n over that field."""
+    a, n = beta.shape[:2]
+    blocks = beta.transpose(2, 0, 1)  # blocks[k, i] = beta_i e_k
+    _, pivots = np_rref(blocks.reshape(n * a, n).T, p)
+    return blocks[[c // a for c in pivots if c % a == 0]].reshape(-1, n)
 
 
 def rank_scan(
@@ -503,7 +502,7 @@ def rank_scan(
     """
     basis = np.asarray(basis)
     n = basis.shape[0]
-    _indices_fit(p, n)
+    _indices_fit(p, n)  # as _scan does, but before the field check
     beta = _field_basis(field, n, p)
     a = len(beta)
     checking = scan_size(p, a) if a > 1 else 0
@@ -513,7 +512,7 @@ def rank_scan(
     ranked = 0
     members, origin = basis, None
     if a > 1:
-        singular, _, ranked = _scan(beta, p, n, 1, None, 1, checking)
+        singular, _, ranked = _scan(beta, p, lambda r: r < n, checking)
         if singular is not None or not _closed_under_products(beta, p):
             a = 1
             _within_budget(ranked + scan_size(p, n), budget)
@@ -527,12 +526,14 @@ def rank_scan(
             # member j + a j' of the new basis is beta_j c_j', origin(p^(j + a j'))
             members = family_members(basis, [origin(p**j) for j in range(n)], p)
     first, min_rank, scanned = _scan(
-        members, p, threshold, unit, check, a, budget - ranked, origin, over
+        members, p, lambda r: r < threshold, budget - ranked, unit, check, a,
+        origin, over,
     )
     if first is None or a == 1:
         return first, min_rank
     first, min_rank, _ = _scan(
-        basis, p, threshold, unit, check, 1, budget - ranked - scanned, over=over
+        basis, p, lambda r: r < threshold, budget - ranked - scanned, unit, check,
+        over=over,
     )
     return first, min_rank
 
@@ -552,17 +553,9 @@ def _within_budget(total, budget):
 def first_invertible(basis, p, budget=DEFAULT_BUDGET):
     """Index of the first invertible member of an F_p-linear family of
     square matrices, in rank_scan's order, or None if every member is
-    singular.  A chunk that would take the ranks computed past budget
-    raises BudgetExceeded instead, as does a family whose indices do not
-    fit in int64."""
+    singular: _scan until a member has full rank.  A chunk that would take
+    the ranks computed past budget raises BudgetExceeded instead, as does a
+    family whose indices do not fit in int64."""
     basis = np.asarray(basis)
-    _indices_fit(p, basis.shape[0])
-    ranked = 0
-    for idx, mats in _orbit_chunks(basis, p):
-        ranked += len(idx)
-        if ranked > budget:
-            raise BudgetExceeded(f"no invertible member within the budget {budget}")
-        full = np.flatnonzero(batch_rank(mats, p) == basis.shape[1])
-        if full.size:
-            return int(idx[full[0]])
-    return None
+    size = basis.shape[1]
+    return _scan(basis, p, lambda ranks: ranks == size, budget)[0]

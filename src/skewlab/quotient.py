@@ -282,8 +282,7 @@ class QuotCtx:
                     "function-field irreducibility is not decided here; pass "
                     "irreducible_certified=True for catalogued polynomials"
                 )
-        if not f.is_monic() or not right_divides(f, self.F_skew):
-            raise ValueError("f must be a monic right divisor of F(x^n)")
+        # bound refuses a non-monic f, and f divides rep.F(x^n), here F(x^n)
         rep = bound(f)
         if rep.F != F:
             raise ValueError("the bound of f is not F")

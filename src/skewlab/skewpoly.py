@@ -2,8 +2,9 @@
 
 SkewPoly is a polyring.Poly that overrides only _twist, to sigma^k, so
 Poly's product and division are the skew product and right division.  Left
-division, gcrd, companion/semilinear matrices and the bound (minimal
-central multiple) of a polynomial live here.
+division is right division in the opposite ring L[x; sigma^-1]
+(OppositeSkewPoly, another _twist).  Gcrd, companion/semilinear matrices
+and the bound (minimal central multiple) of a polynomial live here too.
 """
 
 from . import linalg
@@ -72,28 +73,27 @@ def right_divmod(f, g):
     return divmod(f, g)
 
 
+class OppositeSkewPoly(SkewPoly):
+    """L[x; sigma^-1], the opposite ring of L[x; sigma] under the
+    anti-isomorphism psi(sum a_i x^i) = sum sigma^(-i)(a_i) x^i."""
+
+    __slots__ = ()
+
+    def _twist(self, coeffs, k):
+        return SkewPoly._twist(self, coeffs, -k)
+
+
+def _psi(f, sign, cls):
+    """sum sigma^(sign i)(a_i) x^i as a cls: psi for sign -1, psi^-1 for 1."""
+    aut = f.ctx.sigma_pow
+    return cls(f.ctx, (aut(c, sign * i) if c else c for i, c in enumerate(f.coeffs)))
+
+
 def left_divmod(f, g):
-    """Quotient and remainder with f = g*q + r, deg r < deg g."""
-    if not g:
-        raise ZeroDivisionError("skew division by zero")
-    ctx = f.ctx
-    dg = g.degree
-    lead_g = g.lead
-    rem = list(f.coeffs)
-    q = [ctx.zero] * max(len(rem) - dg, 0)
-    while len(rem) - 1 >= dg and rem:
-        if not rem[-1]:
-            rem.pop()
-            continue
-        k = len(rem) - 1 - dg
-        c = ctx.sigma_pow(rem[-1] / lead_g, -dg)
-        q[k] = c
-        # rem -= g * (c x^k)
-        for j, b in enumerate(g.coeffs):
-            if b:
-                rem[k + j] = rem[k + j] - b * ctx.sigma_pow(c, j)
-        rem.pop()
-    return SkewPoly(ctx, q), SkewPoly(ctx, rem)
+    """Quotient and remainder with f = g*q + r, deg r < deg g: a right
+    division in the opposite ring, as psi(f) = psi(q)*psi(g) + psi(r)."""
+    q, r = divmod(_psi(f, -1, OppositeSkewPoly), _psi(g, -1, OppositeSkewPoly))
+    return _psi(q, 1, SkewPoly), _psi(r, 1, SkewPoly)
 
 
 def right_mod(f, g):

@@ -165,6 +165,16 @@ def test_unknown_spec_keys_are_usage_errors(capsys, tmp_path):
 S412 = {**{k: v for k, v in D412.items() if k != "gamma"}, "family": "S", "eta": "w"}
 
 
+FF8_D = {
+    "family": "D",
+    "field": {"kind": "funcfield", "r": 3},
+    "F": ["(t^6+t^4+t^2+1)/(t^6+t^5+t^3+t+1)", "1"],
+    "k": 1,
+    "gamma": "t+1",
+    "f": "x^2+(t^2+1)/(t^2+t+1)",
+}
+
+
 @pytest.mark.parametrize(
     "payload, key",
     [
@@ -192,6 +202,26 @@ def test_wrong_value_types_are_usage_errors(capsys, tmp_path, payload, key):
     code, out, err = run_cli(capsys, "verify", "--spec", write_spec(tmp_path, payload))
     assert code == 2 and not out
     assert err.startswith("error:") and repr(key) in err
+
+
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        # keys the spec does not read used to be ignored (the finite ones
+        # exited 0); a finite spec finds its f
+        ({**D412, "f": 5}, "f"),
+        ({**D412, "f": "x^2+((("}, "f"),
+        ({**D412, "eta": None}, "eta"),
+        ({**D412, "rho_exp": "x"}, "rho_exp"),
+        ({**S412, "gamma": "w"}, "gamma"),
+        ({**D412, "F": [1, 0, 1], "k": 1, "semifield": True, "eta": "w"}, "eta"),
+        ({**FF8_D, "family": "S", "eta": "t"}, "gamma"),
+    ],
+)
+def test_keys_the_spec_does_not_read_are_usage_errors(capsys, tmp_path, payload, key):
+    code, out, err = run_cli(capsys, "verify", "--spec", write_spec(tmp_path, payload))
+    assert code == 2 and not out
+    assert err.startswith("error:") and repr(key) in err and "not read" in err
 
 
 @pytest.mark.parametrize(
@@ -292,16 +322,6 @@ def test_verify_sampled_runs(capsys, tmp_path):
     assert report["mrd"]["mode"] == "sampled" and report["mrd"]["seed"] == 12
 
 
-FF8_D = {
-    "family": "D",
-    "field": {"kind": "funcfield", "r": 3},
-    "F": ["(t^6+t^4+t^2+1)/(t^6+t^5+t^3+t+1)", "1"],
-    "k": 1,
-    "gamma": "t+1",
-    "f": "x^2+(t^2+1)/(t^2+t+1)",
-}
-
-
 def test_verify_funcfield_spec(capsys, tmp_path):
     spec = FF8_D
     code, out, _ = run_cli(
@@ -328,6 +348,13 @@ def test_verify_funcfield_spec(capsys, tmp_path):
         "--mode", "sampled", "--samples", "1", "--seed", "3",
     )
     assert code == 2 and not out and err.startswith("error:")
+
+
+def test_an_f_that_does_not_divide_f_of_x_n_is_a_usage_error(capsys, tmp_path):
+    # x^2 + t is monic with a nonzero constant, but its bound is not F
+    spec = {**FF8_D, "f": "x^2+t"}
+    code, out, err = run_cli(capsys, "verify", "--spec", write_spec(tmp_path, spec))
+    assert code == 2 and not out and "the bound of f is not F" in err
 
 
 def test_sampled_verify_counts_its_samples_against_the_budget(capsys, tmp_path):
@@ -545,21 +572,11 @@ def test_bound_of_a_reducible_poly_reports_no_norm_identity(capsys, poly):
         assert (report["F"], report["ell"], report["m"]) == ("y^2+1", 1, 3)
 
 
-FF8_D = {
-    "family": "D",
-    "field": {"kind": "funcfield", "r": 3},
-    "F": ["(t^6+t^4+t^2+1)/(t^6+t^5+t^3+t+1)", "1"],
-    "k": 1,
-    "gamma": "t+1",
-    "f": "x^2+(t^2+1)/(t^2+t+1)",
-}
-
-
 @pytest.mark.parametrize(
     "spec, message",
     [
         ({**D412, "gamma": "w^^2"}, "bad term 'w^^2' (at position 0)"),
-        ({**D412, "family": "S", "eta": "1++w"}, "empty term (at position 2)"),
+        ({**S412, "eta": "1++w"}, "empty term (at position 2)"),
         ({**D412, "F": ["w^", 1]}, "bad term 'w^' (at position 0)"),
         ({**FF8_D, "F": ["(t^6+t^4+t^2+1)/(t^6+)", "1"]},
          "trailing operator (at position 20)"),

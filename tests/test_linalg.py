@@ -95,6 +95,138 @@ def test_first_invertible_is_the_first_full_rank_index(monkeypatch):
         assert linalg.first_invertible(basis, 5) == want
 
 
+# ---------------------------------------------------- the one pivot loop --
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2**31 - 1])
+def test_batch_rank_equals_np_rank_and_rref_on_every_branch(p):
+    # fewer matrices than residues and at least as many (the inverse table
+    # off and on), one-row and rectangular stacks, and entries reduced or
+    # up to 100 or 10^6 off, as unreduced family sums are: for p <= 7 the
+    # int8, int16 and int32 elimination dtypes, and for p = 2^31 - 1 the
+    # eager mode, every step reduced mod p
+    field = GFCtx(p, 1)
+    rng = np.random.default_rng(p + 22)
+    for count in (max(p - 1, 1), p + 2) if p < 8 else (5,):
+        for rows, cols in ((1, 4), (3, 5), (5, 2), (4, 4)):
+            for offset in (0, 100, 10**6):
+                mats = rng.integers(0, p, size=(count, rows, cols))
+                mats[0] = 0
+                mats[-1] = np.outer(mats[-1][:, 0], mats[-1][0]) % p  # rank <= 1
+                k = offset // p
+                mats = mats + p * rng.integers(-k, k + 1, size=mats.shape)
+                rref = [
+                    len(linalg.rref([[field.elem_from_index(int(x) % p) for x in r]
+                                     for r in m])[1])
+                    for m in mats
+                ]
+                assert [linalg.np_rank(m, p) for m in mats] == rref
+                assert linalg.batch_rank(mats, p).tolist() == rref
+
+
+def test_both_kernels_run_the_one_pivot_loop(monkeypatch):
+    # each kernel hands _echelon_ranks row 0, reduced, and its step
+    loop = linalg._echelon_ranks
+    calls = []
+
+    def counted(row, nrows, step):
+        calls.append((row.shape, nrows, row.min() >= 0))
+        return loop(row, nrows, step)
+
+    monkeypatch.setattr(linalg, "_echelon_ranks", counted)
+    mats = np.array([[[1, 2, 3], [2, 4, 6]], [[-1, 0, 0], [0, 5, 1]]])
+    assert linalg.batch_rank(mats, 5).tolist() == [1, 2]
+    assert linalg.batch_rank_over(mats % 4, GFCtx(2, 2)).tolist() == [2, 2]
+    assert calls == [((2, 3), 2, True)] * 2
+
+
+def _field_basis_greedy(field, n, p):
+    """The field basis, by one rank per matrix of field."""
+    rows = [np.eye(n, dtype=np.int64).reshape(-1)]
+    for M in field:
+        cand = np.asarray(M, dtype=np.int64).reshape(-1) % p
+        if linalg.np_rank(rows + [cand], p) > len(rows):
+            rows.append(cand)
+    return np.array(rows).reshape(-1, n, n)
+
+
+def _closed_greedy(beta, p):
+    """Closure under products, by one rank per product."""
+    flat = beta.reshape(len(beta), -1)
+    return all(
+        linalg.np_rank(np.vstack([flat, (x @ y % p).reshape(1, -1)]), p) == len(beta)
+        for x in beta
+        for y in beta
+    )
+
+
+def _orbit_basis_greedy(beta, p):
+    """The reordered basis, by one rank per unit vector: c_j is the first
+    e_k outside the span of the rows so far."""
+    n = beta.shape[1]
+    rows = np.zeros((0, n), dtype=np.int64)
+    for k in range(n):
+        e_k = np.eye(n, dtype=np.int64)[k]
+        if linalg.np_rank(np.vstack([rows, e_k]), p) > len(rows):
+            rows = np.vstack([rows, beta[:, :, k]])
+    return rows
+
+
+def _conjugated_field(p, a, m, rng):
+    """F_(p^a) acting on F_p^(a m): a + 2 random elements (repeats, 0 and 1
+    may occur), each as m diagonal blocks of its multiplication matrix,
+    conjugated by one random invertible matrix."""
+    ctx = finite_ctx(p, a)
+    mults = np.array([ctx.mult_matrix(b) for b in ctx.basis])
+    elems = np.einsum("ki,iab->kab", rng.integers(0, p, size=(a + 2, a)), mults) % p
+    n = a * m
+    P = rng.integers(0, p, size=(n, n))
+    while linalg.np_rank(P, p) < n:
+        P = rng.integers(0, p, size=(n, n))
+    P_inv = linalg.np_inv(P, p)
+    return [P_inv @ np.kron(np.eye(m, dtype=np.int64), x) @ P % p for x in elems]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("a", [2, 3, 4])
+def test_field_check_eliminations_match_the_greedy_loops(p, a):
+    rng = np.random.default_rng(10 * p + a)
+    for m in (1, 2, 3)[: 4 - a // 2]:
+        field = _conjugated_field(p, a, m, rng)
+        n = a * m
+        beta = linalg._field_basis(field, n, p)
+        assert np.array_equal(beta, _field_basis_greedy(field, n, p))
+        assert len(beta) == a  # random elements of F_(p^a) span it with I
+        assert linalg._closed_under_products(beta, p) and _closed_greedy(beta, p)
+        order = linalg._orbit_basis(beta, p)
+        assert np.array_equal(order, _orbit_basis_greedy(beta, p))
+        assert order.shape == (n, n) and linalg.np_rank(order, p) == n
+
+
+def test_field_check_eliminations_on_a_span_not_closed_under_products():
+    # the companion matrix of y^3 + y + 1 over F_2 (see below): I and C
+    # span no field, as C^2 is outside their span
+    C = np.array([[0, 0, 1], [1, 0, 1], [0, 1, 0]])
+    field = [np.kron(np.eye(2, dtype=np.int64), C)] * 2
+    beta = linalg._field_basis(field, 6, 2)
+    assert np.array_equal(beta, _field_basis_greedy(field, 6, 2)) and len(beta) == 2
+    assert not linalg._closed_under_products(beta, 2) and not _closed_greedy(beta, 2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_np_kernel_is_a_reduced_basis_of_the_kernel(p):
+    rng = np.random.default_rng(p)
+    for rows, cols in ((3, 5), (5, 3), (4, 4), (1, 6)):
+        M = rng.integers(0, p, size=(rows, cols))
+        M[-1] = M[0]
+        K = linalg.np_kernel(M, p)
+        assert K.shape == (cols - linalg.np_rank(M, p), cols)
+        assert not (M @ K.T % p).any() and linalg.np_rank(K, p) == len(K)
+        # one free column each, with 1 there and 0 at the other free columns
+        free = np.setdiff1d(np.arange(cols), linalg.np_rref(M, p)[1])
+        assert np.array_equal(K[:, free], np.eye(len(free), dtype=np.int64))
+
+
 # ------------------------------------------------- orbits of a larger field --
 
 
@@ -280,8 +412,8 @@ def _index_stack(field, rng, rows, cols):
 
 
 @pytest.mark.parametrize(
-    "p, a", [(2, 2), (2, 8), (3, 2), (5, 2), (3, 4), (3, 8)],
-    ids=["F_4", "F_256", "F_9", "F_25", "F_81", "F_3^8"],
+    "p, a", [(2, 2), (2, 4), (2, 8), (3, 2), (5, 2), (3, 4), (3, 8)],
+    ids=["F_4", "F_16", "F_256", "F_9", "F_25", "F_81", "F_3^8"],
 )
 def test_batch_rank_over_equals_rref_and_the_fp_expansion(p, a):
     # XOR sums in characteristic 2, Zech sums otherwise; two references:

@@ -10,6 +10,7 @@ from skewlab.fields import AutMap, FunctionFieldCtx
 from skewlab.polyring import Poly
 from skewlab.skewpoly import (
     CentralPoly,
+    OppositeSkewPoly,
     SkewPoly,
     bound,
     central_is_irreducible,
@@ -27,6 +28,7 @@ from skewlab.skewpoly import (
     right_mod,
     skew_from_literal,
     skew_to_literal,
+    _psi,
 )
 
 from helpers import (
@@ -91,8 +93,13 @@ def test_right_divmod_examples():
 
 
 def test_division_remultiplication_random():
+    # left division runs in the opposite ring L[x; sigma^-1], whose psi
+    # reverses products
     rng = random.Random(4)
-    for ctx in (finite_ctx(2, 3), finite_ctx(3, 4), FunctionFieldCtx(3)):
+    for ctx in (
+        finite_ctx(2, 3), finite_ctx(3, 4), finite_ctx(5, 2), FunctionFieldCtx(3),
+        FunctionFieldCtx(5),
+    ):
         for _ in range(15):
             f = random_skew(ctx, 4, rng)
             g = random_skew(ctx, 4, rng, nonzero=True)
@@ -100,6 +107,9 @@ def test_division_remultiplication_random():
             assert q * g + r == f and r.degree < g.degree
             ql, rl = left_divmod(f, g)
             assert g * ql + rl == f and rl.degree < g.degree
+            assert type(ql) is type(rl) is SkewPoly
+            op_f, op_g = (_psi(h, -1, OppositeSkewPoly) for h in (f, g))
+            assert _psi(op_g * op_f, 1, SkewPoly) == f * g
 
 
 def test_norm_divisor_of_central_f8():
