@@ -63,7 +63,7 @@ def verify_f_bound(inst, cofactor=None):
         return False
     if rep.ell != 2 or rep.m != inst.r:
         return False
-    if rep.semilinear.char_poly != rep.F.poly * rep.F.poly:
+    if rep.char_poly != rep.F.poly * rep.F.poly:
         return False
     cof = cofactor if cofactor is not None else f_cofactor(inst)
     return cof * inst.f == rep.F.to_skew()
@@ -78,7 +78,7 @@ def verify_g_bound(inst):
         return False
     if rep.ell != 1 or rep.m != ctx.n:
         return False
-    if rep.semilinear.char_poly != rep.F.poly:
+    if rep.char_poly != rep.F.poly:
         return False
     G_skew = rep.F.to_skew()
     if not right_divides(inst.g, G_skew) or not left_divides(inst.g, G_skew):

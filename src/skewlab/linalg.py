@@ -1,13 +1,13 @@
 """Exact linear algebra helpers.
 
-Three layers: generic Gaussian elimination over any field whose elements carry
-Python operators (used over L and over F_2(s)), numpy integer elimination
-mod a prime (used for the large finite-context systems), and the batched
-rank scan over an F_p-linear family of matrices (used by the MRD and
-zero-divisor scans).  The scan ranks its members, one chunk at a time in
-one chunk loop (_scan), by one batched pivot loop (_echelon_ranks) with two
-arithmetics: mod p (batch_rank), or over a tabled field F_(p^a) on element
-indices (batch_rank_over).
+Three layers.  The generic layer works over any field whose elements
+carry Python operators (L, K and E(f)): rref, kernel_basis, mat_mul and
+charpoly.  Numpy integer elimination mod a prime serves the large
+finite-context systems.  The batched rank scan over an F_p-linear family of
+matrices serves the MRD and zero-divisor scans: it ranks the members, one
+chunk at a time in one chunk loop (_scan), by one batched pivot loop
+(_echelon_ranks) with two arithmetics: mod p (batch_rank), or over a tabled
+field F_(p^a) on element indices (batch_rank_over).
 """
 
 import numpy as np
@@ -59,20 +59,6 @@ def kernel_basis(rows, ncols, field):
     return basis
 
 
-def solve(rows, rhs, field):
-    """One solution of rows * x = rhs with free variables zero, or None."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    ncols = len(rows[0]) if rows else 0
-    for row, pc in zip(red, pivots):
-        if pc == ncols:
-            return None
-    x = [field.zero] * ncols
-    for row, pc in zip(red, pivots):
-        x[pc] = row[-1]
-    return x
-
-
 def mat_mul(A, B):
     n, k, m = len(A), len(B), len(B[0])
     out = []
@@ -87,15 +73,9 @@ def mat_mul(A, B):
     return out
 
 
-def identity_matrix(field, n):
-    return [
-        [field.one if i == j else field.zero for j in range(n)] for i in range(n)
-    ]
-
-
 def charpoly(A, field):
     """det(yI - A) as a monic Poly over the entry field (Laplace expansion;
-    fine at companion-matrix sizes)."""
+    fine at the sizes of A_f)."""
     n = len(A)
     y = Poly.gen(field)
     entries = [
@@ -122,25 +102,6 @@ def _poly_det(M, field):
         term = M[0][j] * _poly_det(minor, field)
         acc = acc - term if j % 2 else acc + term
     return acc
-
-
-def min_poly(A, field):
-    """Minimal polynomial of the square matrix A over its entry field,
-    by the first linear dependence among I, A, A^2, ... (Krylov on vec)."""
-    n = len(A)
-    power = identity_matrix(field, n)
-    seen = [[x for row in power for x in row]]
-    while True:
-        power = mat_mul(power, A)
-        vec = [x for row in power for x in row]
-        cols = list(zip(*seen))
-        combo = solve([list(c) for c in cols], vec, field)
-        if combo is not None:
-            coeffs = [-c for c in combo] + [field.one]
-            return Poly(field, coeffs)
-        seen.append(vec)
-        if len(seen) > n * n + 1:
-            raise RuntimeError("minimal polynomial search failed to terminate")
 
 
 # ---------------------------------------------------------------- mod p ----

@@ -576,21 +576,12 @@ def full_rank_certified(words):
     return certified
 
 
-class EigenringBasis:
-    """K-basis of E(f) = {g : deg g < deg f, f*g = 0 mod_r f}."""
-
-    __slots__ = ("qctx", "basis", "dimension")
-
-    def __init__(self, qctx, basis):
-        self.qctx = qctx
-        self.basis = basis
-        self.dimension = len(basis)
-
-
 def eigenring(qctx):
-    """A K-basis of the eigenring of the distinguished f: the kernel over K
-    of g -> f*g mod_r f (K-linear, since K is central), written in the
-    K-coordinates of the units b x^i, b in ctx.l_basis and i < deg f."""
+    """A K-basis, as a list of skew polynomials, of the eigenring
+    E(f) = {g : deg g < deg f, f*g = 0 mod_r f} of the distinguished f: the
+    kernel over K of g -> f*g mod_r f (K-linear, since K is central),
+    written in the K-coordinates of the units b x^i, b in ctx.l_basis and
+    i < deg f."""
     ctx = qctx.ctx
     f = qctx.f
     df = f.degree
@@ -606,7 +597,7 @@ def eigenring(qctx):
             if c:
                 g = g + unit.scale_left(ctx.embed_K0(c))
         members.append(g)
-    return EigenringBasis(qctx, members)
+    return members
 
 
 # ------------------------------------------------- eigenring as a field ----
@@ -657,7 +648,7 @@ def _coord_data(qctx):
         raise FieldError("matrix images are only available over finite fields")
     if qctx._eigen is None:
         qctx._eigen = eigenring(qctx)
-    ebasis = qctx._eigen.basis
+    ebasis = qctx._eigen
     f = qctx.f
     df = f.degree
     full = df * ctx.dim
@@ -694,7 +685,7 @@ def matrix_image(a):
     qctx = a.qctx
     ctx = qctx.ctx
     inv, basis = _coord_data(qctx)
-    ebasis = qctx._eigen.basis
+    ebasis = qctx._eigen
     ne = len(ebasis)
     e = len(ctx.k_basis)
     f = qctx.f

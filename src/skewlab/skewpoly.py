@@ -3,8 +3,10 @@
 SkewPoly is a polyring.Poly that overrides only _twist, to sigma^k, so
 Poly's product and division are the skew product and right division.  Left
 division is right division in the opposite ring L[x; sigma^-1]
-(OppositeSkewPoly, another _twist).  Gcrd, companion/semilinear matrices
-and the bound (minimal central multiple) of a polynomial live here too.
+(OppositeSkewPoly, another _twist).  Gcrd and the bound (minimal central
+multiple) of a polynomial live here too; the bound is the minimal
+polynomial of A_f, x^n acting on R/Rf, whose matrix is read off the
+reductions x^j mod_r f.
 """
 
 from . import linalg
@@ -191,88 +193,68 @@ def central_is_irreducible(cp):
     return irreducible_over(cp.poly, ctx.q)
 
 
-class SemilinearData:
-    """Companion matrix C_f, the product A_f and its char/min polynomials."""
-
-    __slots__ = ("companion", "a_matrix", "char_poly", "min_poly")
-
-    def __init__(self, companion, a_matrix, char_poly, min_poly):
-        self.companion = companion
-        self.a_matrix = a_matrix
-        self.char_poly = char_poly
-        self.min_poly = min_poly
-
-
-def companion_and_af(f):
-    """Build C_f, A_f = C_f C_f^sigma ... C_f^sigma^(n-1), and the
-    characteristic/minimal polynomials of A_f (both over K)."""
-    if not f.is_monic():
-        raise ValueError("companion matrix needs a monic polynomial")
-    h = f.degree
-    if h < 1:
-        raise ValueError("companion matrix needs degree >= 1")
-    ctx = f.ctx
-    C = [[ctx.zero] * h for _ in range(h)]
-    for i in range(h):
-        C[i][h - 1] = -f[i]
-        if i + 1 < h:
-            C[i + 1][i] = ctx.one
-    A = C
-    cur = C
-    for _ in range(1, ctx.n):
-        cur = [[ctx.sigma_pow(x, 1) for x in row] for row in cur]
-        A = linalg.mat_mul(A, cur)
-    char = linalg.charpoly(A, ctx)
-    for c in char.coeffs:
-        if not ctx.is_in_K(c):
-            raise RuntimeError("characteristic polynomial of A_f left K")
-    minp = linalg.min_poly(A, ctx)
-    for c in minp.coeffs:
-        if not ctx.is_in_K(c):
-            raise RuntimeError("minimal polynomial of A_f left K")
-    if minp and char % minp:
-        raise RuntimeError("minimal polynomial does not divide characteristic")
-    return SemilinearData(C, A, char, minp)
-
-
 class BoundReport:
-    """The bound F(x^n) of f together with ell = n/m when defined."""
+    """The bound F(x^n) of f, the matrix A_f and its characteristic
+    polynomial, and ell = n/m when defined."""
 
-    __slots__ = ("F", "ell", "m", "semilinear")
+    __slots__ = ("F", "ell", "m", "a_matrix", "char_poly")
 
-    def __init__(self, F, ell, m, semilinear=None):
+    def __init__(self, F, ell, m, a_matrix, char_poly):
         self.F = F
         self.ell = ell
         self.m = m
-        self.semilinear = semilinear
+        self.a_matrix = a_matrix
+        self.char_poly = char_poly
 
 
 def bound(f):
-    """The bound of a monic f with nonzero constant coefficient.
+    """The bound of a monic f of degree h >= 1 with nonzero constant
+    coefficient: the monic F(y) over K of least degree with f | F(x^n).
 
-    F(y) is the minimal polynomial of A_f over K; the characteristic
-    polynomial equals F^ell, which pins ell and m = n/ell (for irreducible f
-    these are the invariants ell_F, m_F of the quotient R/RF(x^n); otherwise
-    they may be undefined and are reported as None).
+    x^n is central, so left multiplication by x^n is an L-linear map of
+    R/Rf; its matrix A_f in the basis 1, x, ..., x^(h-1) has x^(n+i) mod_r f
+    as column i.  F(x^n) lies in Rf iff F(A_f) = 0, so F is the minimal
+    polynomial of A_f: the first L-linear relation among I, A_f, A_f^2, ...
+    Its coefficients lie in K, F(x^n) is a two-sided multiple of f, and F
+    divides the characteristic polynomial of A_f, also over K; each is
+    checked, and a failure raises.  When that polynomial is F^ell with
+    ell | n, ell and m = n/ell are reported (for irreducible f these are
+    the invariants ell_F, m_F of the quotient R/RF(x^n)); otherwise both
+    are None.
     """
     if not f.is_monic():
         raise ValueError("bound needs a monic polynomial")
-    if f.degree < 1:
+    h = f.degree
+    if h < 1:
         raise ValueError("bound needs degree >= 1")
     if not f.constant_coeff:
         raise ValueError("constant coefficient must be nonzero")
     ctx = f.ctx
-    sd = companion_and_af(f)
-    F = CentralPoly(ctx, sd.min_poly)
-    if F.poly.degree > f.degree:
+    reds = power_reductions(f, ctx.n + h - 1)
+    A = [[reds[ctx.n + i][j] for i in range(h)] for j in range(h)]
+    power = [[reds[i][j] for i in range(h)] for j in range(h)]  # I
+    powers = []  # vec(A^k), k = 0, 1, ...: the unknowns of the relation
+    for _ in range(h + 1):
+        powers.append([c for row in power for c in row])
+        relation = linalg.kernel_basis(list(zip(*powers)), len(powers), ctx)
+        if relation:
+            break
+        power = linalg.mat_mul(A, power)
+    else:
         raise RuntimeError("bound degree exceeded deg f")
+    F = CentralPoly(ctx, Poly(ctx, relation[0]))
+    char = linalg.charpoly(A, ctx)
+    if not all(ctx.is_in_K(c) for c in char.coeffs):
+        raise RuntimeError("characteristic polynomial of A_f left K")
+    k = exact_power(F.poly, char)  # a power of F is a multiple of F
+    if k is None and char % F.poly:
+        raise RuntimeError("bound does not divide the characteristic polynomial")
     f_star = F.to_skew()
     if right_mod(f_star, f) or left_mod(f_star, f):
         raise RuntimeError("computed bound is not a two-sided multiple of f")
-    k = exact_power(F.poly, sd.char_poly)
     if k is not None and ctx.n % k == 0:
-        return BoundReport(F, k, ctx.n // k, sd)
-    return BoundReport(F, None, None, sd)
+        return BoundReport(F, k, ctx.n // k, A, char)
+    return BoundReport(F, None, None, A, char)
 
 
 def is_irreducible(f):

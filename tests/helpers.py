@@ -224,6 +224,25 @@ def linearized_rank(a):
     return fp_rank // ctx.e
 
 
+def companion_product(f):
+    """A_f as the semilinear product C_f C_f^sigma ... C_f^(sigma^(n-1)) of
+    the companion matrix C_f of a monic f (C_f[i][h-1] = -f_i, ones on the
+    subdiagonal), sigma applied entrywise; the test-side guard for
+    bound(f).a_matrix, which reads A_f off x^j mod_r f instead."""
+    ctx = f.ctx
+    h = f.degree
+    C = [[ctx.zero] * h for _ in range(h)]
+    for i in range(h):
+        C[i][h - 1] = -f[i]
+        if i + 1 < h:
+            C[i + 1][i] = ctx.one
+    A = cur = C
+    for _ in range(1, ctx.n):
+        cur = [[ctx.sigma_pow(c, 1) for c in row] for row in cur]
+        A = linalg.mat_mul(A, cur)
+    return A
+
+
 def bound_oracle(f):
     """Independent brute-force bound: the smallest d such that the K-linear
     system 'monic F of degree d with F(x^n) mod_r f = 0' is solvable.

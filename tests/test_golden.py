@@ -45,6 +45,19 @@ CASES = {
         None,
         0,
     ),
+    # the two "ell": null paths of bound: the char poly (y^2+2)(y+1) is not
+    # a power of F = y^2+2, and (y+1)^2 is a power of F = y+1 with 2 not
+    # dividing n = 3
+    "bound_char_not_power": (
+        ["bound", "--field", "finite:p=3,e=1,n=2", "--poly", "x^3+w*x^2+x+w"],
+        None,
+        0,
+    ),
+    "bound_power_not_dividing_n": (
+        ["bound", "--field", "finite:p=2,e=1,n=3", "--poly", "x^2+(w+1)*x+w"],
+        None,
+        0,
+    ),
     "verify_d412": (
         [],
         {"family": "D", "field": F81, "F": [-1, 1], "k": 2, "gamma": "w"},

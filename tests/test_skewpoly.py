@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewlab.fields import AutMap, FunctionFieldCtx
+from skewlab.linalg import charpoly
 from skewlab.polyring import Poly
 from skewlab.skewpoly import (
     CentralPoly,
@@ -15,7 +16,6 @@ from skewlab.skewpoly import (
     bound,
     central_is_irreducible,
     central_to_literal,
-    companion_and_af,
     gcrd,
     gcrd_extended,
     is_irreducible,
@@ -33,6 +33,7 @@ from skewlab.skewpoly import (
 
 from helpers import (
     bound_oracle,
+    companion_product,
     finite_ctx,
     np_solve,
     random_elem,
@@ -158,32 +159,76 @@ def test_gcrd_contracts_random():
             assert dd == d and u * f + v * g == d
 
 
-def test_companion_and_af_examples():
+def test_bound_a_matrix_examples():
     ctx = finite_ctx(2, 3)
     x = SkewPoly.x(ctx)
-    fw = x - SkewPoly.constant(ctx, ctx.gen)
-    sd = companion_and_af(fw)
-    assert sd.companion[0][0] == ctx.gen  # -(-w) in characteristic 2
-    assert sd.a_matrix[0][0] == ctx.one
-    assert sd.char_poly == Poly(ctx, (ctx.minus_one, ctx.one))
-    f1 = x - SkewPoly.one(ctx)
-    assert companion_and_af(f1).a_matrix[0][0] == ctx.one
+    rep = bound(x - SkewPoly.constant(ctx, ctx.gen))
+    assert rep.a_matrix == [[ctx.one]]
+    assert rep.char_poly == Poly(ctx, (ctx.minus_one, ctx.one))
+    assert bound(x - SkewPoly.one(ctx)).a_matrix == [[ctx.one]]
     with pytest.raises(ValueError):
-        companion_and_af(SkewPoly.constant(ctx, ctx.gen) * x)
+        bound(SkewPoly.constant(ctx, ctx.gen) * x)
 
 
-def test_companion_funcfield_af_is_power_product():
+def test_funcfield_af_is_scalar():
     # A_f = (C_f C_f^sigma)^r = f0^r I, char = (y + f0^r)^2
     ff = FunctionFieldCtx(3)
     f0 = ff.elem((1, 0, 1), (1, 1, 1))
     x = SkewPoly.x(ff)
-    sd = companion_and_af(x * x + SkewPoly.constant(ff, f0))
+    rep = bound(x * x + SkewPoly.constant(ff, f0))
     v = f0**3
-    assert sd.a_matrix[0][0] == v and sd.a_matrix[1][1] == v
-    assert not sd.a_matrix[0][1] and not sd.a_matrix[1][0]
+    assert rep.a_matrix == [[v, ff.zero], [ff.zero, v]]
     Fy = Poly(ff, (v, ff.one))
-    assert sd.char_poly == Fy * Fy
-    assert sd.min_poly == Fy
+    assert rep.char_poly == Fy * Fy
+    assert rep.F.poly == Fy
+
+
+def _random_monic(ctx, deg, rng):
+    """A random monic f of degree deg with nonzero constant coefficient."""
+    while True:
+        coeffs = [random_elem(ctx, rng) for _ in range(deg)] + [ctx.one]
+        if coeffs[0]:
+            return SkewPoly(ctx, coeffs)
+
+
+def _funcfield_polys(r):
+    """f = x^2 + f0, g = x^2 + 1/t and a cubic over F_(2^r)(t)."""
+    ff = FunctionFieldCtx(r)
+    f0 = ff.elem((1, 0, 1), (1, 1, 1))
+    x = SkewPoly.x(ff)
+    cubic = x * x * x + SkewPoly.constant(ff, ff.t) * x + SkewPoly.constant(ff, f0)
+    return [
+        x * x + SkewPoly.constant(ff, f0),
+        x * x + SkewPoly.constant(ff, ff.one / ff.t),
+        cubic,
+    ]
+
+
+def _finite_polys(ctx, seed):
+    """Random monic f of degrees 1 to 3, then reducible products of two."""
+    rng = random.Random(seed)
+    polys = [_random_monic(ctx, rng.randrange(1, 4), rng) for _ in range(6)]
+    for _ in range(4):
+        g = _random_monic(ctx, 1, rng)
+        polys.append(g * _random_monic(ctx, rng.randrange(1, 3), rng))
+    return polys
+
+
+@pytest.mark.parametrize(
+    "polys",
+    [
+        lambda: _finite_polys(finite_ctx(3, 2, e=2), 1),
+        lambda: _finite_polys(finite_ctx(2, 3, e=2), 2),
+        lambda: _finite_polys(finite_ctx(3, 4, sigma_exp=3), 3),
+        lambda: _funcfield_polys(3),
+        lambda: _funcfield_polys(5),
+    ],
+    ids=["p3-n2-e2", "p2-n3-e2", "p3-n4-sigma3", "F8(t)", "F32(t)"],
+)
+def test_a_matrix_is_the_companion_product(polys):
+    # A_f read off x^(n+i) mod_r f is the semilinear product of the C_f
+    for f in polys():
+        assert bound(f).a_matrix == companion_product(f)
 
 
 def test_bound_examples():
@@ -238,8 +283,10 @@ def test_bound_preconditions():
 
 def test_bound_against_oracle_random():
     rng = random.Random(10)
-    for p, n in ((2, 3), (3, 4)):
-        ctx = finite_ctx(p, n)
+    towers = ((2, 3, 1, 1), (3, 4, 1, 1), (3, 2, 2, 1), (3, 4, 1, 3))
+    seen = set()
+    for p, n, e, sigma_exp in towers:
+        ctx = finite_ctx(p, n, e=e, sigma_exp=sigma_exp)
         for _ in range(15):
             deg = rng.randrange(1, 4)
             f = random_irreducible(ctx, deg, rng)
@@ -250,6 +297,26 @@ def test_bound_against_oracle_random():
             F_skew = rep.F.to_skew()
             assert right_divides(f, F_skew) and left_divides(f, F_skew)
             assert F_skew.degree <= ctx.n * f.degree
+        # random reducible f: products of two monic factors
+        for _ in range(12):
+            g = _random_monic(ctx, rng.randrange(1, 3), rng)
+            f = g * _random_monic(ctx, rng.randrange(1, 3), rng)
+            rep = bound(f)
+            assert rep.F == bound_oracle(f)
+            F_skew = rep.F.to_skew()
+            assert right_divides(f, F_skew) and left_divides(f, F_skew)
+            # ell is defined exactly when the char poly of the companion
+            # product is F^k with k | n
+            char = charpoly(companion_product(f), ctx)
+            k, rem = divmod(f.degree, rep.F.s)
+            power = not rem and rep.F.poly**k == char
+            clean = power and n % k == 0
+            assert (rep.ell is not None) == clean
+            if clean:
+                assert (rep.ell, rep.m) == (k, n // k)
+            seen.add((power, clean))
+    # char poly F^k with k | n, F^k with k not dividing n, and not a power
+    assert seen == {(True, True), (True, False), (False, False)}
 
 
 def test_min_poly_over_L_equals_over_K():
@@ -258,14 +325,14 @@ def test_min_poly_over_L_equals_over_K():
     ctx = finite_ctx(3, 4)
     for _ in range(6):
         f = random_irreducible(ctx, rng.randrange(1, 4), rng)
-        sd = companion_and_af(f)
+        rep = bound(f)
         h = f.degree
         big = np.zeros((h * ctx.dim, h * ctx.dim), dtype=np.int64)
         for i in range(h):
             for j in range(h):
                 big[
                     i * ctx.dim : (i + 1) * ctx.dim, j * ctx.dim : (j + 1) * ctx.dim
-                ] = ctx.mult_matrix(sd.a_matrix[i][j])
+                ] = ctx.mult_matrix(rep.a_matrix[i][j])
         # Krylov over F_p on the regular representation
         power = np.eye(h * ctx.dim, dtype=np.int64)
         seen = [power.reshape(-1) % ctx.p]
@@ -282,7 +349,7 @@ def test_min_poly_over_L_equals_over_K():
         oracle = Poly(
             ctx, [-ctx.from_int(c) for c in coeffs] + [ctx.one]
         )
-        assert oracle == sd.min_poly
+        assert oracle == rep.F.poly
 
 
 def test_composite_divisor_norm_identity():
