@@ -56,10 +56,11 @@ def _load_field(text):
 
 def _emit(report, out_path):
     payload = json.dumps(report, indent=2) + "\n"
-    sys.stdout.write(payload)
+    # the file first: an out_path that cannot be written leaves stdout empty
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(payload)
+    sys.stdout.write(payload)
 
 
 def _budget(args):
@@ -114,7 +115,10 @@ def cmd_verify(args):
         spec_dict = json.load(fh)
     if not isinstance(spec_dict, dict):
         raise ValueError("a spec file must hold a JSON object")
-    if spec_dict.get("semifield"):
+    semifield = spec_dict.get("semifield", False)
+    if not isinstance(semifield, bool):
+        raise ValueError(f"spec key 'semifield' must be a boolean, got {semifield!r}")
+    if semifield:
         return _verify_semifield(args, spec_dict, budget)
     spec = code_spec_from_dict(spec_dict, budget=budget)
     qctx = spec.qctx

@@ -61,14 +61,6 @@ class SCodeSpec:
         # K' = Fix(<sigma, rho>)
         self.kprime = rho.join(AutMap.sigma_power(qctx.ctx, 1))
 
-    def norm_L_to_Kprime(self, a):
-        return norm_to_fixed(a, self.kprime)
-
-    def norm_K_to_Kprime(self, c):
-        """N_{K/K'}(c): the generator of <sigma, rho> restricted to K
-        generates Gal(K/K'), of order |<sigma, rho>| / n."""
-        return norm_to_fixed(c, self.kprime, self.kprime.order() // self.qctx.ctx.n)
-
 
 class DCodeSpec:
     """D_{n, s*ell, k}(gamma, F) inside R_F; needs n = 2t even."""
@@ -104,8 +96,10 @@ def validate_s(spec):
     exponent = spec.skl * (ctx.n - 1)
     sign = ctx.minus_one if exponent % 2 else ctx.one
     inner = sign * qctx.F.F0 ** (spec.k * qctx.ell)
-    value = spec.norm_L_to_Kprime(spec.eta) * spec.norm_K_to_Kprime(inner)
-    return value != ctx.one
+    # N_{K/K'}: the generator of <sigma, rho> restricted to K generates
+    # Gal(K/K'), of order |<sigma, rho>| / n
+    norm_K = norm_to_fixed(inner, spec.kprime, spec.kprime.order() // ctx.n)
+    return norm_to_fixed(spec.eta, spec.kprime) * norm_K != ctx.one
 
 
 def validate_d(spec):
@@ -176,12 +170,6 @@ def d_codeword(spec, a0p, a0pp, mids):
         raise ValueError("a_0' and a_0'' must lie in L'")
     out = [a0p] + list(mids) + [spec.gamma * a0pp]
     return QuotElem(spec.qctx, SkewPoly(ctx, out))
-
-
-def enumerate_codewords(spec):
-    """All codewords exactly once, in index order (finite contexts)."""
-    for idx in range(codeword_count(spec)):
-        yield codeword_from_index(spec, idx)
 
 
 def random_codeword(spec, rng):
@@ -318,7 +306,7 @@ def verify_mrd(
         unit=unit,
         budget=budget,
         check=check,
-        field=_idealiser_action(spec, basis, budget),
+        field=_idealiser_action(spec, budget),
         over=over,
     )
     if first_bad is None:
@@ -348,8 +336,7 @@ def rank_family(spec):
     i*d of R_w.  So basis[j] is those N columns, over = L, and rank(w_i) is
     the rank over L divided by unit = s*ell.  When L has no tables (order
     above fields.TABLE_LIMIT) basis[j] is all of R_w, over is None, and
-    rank(w_i) is the F_p-rank divided by unit = s*ell*d.  Either way column
-    0 is R_w 1 = w."""
+    rank(w_i) is the F_p-rank divided by unit = s*ell*d."""
     qctx = spec.qctx
     ctx = qctx.ctx
     alg = qctx.algebra
@@ -393,34 +380,39 @@ def _theorem_range_flag(spec):
     return not (1 <= spec.k <= m // 2 and spec.skl >= 2)
 
 
-def _idealiser_action(spec, basis, budget):
+def _code_kernels(spec, budget):
+    """(span, kernels): the spanning words' R_F coordinates and the kernels
+    of quotient.subspace_nuclei on them (C and Z after normalising by a unit
+    codeword, searched for within budget ranks), solved once per spec and
+    budget for verify_mrd's orbit cut and nuclear_params alike."""
+
+    def solve(b):
+        alg = spec.qctx.algebra
+        span = [alg.to_vec(w) for w in _spanning_words(spec)]
+        return span, subspace_nuclei(alg, span, b)
+
+    return cached_nuclei(spec, budget, solve)
+
+
+def _idealiser_action(spec, budget):
     """The left idealiser Il acting on the index coordinates of the code
     (quotient.subspace_action), for rank_scan's orbit cut: rank(g w) =
     rank(w) for a unit g, and Il of an MRD code is a field (Lunardon,
     Trombetti and Zhou 2017; rank_scan checks it).  Empty when the nuclear
-    systems raise, and rank_scan then scans F_p^* orbits.  basis holds
-    the right multiplications R_w of the spanning words, or their columns
-    x^i (rank_family)."""
-    alg = spec.qctx.algebra
-    # R_w 1 = w, and 1 is the first coordinate vector
-    span = [R[:, 0] for R in basis]
+    systems raise, and rank_scan then scans F_p^* orbits."""
     try:
-        il = cached_nuclei(spec, budget, lambda b: subspace_nuclei(alg, span, b)).il
+        span, kernels = _code_kernels(spec, budget)
     except (ValueError, BudgetExceeded):
         return []
-    return subspace_action(alg, span, il)
+    return subspace_action(spec.qctx.algebra, span, kernels.il)
 
 
 def nuclear_params(spec, budget=DEFAULT_BUDGET):
-    """Left/right idealiser, centraliser and centre orders of the code: the
-    kernels of quotient.subspace_nuclei on R_F and the spanning words (C
-    and Z after normalising by a unit codeword, searched for within budget
-    ranks when no spanning word is one), computed once per spec and budget
-    and shared with verify_mrd."""
+    """Left/right idealiser, centraliser and centre orders of the code, from
+    the kernels _code_kernels shares with verify_mrd."""
     alg = spec.qctx.algebra
-    span = [alg.to_vec(w) for w in _spanning_words(spec)]
     try:
-        kernels = cached_nuclei(spec, budget, lambda b: subspace_nuclei(alg, span, b))
+        _, kernels = _code_kernels(spec, budget)
     except ValueError:
         raise ValueError("no invertible codeword found; cannot normalise") from None
     il, ir, c, z = (alg.p ** len(basis) for basis in kernels)

@@ -580,7 +580,7 @@ class FunctionFieldCtx(Tower):
         self.n = self.aut_order = 2 * r
         self.p = 2
         self.coeff_field = GFCtx(2, r)
-        self.rat = RatFuncCtx(self.coeff_field, "t")
+        self.rat = RatFuncCtx(self.coeff_field)
         self.zero = self.rat.zero
         self.one = self.rat.one
         self.minus_one = self.one
@@ -589,7 +589,7 @@ class FunctionFieldCtx(Tower):
         num = Poly(self.coeff_field, [self.coeff_field.one, self.coeff_field.zero,
                                       self.coeff_field.one])
         self.s_ff = self.rat.from_polys(num, Poly.gen(self.coeff_field))
-        self.K0 = RatFuncCtx(GFCtx(2, 1), "s")
+        self.K0 = RatFuncCtx(GFCtx(2, 1))
         self.l_basis = [self.w**i * self.t**d for i in range(r) for d in (0, 1)]
 
     def describe(self):
@@ -748,10 +748,6 @@ class AutMap:
     def __init__(self, ctx, exp):
         self.ctx = ctx
         self.exp = exp % ctx.aut_order
-
-    @classmethod
-    def identity(cls, ctx):
-        return cls(ctx, 0)
 
     @classmethod
     def frobenius_power(cls, ctx, h):
@@ -1047,7 +1043,7 @@ def field_from_spec(spec):
             sigma_exp=spec_int(spec.get("sigma_exp", 1), "sigma_exp"),
             modulus=(
                 tuple(spec_int(c, "modulus") for c in spec_list(modulus, "modulus"))
-                if modulus else None
+                if "modulus" in spec else None
             ),
         )
     if kind == "funcfield":

@@ -259,23 +259,6 @@ def irreducible_over(f, q):
     return pow(y, q**d, f) == y % f
 
 
-def exact_power(base, target):
-    """Return k with target == base**k, or None."""
-    if base.degree < 1:
-        return None
-    k = 0
-    cur = target
-    while cur.degree > 0:
-        q, r = divmod(cur, base)
-        if r:
-            return None
-        cur = q
-        k += 1
-    if cur != Poly.one(target.ctx):
-        return None
-    return k
-
-
 class FracElem:
     """Reduced fraction num/den of Polys; den monic, gcd(num, den) = 1."""
 
@@ -387,11 +370,10 @@ class FracElem:
 
 
 class RatFuncCtx:
-    """The rational function field coeff_field(var)."""
+    """The rational function field in one variable over coeff_field."""
 
-    def __init__(self, coeff_field, var="t"):
+    def __init__(self, coeff_field):
         self.coeff_field = coeff_field
-        self.var = var
         self.zero = FracElem(
             self, Poly.zero(coeff_field), Poly.one(coeff_field), reduce=False
         )

@@ -335,12 +335,6 @@ class QuotCtx:
 
     # ------------------------------------------------------------- basics --
 
-    def reduce(self, a):
-        """Canonical coset representative mod_r F(x^n)."""
-        if a.ctx is not self.ctx:
-            raise FieldError("context mismatch")
-        return QuotElem(self, right_mod(a, self.F_skew))
-
     @property
     def algebra(self):
         """R_F as a FiniteAlgebra over F_p under the residue product

@@ -17,7 +17,7 @@ from .fields import (
     parse_poly,
     poly_to_literal,
 )
-from .polyring import Poly, exact_power, ext_gcd, irreducible_over
+from .polyring import Poly, irreducible_over
 
 
 class SkewPoly(Poly):
@@ -122,10 +122,6 @@ def gcrd(f, g):
     while g:
         f, g = g, right_mod(f, g)
     return f.monic()
-
-
-# (d, u, v) with d = u*f + v*g the monic gcrd
-gcrd_extended = ext_gcd
 
 
 def power_reductions(f, upto):
@@ -246,7 +242,8 @@ def bound(f):
     char = linalg.charpoly(A, ctx)
     if not all(ctx.is_in_K(c) for c in char.coeffs):
         raise RuntimeError("characteristic polynomial of A_f left K")
-    k = exact_power(F.poly, char)  # a power of F is a multiple of F
+    # char has degree h, so F^(h/s) is its one candidate power (a multiple of F)
+    k = h // F.s if h % F.s == 0 and F.poly ** (h // F.s) == char else None
     if k is None and char % F.poly:
         raise RuntimeError("bound does not divide the characteristic polynomial")
     f_star = F.to_skew()
@@ -255,24 +252,6 @@ def bound(f):
     if k is not None and ctx.n % k == 0:
         return BoundReport(F, k, ctx.n // k, A, char)
     return BoundReport(F, None, None, A, char)
-
-
-def is_irreducible(f):
-    """Irreducibility in L[x; sigma] over a finite context.
-
-    f (monic, degree >= 1) is irreducible iff deg F = deg f for its bound F
-    and F is irreducible over K; x-multiples are handled separately.
-    """
-    ctx = f.ctx
-    if not isinstance(ctx, FiniteFieldCtx):
-        raise FieldError("irreducibility is only decided over finite fields")
-    if f.degree < 1:
-        return False
-    f = f.monic()
-    if not f.constant_coeff:
-        return f.degree == 1
-    rep = bound(f)
-    return rep.F.s == f.degree and central_is_irreducible(rep.F)
 
 
 class NormIdentityResult:

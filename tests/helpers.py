@@ -5,9 +5,16 @@ import numpy as np
 from skewlab import linalg
 from skewlab.fields import FieldError, FiniteFieldCtx, FunctionFieldCtx
 from skewlab.polyring import Poly
-from skewlab.quotient import FiniteAlgebra, Specialisation, vec
+from skewlab.quotient import FiniteAlgebra, QuotElem, Specialisation, vec
 from skewlab.semifields import LprimeSplit
-from skewlab.skewpoly import CentralPoly, SkewPoly, is_irreducible, power_reductions
+from skewlab.skewpoly import (
+    CentralPoly,
+    SkewPoly,
+    bound,
+    central_is_irreducible,
+    power_reductions,
+    right_mod,
+)
 
 
 def finite_ctx(p, n, e=1, sigma_exp=1):
@@ -33,14 +40,29 @@ def random_skew(ctx, max_deg, rng, monic=False, nonzero=False, nonzero_const=Fal
     return f
 
 
+def residue(q, a):
+    """The class of the skew polynomial a in R_F = q, held by its canonical
+    representative a mod_r F(x^n)."""
+    return QuotElem(q, right_mod(a, q.F_skew))
+
+
+def irreducible_by_bound(f):
+    """Irreducibility of a monic f of degree >= 1 with nonzero constant
+    coefficient over a finite context: deg F = deg f for its bound F, and F
+    irreducible over K."""
+    F = bound(f).F
+    return F.s == f.degree and central_is_irreducible(F)
+
+
 def random_irreducible(ctx, deg, rng):
-    """A uniformly sampled monic irreducible of the exact degree."""
+    """A uniformly sampled monic irreducible of the exact degree with
+    nonzero constant coefficient."""
     while True:
         coeffs = [ctx.random_elem(rng) for _ in range(deg)] + [ctx.one]
         if not coeffs[0]:
             continue
         f = SkewPoly(ctx, coeffs)
-        if is_irreducible(f):
+        if irreducible_by_bound(f):
             return f
 
 
@@ -61,8 +83,6 @@ def base_field_elems(ctx):
 def irreducible_quadratic(ctx):
     """A fixed monic irreducible F(y) of degree 2 with F(0) != 0 over K:
     the first (F0, F1) in the order of base_field_elems."""
-    from skewlab.skewpoly import central_is_irreducible
-
     K = base_field_elems(ctx)
     for c0 in K[1:]:
         for c1 in K:

@@ -195,6 +195,17 @@ FF8_D = {
         ({**S412, "rho_exp": 1.5}, "rho_exp"),
         ({**D412, "field": {"kind": "finite", "p": 3.5, "n": 4}}, "p"),
         ({**D412, "field": {"kind": "finite", "p": 3, "n": 4.9}}, "n"),
+        # a truthy value used to give the semifield report, a falsy one the
+        # code report
+        *(
+            ({**D412, "F": [1, 0, 1], "k": 1, "semifield": value}, "semifield")
+            for value in ("yes", "no", 1, 0, "", [], None)
+        ),
+        # a falsy modulus used to be ignored for the canonical one
+        *(
+            ({**D412, "field": {**D412["field"], "modulus": value}}, "modulus")
+            for value in (0, False, "", None)
+        ),
     ],
 )
 def test_wrong_value_types_are_usage_errors(capsys, tmp_path, payload, key):
@@ -241,6 +252,13 @@ def test_wrong_field_value_type_is_a_usage_error(capsys, field, key):
     code, out, err = run_cli(capsys, "bound", "--field", field, "--poly", "x+w")
     assert code == 2 and not out
     assert err.startswith("error:") and repr(key) in err
+
+
+def test_an_empty_modulus_is_a_usage_error(capsys):
+    field = '{"kind": "finite", "p": 3, "n": 4, "modulus": []}'
+    code, out, err = run_cli(capsys, "bound", "--field", field, "--poly", "x+w")
+    assert code == 2 and not out
+    assert "modulus must be monic of the stated degree" in err
 
 
 def test_a_prime_from_2_to_the_31_is_a_usage_error(capsys):
@@ -406,6 +424,15 @@ def test_reports_are_byte_identical(capsys, tmp_path):
     )
     assert code1 == code2 == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_an_out_path_in_a_missing_directory_leaves_stdout_empty(capsys, tmp_path):
+    # the report used to reach stdout before the file write failed
+    path = write_spec(tmp_path, D412)
+    out = tmp_path / "missing" / "x.json"
+    code, stdout, err = run_cli(capsys, "verify", "--spec", path, "--out", str(out))
+    assert code == 2 and not stdout and err.startswith("error:")
+    assert not out.parent.exists()
 
 
 def test_jobs_do_not_change_the_report(capsys, tmp_path):

@@ -9,17 +9,17 @@ import re
 import numpy as np
 import pytest
 
-from skewlab import fields, linalg
+from skewlab import codes, fields, linalg
 from skewlab.codes import (
     BudgetExceeded,
     DCodeSpec,
     SCodeSpec,
+    _code_kernels,
     _spanning_words,
     code_spec_from_dict,
     codeword_count,
     codeword_from_index,
     d_codeword,
-    enumerate_codewords,
     newness_mrd,
     newness_report,
     newness_semifield,
@@ -32,10 +32,22 @@ from skewlab.codes import (
     verify_mrd,
 )
 from skewlab.fields import AutMap, FunctionFieldCtx
-from skewlab.quotient import QuotCtx, QuotElem, rank, subspace_nuclei, vec
+from skewlab.quotient import (
+    QuotCtx,
+    QuotElem,
+    rank,
+    subspace_action,
+    subspace_nuclei,
+    vec,
+)
 from skewlab.skewpoly import CentralPoly, SkewPoly, bound, central_is_irreducible
 
 from helpers import base_field_elems, finite_ctx, irreducible_quadratic, y_minus_one
+
+
+def all_codewords(spec):
+    """Every codeword exactly once, in index order (finite contexts)."""
+    return (codeword_from_index(spec, i) for i in range(codeword_count(spec)))
 
 
 def quot34():
@@ -48,15 +60,15 @@ def test_validate_s_examples():
     ctx = q.ctx
     w = ctx.gen
     # eta = 0 is always valid (Gabidulin-like)
-    assert validate_s(SCodeSpec(q, 1, ctx.zero, AutMap.identity(ctx)))
+    assert validate_s(SCodeSpec(q, 1, ctx.zero, AutMap(ctx, 0)))
     # q=3, n=4, s=1, k=1, rho=id, eta a generator: N(eta) = -1 != 1
-    assert validate_s(SCodeSpec(q, 1, w, AutMap.identity(ctx)))
+    assert validate_s(SCodeSpec(q, 1, w, AutMap(ctx, 0)))
     # q=2, L=F_8: all norms are trivial, no valid nonzero eta
     ctx8 = finite_ctx(2, 3)
     q8 = QuotCtx(ctx8, y_minus_one(ctx8))
     for i in range(1, ctx8.order):
         eta = ctx8.elem_from_index(i)
-        assert not validate_s(SCodeSpec(q8, 1, eta, AutMap.identity(ctx8)))
+        assert not validate_s(SCodeSpec(q8, 1, eta, AutMap(ctx8, 0)))
 
 
 def test_validate_d_examples():
@@ -89,11 +101,11 @@ def test_codeword_counts_and_uniqueness():
     q = quot34()
     ctx = q.ctx
     w = ctx.gen
-    s2 = SCodeSpec(q, 2, w, AutMap.identity(ctx))
+    s2 = SCodeSpec(q, 2, w, AutMap(ctx, 0))
     assert codeword_count(s2) == 3**8
     d1 = DCodeSpec(q, 1, w)
     assert codeword_count(d1) == 81
-    words = list(enumerate_codewords(d1))
+    words = list(all_codewords(d1))
     assert len(set(words)) == 81
     assert sum(1 for u in words if not u.rep) == 1
     d2 = DCodeSpec(q, 2, w)
@@ -130,7 +142,7 @@ def test_verify_mrd_d_family():
 def test_verify_mrd_gabidulin_like():
     q = quot34()
     ctx = q.ctx
-    spec = SCodeSpec(q, 1, ctx.zero, AutMap.identity(ctx))
+    spec = SCodeSpec(q, 1, ctx.zero, AutMap(ctx, 0))
     rep = verify_mrd(spec)
     assert rep.witnessed and rep.min_rank == 4
 
@@ -179,9 +191,9 @@ def test_left_idealiser_sizes():
     assert ctx.p ** len(il) == 9 and not il[:, ctx.dim :].any()
     assert nuclear_params(d2).il == 9
     assert not nuclear_params(d2).outside_theorem_range
-    s2 = SCodeSpec(q, 2, w, AutMap.identity(ctx))
+    s2 = SCodeSpec(q, 2, w, AutMap(ctx, 0))
     assert nuclear_params(s2).il == 81
-    s0 = SCodeSpec(q, 2, ctx.zero, AutMap.identity(ctx))
+    s0 = SCodeSpec(q, 2, ctx.zero, AutMap(ctx, 0))
     assert nuclear_params(s0).il == 81
     assert nuclear_params(s0).ir == 81
 
@@ -234,7 +246,7 @@ def test_centraliser_and_centre():
     assert got.c == 3 and got.z == 3
     # Gabidulin-like code contains the identity; centre = K (k = 2 so that
     # the code reaches past the constants)
-    s0 = SCodeSpec(q, 2, ctx.zero, AutMap.identity(ctx))
+    s0 = SCodeSpec(q, 2, ctx.zero, AutMap(ctx, 0))
     got0 = nuclear_params(s0)
     assert got0.c == 3 and got0.z == 3
     # s = 2 D-code: centraliser = E_F of order q^s
@@ -283,17 +295,51 @@ def test_nuclear_params_never_rank_codewords(monkeypatch):
         nuclear_params(code_spec_from_dict(NO_UNIT_SPEC))
 
 
+def test_scan_and_nuclear_report_share_one_solve_of_the_code_kernels(monkeypatch):
+    # D_(4,1,2), verify_d412's spec: the orbit cut of verify_mrd and the
+    # report of nuclear_params come from one span and one set of kernels
+    from test_golden import CASES
+
+    spec = code_spec_from_dict(CASES["verify_d412"][1])
+    solves, fields_given = [], []
+    solve, rank_scan = codes.subspace_nuclei, linalg.rank_scan
+
+    def counted(*args):
+        solves.append(args)
+        return solve(*args)
+
+    def recorded(*args, **kwargs):
+        fields_given.append(kwargs["field"])
+        return rank_scan(*args, **kwargs)
+
+    monkeypatch.setattr(codes, "subspace_nuclei", counted)
+    monkeypatch.setattr(linalg, "rank_scan", recorded)
+    assert verify_mrd(spec).witnessed
+    got = nuclear_params(spec)
+    assert (got.il, got.ir, got.c, got.z) == (9, 9, 3, 3)
+    assert len(solves) == 1
+    span, kernels = _code_kernels(spec, linalg.DEFAULT_BUDGET)
+    assert len(solves) == 1
+    alg = spec.qctx.algebra
+    assert span == [alg.to_vec(w) for w in _spanning_words(spec)]
+    assert alg.p ** len(kernels.il) == got.il
+    expected = subspace_action(alg, span, kernels.il)
+    assert len(fields_given) == 1 and len(fields_given[0]) == len(expected) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(fields_given[0], expected))
+
+
 def test_idealiser_invariant_under_normalisation():
     # sizes computed on the raw code equal those on u^-1 C, for u the first
     # codeword (in index order) that is a unit
-    from skewlab.skewpoly import gcrd_extended, right_mod
+    from skewlab.polyring import ext_gcd
+    from skewlab.skewpoly import right_mod
 
     q = quot34()
     ctx = q.ctx
     spec = DCodeSpec(q, 2, ctx.gen)
     base = nuclear_params(spec)
-    u = next(w for w in enumerate_codewords(spec) if w.rep and rank(w) == q.m)
-    d, alpha, _ = gcrd_extended(u.rep, q.F_skew)
+    u = next(w for w in all_codewords(spec) if w.rep and rank(w) == q.m)
+    d, alpha, _ = ext_gcd(u.rep, q.F_skew)
     u_inv = right_mod(alpha.scale_left(d.constant_coeff.inverse()), q.F_skew)
     alg = q.algebra
     normalised = [
@@ -307,10 +353,10 @@ def test_idealiser_invariant_under_normalisation():
 def test_eta_zero_is_rho_independent():
     q = quot34()
     ctx = q.ctx
-    a = SCodeSpec(q, 1, ctx.zero, AutMap.identity(ctx))
+    a = SCodeSpec(q, 1, ctx.zero, AutMap(ctx, 0))
     b = SCodeSpec(q, 1, ctx.zero, AutMap.sigma_power(ctx, 1))
-    set_a = {u.rep for u in enumerate_codewords(a)}
-    set_b = {u.rep for u in enumerate_codewords(b)}
+    set_a = {u.rep for u in all_codewords(a)}
+    set_b = {u.rep for u in all_codewords(b)}
     assert set_a == set_b
 
 
@@ -335,7 +381,7 @@ def test_d_family_matches_tz_shape():
                 a1 = ctx.elem_from_index(i)
                 word = SkewPoly(ctx, (a0p, a1, w * a0pp))
                 tz.add(word)
-    ours = {u.rep for u in enumerate_codewords(spec)}
+    ours = {u.rep for u in all_codewords(spec)}
     assert ours == tz
 
 
@@ -487,7 +533,7 @@ def test_funcfield_s_family_sampled_mrd():
     q = QuotCtx(ff, bound(f).F, f=f, irreducible_certified=True)
     assert q.ell == 2 and q.m == 3
     for k in (1, 2):
-        spec = SCodeSpec(q, k, ff.t, AutMap.identity(ff))
+        spec = SCodeSpec(q, k, ff.t, AutMap(ff, 0))
         assert validate_s(spec)
         rep = verify_mrd(spec, mode="sampled", samples=25, seed=5)
         assert rep.counterexample is None
@@ -637,7 +683,7 @@ def nuclear_params_by_definition(spec):
     def all_in(rows, indices):
         return np.isin(rows @ weights, indices)
 
-    code = list(enumerate_codewords(spec))
+    code = list(all_codewords(spec))
     basis = []
     for w in code:
         cand = np.array([coords(b) for b in basis + [w]])
@@ -692,7 +738,7 @@ def _small_nuclear_specs():
     # one-sided: Il = 8 but Ir = 16 (eta = 1 is not a valid eta over F_8)
     ctx = finite_ctx(2, 3)
     q = QuotCtx(ctx, y_minus_one(ctx))
-    yield "S_q2_n3_k2", SCodeSpec(q, 2, ctx.one, AutMap.identity(ctx))
+    yield "S_q2_n3_k2", SCodeSpec(q, 2, ctx.one, AutMap(ctx, 0))
     # e = 2 towers (K = F_{p^2}, n = 2, skl = 1) with rho the p-Frobenius,
     # which is no power of sigma: the first valid nonzero eta (over F_16
     # only eta = 0 is valid) and the first invalid one; with rho = sigma the
@@ -767,7 +813,9 @@ def test_norm_k_to_kprime_is_the_frobenius_orbit_product(p, e, n, sigma_exp):
             expected = ctx.one
             for i in range(e // ep):
                 expected = expected * c ** (p ** (ep * i))
-            assert spec.norm_K_to_Kprime(c) == expected
+            # validate_s's N_{K/K'}: Gal(K/K') has order |<sigma, rho>| / n
+            got = fields.norm_to_fixed(c, spec.kprime, spec.kprime.order() // ctx.n)
+            assert got == expected
 
 
 def test_codeword_decoder_rejects_indices_out_of_range():

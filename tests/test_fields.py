@@ -302,7 +302,7 @@ def test_autmap_order_and_apply():
     rho = AutMap.frobenius_power(ctx, 1)
     sigma = AutMap.sigma_power(ctx, 1)
     assert sigma.order() == 4
-    assert AutMap(ctx, -1).order() == 4 and AutMap.identity(ctx).order() == 1
+    assert AutMap(ctx, -1).order() == 4 and AutMap(ctx, 0).order() == 1
     a = ctx.random_elem(random.Random(0))
     assert rho.apply(a) == a**3 and sigma.apply(a) == a**3
     assert AutMap(ctx, 2).apply(a) == rho.apply(rho.apply(a))

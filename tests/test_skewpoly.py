@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from skewlab.fields import AutMap, FunctionFieldCtx
 from skewlab.linalg import charpoly
-from skewlab.polyring import Poly
+from skewlab.polyring import Poly, ext_gcd
 from skewlab.skewpoly import (
     CentralPoly,
     OppositeSkewPoly,
@@ -17,8 +17,6 @@ from skewlab.skewpoly import (
     central_is_irreducible,
     central_to_literal,
     gcrd,
-    gcrd_extended,
-    is_irreducible,
     left_divides,
     left_divmod,
     norm_identity_check,
@@ -35,6 +33,7 @@ from helpers import (
     bound_oracle,
     companion_product,
     finite_ctx,
+    irreducible_by_bound,
     np_solve,
     random_elem,
     random_irreducible,
@@ -155,7 +154,7 @@ def test_gcrd_contracts_random():
             d = gcrd(f, g)
             assert right_divides(d, f) and right_divides(d, g)
             assert d == gcrd(g, right_mod(f, g))
-            dd, u, v = gcrd_extended(f, g)
+            dd, u, v = ext_gcd(f, g)
             assert dd == d and u * f + v * g == d
 
 
@@ -261,7 +260,7 @@ def test_bound_of_reducible_polynomial():
     assert central_to_literal(rep.F) == "y+1"
     assert rep.F == bound_oracle(f)
     assert rep.ell is None and rep.m is None
-    assert not is_irreducible(f)
+    assert not irreducible_by_bound(f)
 
 
 def test_central_poly_requires_K_coefficients():
@@ -420,18 +419,19 @@ def test_is_irreducible_against_divisor_search():
                     return True
         return False
 
+    # the criterion random_irreducible samples by, for the f bound accepts
     ctx = finite_ctx(2, 3)
     for _ in range(25):
-        f = random_skew(ctx, 4, rng, monic=True, nonzero=True)
+        f = random_skew(ctx, 4, rng, monic=True, nonzero_const=True)
         if f.degree < 1:
             continue
-        assert is_irreducible(f) == (not reducible_by_search(f))
+        assert irreducible_by_bound(f) == (not reducible_by_search(f))
     ctx34 = finite_ctx(3, 4)
     for _ in range(10):
-        f = random_skew(ctx34, 2, rng, monic=True, nonzero=True)
+        f = random_skew(ctx34, 2, rng, monic=True, nonzero_const=True)
         if f.degree < 1:
             continue
-        assert is_irreducible(f) == (not reducible_by_search(f))
+        assert irreducible_by_bound(f) == (not reducible_by_search(f))
 
 
 def test_power_reductions_match_divisions():
@@ -523,7 +523,7 @@ def test_gcrd_contract(args):
     d = gcrd(f, g)
     assert d.is_monic()
     assert right_divides(d, f) and right_divides(d, g)
-    d2, u, v = gcrd_extended(f, g)
+    d2, u, v = ext_gcd(f, g)
     assert d2 == d and u * f + v * g == d
     if c:
         assert right_divides(c, d)
@@ -546,7 +546,7 @@ def test_skew_structure_stays_skew_and_divides_on_the_right():
             # shifting multiplies by x^k on the right
             assert f.shift(2) == f * x * x
             assert divmod(f, g) == right_divmod(f, g)
-            assert f.gcd(g) == gcrd(f, g) == gcrd_extended(f, g)[0]
+            assert f.gcd(g) == gcrd(f, g) == ext_gcd(f, g)[0]
             assert f**3 == f * f * f
 
 
