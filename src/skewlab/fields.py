@@ -482,7 +482,6 @@ class FiniteFieldCtx(GFCtx, Tower):
     which multiplies two residues in int64, cannot overflow.
     """
 
-    kind = "finite"
     aut = GFCtx.frobenius
 
     def __init__(self, p, e, n, sigma_exp=1, modulus=None):
@@ -570,7 +569,6 @@ class FunctionFieldCtx(Tower):
     itself.
     """
 
-    kind = "funcfield"
     sig = 1
 
     def __init__(self, r):
@@ -998,7 +996,11 @@ def _matching_paren(s, i):
 # -------------------------------------------------------------- field spec -
 
 
-FIELD_SPEC_KEYS = ("kind", "p", "e", "n", "sigma_exp", "modulus", "r")
+# kind -> (the keys it requires, the keys it may carry besides)
+FIELD_SPEC_KEYS = {
+    "finite": (("p", "n"), ("e", "sigma_exp", "modulus")),
+    "funcfield": (("r",), ()),
+}
 
 
 def spec_int(value, key):
@@ -1026,14 +1028,21 @@ def spec_literal(value, key):
 def field_from_spec(spec):
     """Build a context from a field-spec mapping:
     {"kind": "finite", "p": .., "e": .., "n": .., "sigma_exp"?: .., "modulus"?: [..]}
-    or {"kind": "funcfield", "r": ..}.  Any other key is an error.
+    or {"kind": "funcfield", "r": ..}.  A key the kind does not read, or a
+    missing one it requires, is an error.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise FieldError("field spec must be a mapping with a 'kind' key")
-    unknown = [key for key in spec if key not in FIELD_SPEC_KEYS]
-    if unknown:
-        raise FieldError(f"unknown field spec key(s): {', '.join(map(repr, unknown))}")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in FIELD_SPEC_KEYS:
+        raise FieldError(f"unknown field kind {kind!r}")
+    required, optional = FIELD_SPEC_KEYS[kind]
+    for key in spec:
+        if key != "kind" and key not in required + optional:
+            raise FieldError(f"field spec key {key!r} is not read by a {kind} field")
+    for key in required:
+        if key not in spec:
+            raise FieldError(f"a {kind} field spec needs the key {key!r}")
     if kind == "finite":
         modulus = spec.get("modulus")
         return FiniteFieldCtx(
@@ -1046,9 +1055,7 @@ def field_from_spec(spec):
                 if "modulus" in spec else None
             ),
         )
-    if kind == "funcfield":
-        return FunctionFieldCtx(spec_int(spec["r"], "r"))
-    raise FieldError(f"unknown field kind {kind!r}")
+    return FunctionFieldCtx(spec_int(spec["r"], "r"))
 
 
 def field_from_inline(text):

@@ -74,34 +74,22 @@ def mat_mul(A, B):
 
 
 def charpoly(A, field):
-    """det(yI - A) as a monic Poly over the entry field (Laplace expansion;
-    fine at the sizes of A_f)."""
+    """det(yI - A) as a monic Poly over the entry field, by Bareiss's
+    fraction-free elimination over field[y] in O(h^3) Poly operations.
+    Pivot k is the monic char poly of A's leading (k+1) x (k+1) block, never
+    zero: no pivot search or row swap.  Sylvester's identity makes the
+    division by the previous pivot exact; at k = 0 that pivot is 1, skipped."""
     n = len(A)
     y = Poly.gen(field)
-    entries = [
-        [
-            (y - Poly.constant(field, A[i][j]))
-            if i == j
-            else Poly.constant(field, -A[i][j])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return _poly_det(entries, field)
-
-
-def _poly_det(M, field):
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    acc = Poly.zero(field)
-    for j in range(n):
-        if not M[0][j]:
-            continue
-        minor = [[M[i][c] for c in range(n) if c != j] for i in range(1, n)]
-        term = M[0][j] * _poly_det(minor, field)
-        acc = acc - term if j % 2 else acc + term
-    return acc
+    M = [[Poly.constant(field, -a) for a in row] for row in A]
+    for i in range(n):
+        M[i][i] = y + M[i][i]
+    for k in range(n - 1):
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                entry = M[k][k] * M[i][j] - M[k][j] * M[i][k]
+                M[i][j] = entry // M[k - 1][k - 1] if k else entry
+    return M[-1][-1]
 
 
 # ---------------------------------------------------------------- mod p ----

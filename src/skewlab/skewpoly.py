@@ -111,10 +111,6 @@ def right_divides(g, f):
     return not right_mod(f, g)
 
 
-def left_divides(g, f):
-    return not left_mod(f, g)
-
-
 def gcrd(f, g):
     """Monic greatest common right divisor."""
     if not f and not g:

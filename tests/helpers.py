@@ -12,6 +12,7 @@ from skewlab.skewpoly import (
     SkewPoly,
     bound,
     central_is_irreducible,
+    left_mod,
     power_reductions,
     right_mod,
 )
@@ -44,6 +45,11 @@ def residue(q, a):
     """The class of the skew polynomial a in R_F = q, held by its canonical
     representative a mod_r F(x^n)."""
     return QuotElem(q, right_mod(a, q.F_skew))
+
+
+def left_divides(g, f):
+    """True iff f = g*q for some q."""
+    return not left_mod(f, g)
 
 
 def irreducible_by_bound(f):
@@ -261,6 +267,34 @@ def companion_product(f):
         cur = [[ctx.sigma_pow(c, 1) for c in row] for row in cur]
         A = linalg.mat_mul(A, cur)
     return A
+
+
+def laplace_charpoly(A, field):
+    """det(yI - A) as a monic Poly by Laplace expansion along row 0: the
+    factorial-time test-side guard for linalg.charpoly."""
+    y = Poly.gen(field)
+    M = [
+        [
+            (y if i == j else Poly.zero(field)) - Poly.constant(field, a)
+            for j, a in enumerate(row)
+        ]
+        for i, row in enumerate(A)
+    ]
+    return _laplace_det(M, field)
+
+
+def _laplace_det(M, field):
+    n = len(M)
+    if n == 1:
+        return M[0][0]
+    acc = Poly.zero(field)
+    for j in range(n):
+        if not M[0][j]:
+            continue
+        minor = [[M[i][c] for c in range(n) if c != j] for i in range(1, n)]
+        term = M[0][j] * _laplace_det(minor, field)
+        acc = acc - term if j % 2 else acc + term
+    return acc
 
 
 def bound_oracle(f):

@@ -42,7 +42,6 @@ from skewlab.skewpoly import (
     bound,
     central_is_irreducible,
     gcrd,
-    left_divides,
     left_divmod,
     norm_identity_check,
     right_divides,
@@ -55,6 +54,7 @@ from helpers import (
     finite_ctx,
     hk_mul,
     irreducible_quadratic,
+    left_divides,
     linearized_rank,
     random_irreducible,
     random_skew,

@@ -227,12 +227,34 @@ def test_wrong_value_types_are_usage_errors(capsys, tmp_path, payload, key):
         ({**S412, "gamma": "w"}, "gamma"),
         ({**D412, "F": [1, 0, 1], "k": 1, "semifield": True, "eta": "w"}, "eta"),
         ({**FF8_D, "family": "S", "eta": "t"}, "gamma"),
+        ({**FF8_D, "field": {"kind": "funcfield", "r": 3, "p": 2}}, "p"),
     ],
 )
 def test_keys_the_spec_does_not_read_are_usage_errors(capsys, tmp_path, payload, key):
     code, out, err = run_cli(capsys, "verify", "--spec", write_spec(tmp_path, payload))
     assert code == 2 and not out
     assert err.startswith("error:") and repr(key) in err and "not read" in err
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        # a key of the other kind used to be ignored, with exit 0
+        (
+            '{"kind": "funcfield", "r": 3, "p": 5, "n": 99, "modulus": [1]}',
+            "field spec key 'p' is not read by a funcfield field",
+        ),
+        ("finite:p=3,n=4,r=9", "field spec key 'r' is not read by a finite field"),
+        # a missing key used to print only its repr: "error: 'p'"
+        ('{"kind": "finite", "n": 4}', "a finite field spec needs the key 'p'"),
+        ("finite:p=3", "a finite field spec needs the key 'n'"),
+        ('{"kind": "funcfield"}', "a funcfield field spec needs the key 'r'"),
+    ],
+)
+def test_field_spec_keys_outside_the_kind_are_usage_errors(capsys, field, message):
+    code, out, err = run_cli(capsys, "bound", "--field", field, "--poly", "x+w")
+    assert code == 2 and not out
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

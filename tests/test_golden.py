@@ -58,6 +58,16 @@ CASES = {
         None,
         0,
     ),
+    # a dense f of degree 10: a char poly by Laplace expansion, factorial in
+    # deg f, makes this bound take 40 s
+    "bound_dense_deg10": (
+        [
+            "bound", "--field", "finite:p=2,n=11", "--poly",
+            "x^10+w*x^9+w*x^8+w*x^7+w*x^6+w*x^5+w*x^4+w*x^3+w*x^2+w*x+w",
+        ],
+        None,
+        0,
+    ),
     "verify_d412": (
         [],
         {"family": "D", "field": F81, "F": [-1, 1], "k": 2, "gamma": "w"},

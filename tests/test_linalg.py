@@ -1,14 +1,17 @@
-"""The batched rank scan against per-matrix elimination."""
+"""The batched rank scan against per-matrix elimination, and the
+characteristic polynomial against the Laplace expansion."""
 
+import random
 import time
 
 import numpy as np
 import pytest
 
 from skewlab import linalg
-from skewlab.fields import GFCtx
+from skewlab.fields import FunctionFieldCtx, GFCtx
+from skewlab.polyring import Poly
 
-from helpers import finite_ctx, record_chunks
+from helpers import finite_ctx, laplace_charpoly, random_elem, record_chunks
 
 
 @pytest.mark.parametrize(
@@ -486,3 +489,52 @@ def test_a_family_whose_indices_overflow_int64_is_refused(monkeypatch):
     with pytest.raises(linalg.BudgetExceeded, match="int64"):
         linalg.first_invertible(basis, p, budget=10**30)
     assert ranked == []
+
+
+# ------------------------------------------------------- char polynomial ---
+
+
+def _sparse_matrix(ctx, size, rng):
+    """A random matrix with about half of its entries zero."""
+    return [
+        [random_elem(ctx, rng) if rng.random() < 0.5 else ctx.zero for _ in range(size)]
+        for _ in range(size)
+    ]
+
+
+@pytest.mark.parametrize(
+    "ctx, sizes",
+    [
+        (finite_ctx(3, 4), range(1, 8)),
+        (finite_ctx(2, 3), range(1, 8)),
+        (finite_ctx(5, 2, e=2), range(1, 8)),
+        (finite_ctx(2, 1), range(1, 8)),
+        (FunctionFieldCtx(3), range(1, 5)),
+    ],
+    ids=["F_81", "F_8", "F_5^4_e2", "F_2", "F_8(t)"],
+)
+def test_bareiss_charpoly_equals_the_laplace_expansion(ctx, sizes):
+    rng = random.Random(len(sizes) * ctx.n)
+    for size in sizes:
+        for _ in range(12 if size < 6 else 4):
+            A = _sparse_matrix(ctx, size, rng)
+            char = linalg.charpoly(A, ctx)
+            assert char == laplace_charpoly(A, ctx)
+            assert char.is_monic() and char.degree == size
+
+
+def test_charpoly_of_nilpotent_and_permutation_matrices():
+    ctx = finite_ctx(3, 4)
+    y = Poly.gen(ctx)
+    zero, one, w = ctx.zero, ctx.one, ctx.gen
+    for size in range(1, 6):
+        assert linalg.charpoly([[zero] * size for _ in range(size)], ctx) == y**size
+        # strictly upper triangular: nilpotent, char y^size
+        upper = [[w if j > i else zero for j in range(size)] for i in range(size)]
+        assert linalg.charpoly(upper, ctx) == y**size
+    # the permutation (0 1 2)(3 4): char (y^3 - 1)(y^2 - 1)
+    perm = [1, 2, 0, 4, 3]
+    P = [[one if perm[i] == j else zero for j in range(5)] for i in range(5)]
+    one_poly = Poly.one(ctx)
+    assert linalg.charpoly(P, ctx) == (y**3 - one_poly) * (y**2 - one_poly)
+    assert linalg.charpoly(P, ctx) == laplace_charpoly(P, ctx)

@@ -1,13 +1,14 @@
 """Skew polynomial arithmetic, divisions, gcrd, bounds."""
 
 import random
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewlab.fields import AutMap, FunctionFieldCtx
-from skewlab.linalg import charpoly
+from skewlab.linalg import charpoly, mat_mul
 from skewlab.polyring import Poly, ext_gcd
 from skewlab.skewpoly import (
     CentralPoly,
@@ -17,7 +18,6 @@ from skewlab.skewpoly import (
     central_is_irreducible,
     central_to_literal,
     gcrd,
-    left_divides,
     left_divmod,
     norm_identity_check,
     power_reductions,
@@ -34,6 +34,7 @@ from helpers import (
     companion_product,
     finite_ctx,
     irreducible_by_bound,
+    left_divides,
     np_solve,
     random_elem,
     random_irreducible,
@@ -316,6 +317,30 @@ def test_bound_against_oracle_random():
             seen.add((power, clean))
     # char poly F^k with k | n, F^k with k not dividing n, and not a power
     assert seen == {(True, True), (True, False), (False, False)}
+
+
+def test_bound_of_a_dense_degree_10_polynomial_is_fast():
+    # a char poly by Laplace expansion, factorial in deg f, makes this
+    # bound take 40 s
+    ctx = finite_ctx(2, 11)
+    f = skew_from_literal(
+        ctx, "x^10+w*x^9+w*x^8+w*x^7+w*x^6+w*x^5+w*x^4+w*x^3+w*x^2+w*x+w"
+    )
+    start = time.perf_counter()
+    rep = bound(f)
+    assert time.perf_counter() - start < 2
+    assert rep.F == bound_oracle(f)
+    char = rep.char_poly
+    assert char.is_monic() and char.degree == 10
+    assert not char % rep.F.poly
+    # Cayley-Hamilton: char(A_f) = 0, by Horner's rule on matrix products
+    A = rep.a_matrix
+    identity = [[ctx.one if i == j else ctx.zero for j in range(10)] for i in range(10)]
+    acc = identity
+    for c in reversed(char.coeffs[:-1]):
+        acc = mat_mul(acc, A)
+        acc = [[x + c * e for x, e in zip(row, ids)] for row, ids in zip(acc, identity)]
+    assert all(not x for row in acc for x in row)
 
 
 def test_min_poly_over_L_equals_over_K():
